@@ -104,6 +104,7 @@ from .rewards import (
     reward_r2,
     reward_r3,
     reward_r4,
+    score_program,
     total_reward,
 )
 from .runtime import (

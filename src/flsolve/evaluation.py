@@ -12,9 +12,8 @@ from fractions import Fraction
 
 from .data import DatasetFile, reasoning_step_count
 from .interpreter import answers_match
-from .parser import parse_program, program_compiles
-from .program import Program, ProblemRecord
-from .rewards import DEFAULT_REWARD_CONFIG, RewardBreakdown, RewardConfig, total_reward
+from .program import ProblemRecord
+from .rewards import DEFAULT_REWARD_CONFIG, RewardBreakdown, RewardConfig, score_program
 from .runtime import (
     DEFAULT_INSTRUCTIONS,
     GeneratorInterface,
@@ -121,18 +120,15 @@ def _evaluate_record(
     transcript = run_session(
         spec.build(record), record.question, instructions, budget=budget
     )
-    source = transcript.generated_source
-    breakdown = total_reward(source, record, reward_cfg)
+    breakdown = score_program(transcript.program, record, reward_cfg)
     outcome = transcript.outcome
-    gold = parse_program(record.gold_program)
-    assert isinstance(gold, Program)  # total_reward already rejected bad gold
     return ProblemResult(
         id=record.id,
         correct=answers_match(outcome.answer, record.gold_answer),
-        compiled=program_compiles(source),
+        compiled=breakdown.diagnostics.compiled,
         answer=outcome.answer,
         error_kind=None if outcome.error is None else outcome.error.kind,
-        steps=reasoning_step_count(gold),
+        steps=reasoning_step_count(record.parsed_gold()),
         reward=breakdown,
     )
 

@@ -75,14 +75,14 @@ OPERATOR_ARITY = {
 OPERATOR_BY_NAME = {op.value: op for op in Operator}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarRef:
     """Reference to a previously defined variable."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommentAnnotation:
     """Parsed view of a ``# ...`` comment.
 
@@ -100,7 +100,7 @@ class CommentAnnotation:
 Argument = Union[VarRef, Fraction, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     op: Operator
     args: tuple[Argument, ...]
@@ -120,7 +120,7 @@ class Statement:
         return self.op in ARITHMETIC_OPERATORS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
     statements: tuple[Statement, ...]
 
@@ -133,6 +133,29 @@ class ProblemRecord:
     question: str
     gold_program: str
     gold_answer: Fraction
+
+    def parsed_gold(self) -> Program:
+        """The gold program, parsed on first use and cached on the record.
+
+        Raises ValueError when it does not parse. The cache sits outside the
+        dataclass fields, so equality, hashing and pickling ignore it.
+        """
+        parsed = self.__dict__.get(_GOLD_CACHE)
+        if parsed is None:
+            from .parser import parse_program
+
+            parsed = self.__dict__[_GOLD_CACHE] = parse_program(self.gold_program)
+        if not isinstance(parsed, Program):
+            raise ValueError(f"gold program for '{self.id}' does not parse: {parsed[0]}")
+        return parsed
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop(_GOLD_CACHE, None)
+        return state
+
+
+_GOLD_CACHE = "_parsed_gold"
 
 
 def render_argument(arg: Argument) -> str:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .interpreter import EvalOutcome, evaluate
-from .parser import parse_program
+from .parser import parse_program, program_compiles
 from .program import (
     BASIC_OPERATORS,
     BASIC_SYMBOLS,
@@ -102,31 +102,19 @@ class RewardBreakdown:
 
 def reward_r1(gen_source: str, cfg: RewardConfig = DEFAULT_REWARD_CONFIG) -> Fraction:
     """Compilation reward: r_max iff the source compiles, else 0."""
-    result = parse_program(gen_source)
-    compiled = isinstance(result, Program) and has_return(result)
-    return cfg.r_max if compiled else Fraction(0)
+    return cfg.r_max if program_compiles(gen_source) else Fraction(0)
 
 
-def reward_r2(
-    gen: Program | None, gold: Program, cfg: RewardConfig = DEFAULT_REWARD_CONFIG
-) -> Fraction:
-    """Declared-variable count reward; ``gen=None`` means it failed to parse."""
-    v_gold = count_finds(gold)
+def _r2(v_gen: int, v_gold: int, cfg: RewardConfig) -> Fraction:
     if v_gold < 1:
         raise ValueError("gold program declares no [find] variables")
-    v_gen = 0 if gen is None else count_finds(gen)
     score = cfg.r_max * (1 - Fraction(abs(v_gen - v_gold), v_gold))
     if cfg.clamp_components:
         score = max(score, cfg.floor)
     return score
 
 
-def reward_r3(
-    gen: Program | None, gold: Program, cfg: RewardConfig = DEFAULT_REWARD_CONFIG
-) -> Fraction:
-    """Operator-multiset reward over the four basic operators."""
-    gen_counts = Counter() if gen is None else basic_operation_counts(gen)
-    gold_counts = basic_operation_counts(gold)
+def _r3(gen_counts: Counter, gold_counts: Counter, cfg: RewardConfig) -> Fraction:
     matched = sum(min(gen_counts[op], gold_counts[op]) for op in BASIC_OPERATORS)
     missing = sum(max(0, gold_counts[op] - gen_counts[op]) for op in BASIC_OPERATORS)
     extra = sum(max(0, gen_counts[op] - gold_counts[op]) for op in BASIC_OPERATORS)
@@ -134,6 +122,21 @@ def reward_r3(
     if cfg.clamp_components:
         score = max(score, -cfg.r_max * sum(gold_counts.values()))
     return score
+
+
+def reward_r2(
+    gen: Program | None, gold: Program, cfg: RewardConfig = DEFAULT_REWARD_CONFIG
+) -> Fraction:
+    """Declared-variable count reward; ``gen=None`` means it failed to parse."""
+    return _r2(0 if gen is None else count_finds(gen), count_finds(gold), cfg)
+
+
+def reward_r3(
+    gen: Program | None, gold: Program, cfg: RewardConfig = DEFAULT_REWARD_CONFIG
+) -> Fraction:
+    """Operator-multiset reward over the four basic operators."""
+    gen_counts = Counter() if gen is None else basic_operation_counts(gen)
+    return _r3(gen_counts, basic_operation_counts(gold), cfg)
 
 
 def reward_r4(
@@ -167,30 +170,40 @@ def total_reward(
 
     The gold program must be valid; the generation may be arbitrary text.
     """
-    gold_result = parse_program(gold.gold_program)
-    if not isinstance(gold_result, Program):
-        first = gold_result[0]
-        raise ValueError(f"gold program for '{gold.id}' does not parse: {first}")
-    gold_program = gold_result
+    parsed = parse_program(gen_source)
+    return score_program(parsed if isinstance(parsed, Program) else None, gold, cfg)
 
-    gen_result = parse_program(gen_source)
-    gen_program = gen_result if isinstance(gen_result, Program) else None
-    compiled = gen_program is not None and has_return(gen_program)
+
+def score_program(
+    gen: Program | None,
+    gold: ProblemRecord,
+    cfg: RewardConfig = DEFAULT_REWARD_CONFIG,
+) -> RewardBreakdown:
+    """Score an already parsed generation; ``gen=None`` means it failed to parse.
+
+    ``score_program(t.program, record)`` equals
+    ``total_reward(t.generated_source, record)`` for a session transcript
+    ``t``. A gold program that does not parse raises ValueError.
+    """
+    gold_program = gold.parsed_gold()
+    compiled = gen is not None and has_return(gen)
+    v_gen = 0 if gen is None else count_finds(gen)
+    v_gold = count_finds(gold_program)
+    gen_counts = Counter() if gen is None else basic_operation_counts(gen)
+    gold_counts = basic_operation_counts(gold_program)
 
     r1 = cfg.r_max if compiled else Fraction(0)
-    r2 = reward_r2(gen_program, gold_program, cfg)
-    r3 = reward_r3(gen_program, gold_program, cfg)
-    outcome = evaluate(gen_program) if gen_program is not None else None
+    r2 = _r2(v_gen, v_gold, cfg)
+    r3 = _r3(gen_counts, gold_counts, cfg)
+    outcome = evaluate(gen) if gen is not None else None
     r4 = reward_r4(outcome, gold.gold_answer, cfg)
 
     diagnostics = RewardDiagnostics(
         compiled=compiled,
-        v_gen=0 if gen_program is None else count_finds(gen_program),
-        v_gold=count_finds(gold_program),
-        op_counts_gen=dict(
-            Counter() if gen_program is None else basic_operation_counts(gen_program)
-        ),
-        op_counts_gold=dict(basic_operation_counts(gold_program)),
+        v_gen=v_gen,
+        v_gold=v_gold,
+        op_counts_gen=dict(gen_counts),
+        op_counts_gold=dict(gold_counts),
         y_gen=None if outcome is None else outcome.answer,
     )
     return RewardBreakdown(r1, r2, r3, r4, r1 + r2 + r3 + r4, diagnostics)

@@ -15,6 +15,7 @@ raised, so a syntactically broken generation is data, not a crash.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Protocol, Sequence
@@ -23,12 +24,18 @@ from .interpreter import (
     Environment,
     EvalError,
     EvalOutcome,
+    annotation_text,
     evaluate_statement,
-    format_annotation,
     resolve_operands,
 )
-from .parser import ParseError, parse_line
-from .program import ProblemRecord, Statement
+from .parser import (
+    ParseError,
+    _static_check,
+    parse_comment_value,
+    parse_line,
+    parse_program,
+)
+from .program import ProblemRecord, Program, Statement
 
 # Default instruction block for prompting a language-model generator. The
 # exact wording is a working stand-in, not a contract; swap in your own via
@@ -92,16 +99,52 @@ class EmittedLine:
     text: str
 
 
+# Line boundaries of str.splitlines other than "\n". The session splits lines
+# on "\n" only, so an emitted line holding one of these is several lines to
+# parse_program.
+_FOREIGN_LINE_BREAK = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 @dataclass(frozen=True)
 class SessionTranscript:
+    """What a session emitted and how it ended.
+
+    ``entries`` holds the statement the session parsed for each emitted line
+    that parsed, keyed by its line number in ``generated_source``; ``None``
+    means unknown, and ``program`` then parses the text again.
+    """
+
     prompt: str
     emitted_lines: tuple[EmittedLine, ...]
     outcome: EvalOutcome
     halted_count: int
+    entries: tuple[tuple[int, Statement], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def generated_source(self) -> str:
         return "\n".join(line.text for line in self.emitted_lines)
+
+    @property
+    def program(self) -> Program | None:
+        """``parse_program(generated_source)`` if that gives a Program, else None.
+
+        Built from the statements the session already parsed, so the text is
+        not parsed twice.
+        """
+        source = self.generated_source
+        # Checked before the parse-error shortcut: split at such a break, a
+        # line the session could not parse may parse.
+        if self.entries is None or _FOREIGN_LINE_BREAK.search(source):
+            parsed = parse_program(source)
+            return parsed if isinstance(parsed, Program) else None
+        error = self.outcome.error
+        if error is not None and error.kind == "parse-error":
+            return None
+        if _static_check(self.entries):
+            return None
+        return Program(tuple(stmt for _, stmt in self.entries))
 
 
 def assemble_prompt(
@@ -210,12 +253,19 @@ def run_session(
     context = prompt
     env = Environment()
     emitted: list[EmittedLine] = []
+    entries: list[tuple[int, Statement]] = []
     halted = 0
     statement_index = 0
     feed = _SessionFeed(gen, budget.max_chars)
 
     def finish(answer: Fraction | None, error: EvalError | None) -> SessionTranscript:
-        return SessionTranscript(prompt, tuple(emitted), EvalOutcome(answer, env, error), halted)
+        return SessionTranscript(
+            prompt, tuple(emitted), EvalOutcome(answer, env, error), halted, tuple(entries)
+        )
+
+    def emit(source: str, text: str, stmt: Statement) -> None:
+        emitted.append(EmittedLine(source, text))
+        entries.append((len(emitted), stmt))
 
     try:
         while True:
@@ -250,6 +300,8 @@ def run_session(
                 if not line.strip():
                     continue
                 parsed = parse_line(line, len(emitted) + 1)
+                if parsed is None:  # a comment-only line; parse_program skips it too
+                    continue
                 if isinstance(parsed, ParseError):
                     emitted.append(EmittedLine("generator", line.strip()))
                     raise EvalError("parse-error", f"{parsed.kind}: {parsed.message}")
@@ -264,22 +316,29 @@ def run_session(
                 )
 
             if stmt.is_arithmetic:
+                # The emitted line drops the generator's comment, and on
+                # success carries the solver's; its entry does the same.
                 try:
                     operands = resolve_operands(stmt, env)
                     value, env = evaluate_statement(stmt, env)
                 except EvalError as err:
                     if err.statement_index is None:
                         err.statement_index = statement_index
-                    emitted.append(EmittedLine("generator", stmt_text))
+                    emit("generator", stmt_text, Statement(stmt.op, stmt.args, stmt.target))
                     raise
-                annotated = f"{stmt_text} {format_annotation(stmt, operands, value)}"
-                emitted.append(EmittedLine("solver-injected", annotated))
+                comment = annotation_text(stmt, operands, value)
+                annotated = f"{stmt_text} # {comment}"
+                emit(
+                    "solver-injected",
+                    annotated,
+                    Statement(stmt.op, stmt.args, stmt.target, parse_comment_value(comment)),
+                )
                 halted += 1
                 context += annotated + "\n"
                 statement_index += 1
                 continue
 
-            emitted.append(EmittedLine("generator", stmt_text))
+            emit("generator", stmt_text, stmt)
             try:
                 value, env = evaluate_statement(stmt, env)
             except EvalError as err:

@@ -23,7 +23,6 @@ from .interpreter import (
     evaluate_statement,
     resolve_operands,
 )
-from .parser import parse_program
 from .ppo import (
     PpoConfig,
     ToyPolicy,
@@ -44,7 +43,7 @@ from .program import (
     VarRef,
     render_program,
 )
-from .rewards import DEFAULT_REWARD_CONFIG, RewardBreakdown, RewardConfig, total_reward
+from .rewards import DEFAULT_REWARD_CONFIG, RewardBreakdown, RewardConfig, score_program
 from .runtime import SessionBudget, SessionTranscript, run_session
 from .values import format_number
 
@@ -287,12 +286,9 @@ class PolicySession:
         record: ProblemRecord,
         rng: np.random.Generator | None = None,
     ):
-        parsed = parse_program(record.gold_program)
-        if not isinstance(parsed, Program):
-            raise ValueError(f"reference program for '{record.id}' does not parse")
         self.gold_finds = [
             (s.args[0], s.annotation.declared_value if s.annotation else None)
-            for s in parsed.statements
+            for s in record.parsed_gold().statements
             if s.is_find
         ]
         if not self.gold_finds:
@@ -382,7 +378,7 @@ def rollout(
         raise ValueError("stochastic rollout needs an rng; pass greedy=True for argmax")
     session = PolicySession(policy, ref, record, rng=None if greedy else rng)
     transcript = run_session(session, record.question, budget=budget)
-    breakdown = total_reward(transcript.generated_source, record, reward_cfg)
+    breakdown = score_program(transcript.program, record, reward_cfg)
     rewards = np.zeros(len(session.actions))
     rewards[-1] = float(breakdown.total)
     trajectory = Trajectory(

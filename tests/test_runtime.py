@@ -188,6 +188,24 @@ class TestSessionErrors:
         )
         assert transcript.outcome.error.kind == "budget-exhausted"
 
+    @pytest.mark.parametrize("chunk_size", [0, 1, 5])
+    def test_comment_only_line_is_skipped(self, chunk_size):
+        source = "var1 = [find](a) # 3\n# just a note\n[return](var1)\n"
+        transcript = run_session(ScriptedGenerator(source, chunk_size), "q")
+        assert transcript.outcome.error is None
+        assert transcript.outcome.answer == Fraction(3)
+        assert [l.text for l in transcript.emitted_lines] == [
+            "var1 = [find](a) # 3",
+            "[return](var1)",
+        ]
+
+    @pytest.mark.parametrize("chunk_size", [0, 1, 5])
+    def test_leading_comment_line_is_data_not_a_crash(self, chunk_size):
+        gen = ScriptedGenerator("# just a note\n[return](var1)\n", chunk_size)
+        transcript = run_session(gen, "q")
+        assert transcript.outcome.error.kind == "unbound-variable"
+        assert [l.text for l in transcript.emitted_lines] == ["[return](var1)"]
+
     def test_error_after_successful_halts_keeps_partial_transcript(self):
         source = (
             "var1 = [find](a) # 3\n"
