@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .data import DatasetFile, reasoning_step_count
 from .interpreter import answers_match
+from .parser import _split_line
 from .program import ProblemRecord
 from .rewards import DEFAULT_REWARD_CONFIG, RewardBreakdown, RewardConfig, score_program
 from .runtime import (
@@ -20,7 +21,6 @@ from .runtime import (
     ScriptedGenerator,
     SessionBudget,
     run_session,
-    strip_computed_comments,
 )
 from .values import format_number
 
@@ -46,12 +46,25 @@ class GeneratorSpec:
 
     def build(self, record: ProblemRecord) -> GeneratorInterface:
         if self.kind == "gold-replay":
-            return ScriptedGenerator(
-                strip_computed_comments(record.gold_program), self.chunk_size
-            )
+            return ScriptedGenerator(_replay_text(record), self.chunk_size)
         if self.kind == "scripted":
             return ScriptedGenerator(self.text, self.chunk_size)
         return ScriptedGenerator("")
+
+
+def _replay_text(record: ProblemRecord) -> str:
+    """``strip_computed_comments(record.gold_program)``, read off the cached
+    parse of the gold program instead of parsing each line again.
+
+    Raises ValueError when the gold program does not parse.
+    """
+    statements = iter(record.parsed_gold().statements)
+    out: list[str] = []
+    for raw in record.gold_program.splitlines():
+        if _split_line(raw)[0].strip() and not next(statements).is_find and "#" in raw:
+            raw = raw.split("#", 1)[0].rstrip()
+        out.append(raw)
+    return "\n".join(out)
 
 
 @dataclass(frozen=True)

@@ -58,11 +58,23 @@ class Token:
     value: object = None
 
 
-_BRACKET_OP_RE = re.compile(r"\[([A-Za-z_][A-Za-z0-9_]*)\]")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 # A leading minus is part of the literal only in argument position; nothing
 # else in statement bodies uses '-'.
-_NUMBER_BODY_RE = re.compile(r"-?(?:\d+\.\d+|\d+(?:/\d+)?)")
+_NUMBER_BODY = r"-?(?:\d+\.\d+|\d+(?:/\d+)?)"
+_BRACKET_OP_RE = re.compile(rf"\[({_IDENT})\]")
+_IDENT_RE = re.compile(_IDENT)
+_NUMBER_BODY_RE = re.compile(_NUMBER_BODY)
+
+# Whole-body shapes of well-formed statements, for parse_line's fast path.
+# A [find] description runs to the last ')' on the body, as in
+# _capture_description; a call takes one or two arguments, each an
+# identifier (odd groups) or a number literal (even groups).
+_FIND_BODY_RE = re.compile(rf"\s*({_IDENT})\s*=\s*\[find\]\s*\((.*)\)\s*", re.DOTALL)
+_ARG = rf"(?:({_IDENT})|({_NUMBER_BODY}))"
+_CALL_BODY_RE = re.compile(
+    rf"\s*(?:({_IDENT})\s*=\s*)?\[({_IDENT})\]\s*\(\s*{_ARG}(?:\s*,\s*{_ARG})?\s*\)\s*"
+)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -73,11 +85,21 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-def tokenize_line(raw: str, line_no: int = 1) -> list[Token]:
+def _split_line(raw: str) -> tuple[str, str, str]:
+    """``(body, "#" or "", comment)`` of a line, after dropping trailing
+    whitespace and one trailing comma.
+
+    The line is blank, and parse_line gives None, exactly when the body is
+    whitespace only.
+    """
     line = raw.rstrip()
     if line.endswith(","):
         line = line[:-1].rstrip()
-    body, hash_mark, comment = line.partition("#")
+    return line.partition("#")
+
+
+def tokenize_line(raw: str, line_no: int = 1) -> list[Token]:
+    body, hash_mark, comment = _split_line(raw)
     tokens = _scan_body(body, line_no)
     if hash_mark:
         tokens.append(Token("comment", comment.strip(), line_no))
@@ -170,7 +192,57 @@ def parse_comment_value(comment: str) -> CommentAnnotation:
 
 
 def parse_line(raw: str, line_no: int = 1) -> Statement | ParseError | None:
-    """Parse one line; None for blank lines."""
+    """Parse one line; None for blank lines.
+
+    A well-formed line matches one of two anchored patterns and becomes a
+    Statement directly. Any other line goes to the token walk, which finds
+    its error.
+    """
+    body, hash_mark, comment = _split_line(raw)
+    if not body.strip():
+        return None
+    shape = _match_body(body)
+    if shape is None:
+        return _walk_tokens(raw, line_no)
+    annotation = parse_comment_value(comment) if hash_mark else None
+    op, args, target = shape
+    return Statement(op, args, target, annotation)
+
+
+def _match_body(body: str) -> tuple[Operator, tuple, str | None] | None:
+    """``(op, args, target)`` of a well-formed statement body, else None.
+
+    None means only "not on the fast path": the token walk decides.
+    """
+    match = _FIND_BODY_RE.fullmatch(body)
+    if match is not None:
+        description = match.group(2).strip()
+        return (Operator.FIND, (description,), match.group(1)) if description else None
+    match = _CALL_BODY_RE.fullmatch(body)
+    if match is None:
+        return None
+    target, name, ident1, number1, ident2, number2 = match.groups()
+    op = OPERATOR_BY_NAME.get(name)
+    if op is None or op is Operator.FIND or (op is Operator.RETURN) != (target is None):
+        return None
+    args: list = []
+    for ident, number in ((ident1, number1), (ident2, number2)):
+        if ident is not None:
+            args.append(VarRef(ident))
+        elif number is not None:
+            value = parse_number(number)
+            if value is None:
+                return None
+            args.append(value)
+    if len(args) != OPERATOR_ARITY[op]:
+        return None
+    if op is Operator.RETURN and not isinstance(args[0], VarRef):
+        return None
+    return op, tuple(args), target
+
+
+def _walk_tokens(raw: str, line_no: int) -> Statement | ParseError | None:
+    """parse_line by tokens: the reference behaviour and the error classifier."""
     tokens = tokenize_line(raw, line_no)
     annotation = None
     if tokens and tokens[-1].kind == "comment":

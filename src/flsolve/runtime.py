@@ -31,11 +31,10 @@ from .interpreter import (
 from .parser import (
     ParseError,
     _static_check,
-    parse_comment_value,
     parse_line,
     parse_program,
 )
-from .program import ProblemRecord, Program, Statement
+from .program import CommentAnnotation, ProblemRecord, Program, Statement
 
 # Default instruction block for prompting a language-model generator. The
 # exact wording is a working stand-in, not a contract; swap in your own via
@@ -191,6 +190,10 @@ class _SessionFeed:
         self.buffer = ""
         self.ended = False
         self.consumed = 0
+        # The last prefix arithmetic_prefix rejected. Until a newline arrives
+        # every pull brings the same prefix back, and parse_line would reject
+        # it again.
+        self.rejected_prefix: str | None = None
 
     def pull(self, context: str) -> bool:
         if self.ended:
@@ -219,18 +222,20 @@ class _SessionFeed:
         _, _, self.buffer = self.buffer.partition("\n")
 
 
-def _complete_arithmetic_prefix(buffer: str) -> tuple[str, Statement] | None:
-    """An arithmetic statement complete through ')', if the buffer holds one."""
-    close = buffer.find(")")
-    if close == -1:
+    def arithmetic_prefix(self) -> tuple[str, Statement] | None:
+        """An arithmetic statement complete through ')', if the buffer holds one."""
+        buffer = self.buffer
+        close = buffer.find(")")
+        if close == -1 or "#" in buffer[:close]:
+            return None
+        text = buffer[: close + 1]
+        if text == self.rejected_prefix:
+            return None
+        parsed = parse_line(text)
+        if isinstance(parsed, Statement) and parsed.is_arithmetic:
+            return text, parsed
+        self.rejected_prefix = text
         return None
-    if "#" in buffer[:close]:
-        return None
-    text = buffer[: close + 1]
-    parsed = parse_line(text)
-    if isinstance(parsed, Statement) and parsed.is_arithmetic:
-        return text, parsed
-    return None
 
 
 def run_session(
@@ -282,7 +287,7 @@ def run_session(
                 if "\n" in feed.buffer:
                     line = feed.take_line()
                     break
-                stmt_from_prefix = _complete_arithmetic_prefix(feed.buffer)
+                stmt_from_prefix = feed.arithmetic_prefix()
                 if stmt_from_prefix is not None:
                     feed.buffer = feed.buffer[len(stmt_from_prefix[0]) :]
                     break
@@ -326,12 +331,14 @@ def run_session(
                         err.statement_index = statement_index
                     emit("generator", stmt_text, Statement(stmt.op, stmt.args, stmt.target))
                     raise
+                # The comment ends in "= format_number(value)", so
+                # parse_comment_value would read back this annotation.
                 comment = annotation_text(stmt, operands, value)
                 annotated = f"{stmt_text} # {comment}"
                 emit(
                     "solver-injected",
                     annotated,
-                    Statement(stmt.op, stmt.args, stmt.target, parse_comment_value(comment)),
+                    Statement(stmt.op, stmt.args, stmt.target, CommentAnnotation(comment, value)),
                 )
                 halted += 1
                 context += annotated + "\n"

@@ -39,7 +39,10 @@ def parse_number(text: str) -> Fraction | None:
     if not _NUMBER_RE.match(text):
         return None
     try:
-        return Fraction(text)
+        if "." in text or "/" in text:
+            return Fraction(text)
+        # An integer: int() skips Fraction's own string parsing.
+        return Fraction(int(text))
     except (ValueError, ZeroDivisionError):
         return None
 

@@ -1,15 +1,42 @@
 """Corpus evaluation: generator recipes, metrics, parallel equivalence."""
 
+import random
+import sys
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flsolve import (
     DatasetFile,
     EvalReport,
     GeneratorSpec,
+    ProblemRecord,
     bundled_examples,
     evaluate_corpus,
+    generate_toy_tasks,
     strip_computed_comments,
 )
+from flsolve import parser
+from flsolve.evaluation import _replay_text
+
+import oracles
+
+# Lines a gold program may hold besides its statements: blank, whitespace
+# only, comment only, a lone trailing comma.
+FILLER_LINES = ("", "   ", "\t", "# note", "  # 3 + 4 = 7", ",", " , ", "#,", "\x1c")
+
+
+@st.composite
+def decorated_gold_programs(draw):
+    source, _ = oracles.random_program(random.Random(draw(st.integers(0, 2**32))))
+    lines = []
+    for line in source.splitlines():
+        lines += draw(st.lists(st.sampled_from(FILLER_LINES), max_size=2))
+        lines.append(line + draw(st.sampled_from(("", ",", " ,", " # stale,"))))
+    lines += draw(st.lists(st.sampled_from(FILLER_LINES), max_size=2))
+    return "\n".join(lines)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +53,33 @@ class TestGeneratorSpec:
         record = fixture_ds.records[0]
         gen = GeneratorSpec("gold-replay").build(record)
         assert gen.text == strip_computed_comments(record.gold_program)
+
+    def test_replay_text_matches_strip_computed_comments(self, fixture_ds):
+        records = list(fixture_ds.records) + generate_toy_tasks(0, 60)
+        for record in records:
+            assert _replay_text(record) == strip_computed_comments(record.gold_program)
+
+    @settings(max_examples=200, deadline=None)
+    @given(decorated_gold_programs())
+    def test_replay_text_keeps_blank_and_comment_lines(self, source):
+        record = ProblemRecord("decorated", "q", source, Fraction(0))
+        assert _replay_text(record) == strip_computed_comments(source)
+
+    def test_gold_replay_reuses_the_cached_parse(self, fixture_ds, monkeypatch):
+        record = fixture_ds.records[0]
+        record.parsed_gold()
+        calls = []
+        real = parser.parse_line
+
+        def counting(raw, line_no=1):
+            calls.append(raw)
+            return real(raw, line_no)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("flsolve") and getattr(module, "parse_line", None) is real:
+                monkeypatch.setattr(module, "parse_line", counting)
+        GeneratorSpec("gold-replay").build(record)
+        assert calls == []
 
     def test_scripted_ignores_the_record(self, fixture_ds):
         spec = GeneratorSpec("scripted", text="var1 = [find](a) # 1\n[return](var1)")

@@ -1,6 +1,8 @@
 """Parser behavior: tokens, line classification, and whole-program checks."""
 
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,8 @@ from flsolve import (
     program_compiles,
     render_program,
 )
-from flsolve.parser import parse_comment_value, tokenize, tokenize_line
+from flsolve.parser import _walk_tokens, parse_comment_value, tokenize, tokenize_line
+from flsolve.values import NUMBER_PATTERN, parse_number
 
 import oracles
 
@@ -343,3 +346,110 @@ def test_parse_program_never_raises(text):
     result = parse_program(text)
     if not isinstance(result, Program):
         assert all(e.kind in PARSE_ERROR_KINDS for e in result)
+
+
+# parse_line against the token walk it replaces on well-formed lines: equal
+# results (kind, line number and message included) on every input.
+
+# Characters at the edges of the fast path's patterns: comment and argument
+# punctuation, \r, \x0b and \x1c (whitespace to str.isspace and to regex \s),
+# a Unicode digit, signs, fractions and a division by zero.
+EDIT_PIECES = (
+    "#", ")", "(", ",", " ", "\r", "\x0b", "\x1c", "\t", "\u2028", "\u0663", "-", "/", ".",
+    "1/0", "0", "7", "x", "_", "=", "[", "]", "[frob]", "[find]", "[return]", "(a (b) c)",
+)
+LINE_PIECES = (
+    "var1 = [find](apples in the (big) basket) # 7",
+    "var2 = [find](pears) # ?",
+    "var3 = [add](var1, var2) # 3 + 4 = 7",
+    "var4 = [subtract](var3, -2.5)",
+    "var5 = [divide](var4, 3/4),",
+    "var6 = [mod](var5, 1/0)",
+    "var7 = [round](var6)",
+    "var8 = [gcd](12, \u0663)",
+    "var9 = [frob](var1, var2)",
+    "var9 = [add](var1)",
+    "[return](var3) # 7",
+    "[return] (var3),",
+    "[return](4)",
+    "var1 = [find]()",
+)
+
+
+@st.composite
+def edited_lines(draw):
+    line = draw(st.sampled_from(LINE_PIECES))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(line)))
+        if draw(st.booleans()):
+            line = line[:at] + draw(st.sampled_from(EDIT_PIECES)) + line[at:]
+        else:
+            line = line[:at] + line[at + 1 :]
+    return line
+
+
+class TestFastPathMatchesTokenWalk:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(max_size=80), st.integers(1, 64))
+    def test_arbitrary_text(self, raw, line_no):
+        assert parse_line(raw, line_no) == _walk_tokens(raw, line_no)
+
+    @settings(max_examples=600, deadline=None)
+    @given(edited_lines(), st.integers(1, 64))
+    def test_edited_statement_lines(self, raw, line_no):
+        assert parse_line(raw, line_no) == _walk_tokens(raw, line_no)
+
+    @pytest.mark.parametrize("raw", LINE_PIECES)
+    def test_statement_lines(self, raw):
+        assert parse_line(raw, 3) == _walk_tokens(raw, 3)
+
+    def test_gold_and_random_programs(self):
+        rng = random.Random(3)
+        sources = [r.gold_program for r in bundled_examples().records]
+        sources += [oracles.random_program(rng)[0] for _ in range(200)]
+        for source in sources:
+            for line_no, raw in enumerate(source.splitlines(), start=1):
+                result = parse_line(raw, line_no)
+                assert result == _walk_tokens(raw, line_no)
+                assert result is None or isinstance(result, Statement)
+
+    def test_regex_whitespace_is_str_isspace(self):
+        # The walk skips str.isspace characters; the patterns skip \s.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+def _fraction_or_none(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+DIGITS = st.text(alphabet="0123456789\u0663\u06f5\u0967", min_size=1, max_size=40)
+
+
+@st.composite
+def number_literals(draw):
+    """Every shape NUMBER_PATTERN admits, with signs, leading zeros and
+    non-ASCII decimal digits."""
+    sign = draw(st.sampled_from(("", "+", "-")))
+    whole, part = draw(DIGITS), draw(DIGITS)
+    body = draw(st.sampled_from((whole, f"{whole}.{part}", f".{part}", f"{whole}/{part}")))
+    return sign + body
+
+
+class TestParseNumberMatchesFraction:
+    @settings(max_examples=500, deadline=None)
+    @given(number_literals())
+    def test_every_literal(self, text):
+        assert re.fullmatch(NUMBER_PATTERN, text)
+        assert parse_number(text) == _fraction_or_none(text)
+
+    @pytest.mark.parametrize("text", ["007", "-0", "+12", "-000.50", "\u0663", "-\u0663/\u0664", "3/0"])
+    def test_edge_literals(self, text):
+        assert parse_number(text) == _fraction_or_none(text)
+
+    def test_over_the_digit_limit(self):
+        assert parse_number("7" * 5000) is None
+        assert parse_number("-" + "7" * 5000) is None

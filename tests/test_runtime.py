@@ -15,6 +15,7 @@ from flsolve import (
     run_session,
     strip_computed_comments,
 )
+from flsolve import runtime
 
 
 class ListGenerator:
@@ -128,6 +129,22 @@ class TestHaltResume:
         transcript = run_session(Spy(), "four, floored")
         assert transcript.outcome.answer == 4
         assert any("var2 = [floor](var1) # floor(4) = 4" in ctx for ctx in seen)
+
+    def test_rejected_prefix_is_parsed_once(self, monkeypatch):
+        calls = []
+        real = runtime.parse_line
+
+        def counting(raw, line_no=1):
+            calls.append(raw)
+            return real(raw, line_no)
+
+        monkeypatch.setattr(runtime, "parse_line", counting)
+        source = "var1 = [find](a (b) c) # 4\n[return](var1)"
+        transcript = run_session(ScriptedGenerator(source, 1), "four")
+        assert transcript.outcome.answer == 4
+        # Each character after the first ')' arrives alone; the prefix
+        # through that ')' is not arithmetic and is parsed only once.
+        assert calls.count("var1 = [find](a (b)") == 1
 
     def test_prompt_precedes_generation(self):
         transcript = run_session(
