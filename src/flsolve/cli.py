@@ -26,7 +26,6 @@ from .toy import (
     ACTION_NAMES,
     N_FEATURES,
     SINGLE_OP_TEMPLATES,
-    demo_config,
     generate_toy_tasks,
     greedy_accuracy,
     train_ppo_demo,
@@ -133,11 +132,8 @@ def cmd_prompt(args: argparse.Namespace) -> int:
 
 
 def cmd_ppo_demo(args: argparse.Namespace) -> int:
-    if args.config:
-        toolkit = load_config(args.config)
-        ppo_cfg, reward_cfg = toolkit.ppo, toolkit.reward
-    else:
-        ppo_cfg, reward_cfg = demo_config(), DEFAULT_REWARD_CONFIG
+    toolkit = load_config(args.config)
+    ppo_cfg, reward_cfg = toolkit.ppo, toolkit.reward
     if args.learning_rate is not None:
         ppo_cfg = replace(ppo_cfg, learning_rate=args.learning_rate)
     if args.iterations < 1:
@@ -250,7 +246,7 @@ def build_parser() -> _Parser:
     p.add_argument("--iterations", type=int, default=300)
     p.add_argument("--tasks", type=int, default=16, help="training problems")
     p.add_argument("--heldout", type=int, default=32, help="held-out problems")
-    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--config", help="JSON config file (default: $FLSOLVE_CONFIG)")
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--save-policy", help="write trained weights to this .npz path")

@@ -1,18 +1,20 @@
 """JSON round trip for the toolkit's tunable knobs.
 
 A config file may specify any subset of fields; everything missing keeps
-its default. Reward values serialize as exact number strings.
+its default, ``ppo-demo``'s own for the ``ppo`` section. Reward values
+serialize as exact number strings.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .ppo import GaeConfig, PpoConfig
 from .rewards import RewardConfig
+from .toy import demo_config
 from .values import format_number, parse_number
 
 CONFIG_ENV_VAR = "FLSOLVE_CONFIG"
@@ -26,7 +28,7 @@ class ToolkitConfig:
 
 
 def default_config() -> ToolkitConfig:
-    return ToolkitConfig(PpoConfig(), GaeConfig(), RewardConfig())
+    return ToolkitConfig(demo_config(), GaeConfig(), RewardConfig())
 
 
 def _exact_number(value: object, where: str) -> Fraction:
@@ -41,12 +43,11 @@ def _exact_number(value: object, where: str) -> Fraction:
     raise ValueError(f"{where}: expected a number, got {value!r}")
 
 
-def _plain_section(cls, obj: dict, where: str):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(obj) - allowed
+def _plain_section(default, obj: dict, where: str):
+    unknown = set(obj) - {f.name for f in fields(default)}
     if unknown:
         raise ValueError(f"{where}: unknown fields {sorted(unknown)}")
-    return cls(**obj)
+    return replace(default, **obj)
 
 
 def config_from_json(obj: dict) -> ToolkitConfig:
@@ -55,23 +56,18 @@ def config_from_json(obj: dict) -> ToolkitConfig:
     unknown = set(obj) - {"ppo", "gae", "reward"}
     if unknown:
         raise ValueError(f"config: unknown sections {sorted(unknown)}")
-    ppo = _plain_section(PpoConfig, obj.get("ppo", {}), "ppo")
-    gae = _plain_section(GaeConfig, obj.get("gae", {}), "gae")
+    defaults = default_config()
+    ppo = _plain_section(defaults.ppo, obj.get("ppo", {}), "ppo")
+    gae = _plain_section(defaults.gae, obj.get("gae", {}), "gae")
 
-    section = dict(obj.get("reward", {}))
-    kwargs = {}
-    if "r_max" in section:
-        kwargs["r_max"] = _exact_number(section.pop("r_max"), "reward.r_max")
-    if "clamp_floor" in section:
-        floor = section.pop("clamp_floor")
-        kwargs["clamp_floor"] = (
-            None if floor is None else _exact_number(floor, "reward.clamp_floor")
-        )
-    if "clamp_components" in section:
-        kwargs["clamp_components"] = bool(section.pop("clamp_components"))
-    if section:
-        raise ValueError(f"reward: unknown fields {sorted(section)}")
-    return ToolkitConfig(ppo, gae, RewardConfig(**kwargs))
+    reward = dict(obj.get("reward", {}))
+    if "r_max" in reward:
+        reward["r_max"] = _exact_number(reward["r_max"], "reward.r_max")
+    if reward.get("clamp_floor") is not None:
+        reward["clamp_floor"] = _exact_number(reward["clamp_floor"], "reward.clamp_floor")
+    if "clamp_components" in reward:
+        reward["clamp_components"] = bool(reward["clamp_components"])
+    return ToolkitConfig(ppo, gae, _plain_section(defaults.reward, reward, "reward"))
 
 
 def config_to_json(cfg: ToolkitConfig) -> dict:

@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .interpreter import answers_match, evaluate
 from .parser import parse_program
@@ -150,17 +150,22 @@ def _validate_record(record: ProblemRecord) -> tuple[ValidationFailure | None, C
     return None, operation_counts(parsed)
 
 
+def _fan_out(fn: Callable, jobs: Sequence, workers: int) -> list:
+    """``[fn(job) for job in jobs]``, across ``workers`` processes when there
+    are more than one of each; ``fn`` and the jobs must pickle."""
+    if workers > 1 and len(jobs) > 1:
+        with multiprocessing.Pool(workers) as pool:
+            return pool.map(fn, jobs)
+    return [fn(job) for job in jobs]
+
+
 def validate_dataset(ds: DatasetFile, workers: int = 1) -> ValidationReport:
     """Check every record end to end: parse, evaluate, compare the answer.
 
     Operator frequencies count only records that pass. Records are
     independent, so ``workers > 1`` fans them out across processes.
     """
-    if workers > 1 and len(ds.records) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.map(_validate_record, ds.records)
-    else:
-        outcomes = [_validate_record(record) for record in ds.records]
+    outcomes = _fan_out(_validate_record, ds.records, workers)
     failures: list[ValidationFailure] = []
     frequency: Counter = Counter()
     for failure, counts in outcomes:

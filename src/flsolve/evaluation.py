@@ -6,11 +6,11 @@ evaluation parallelizes across processes when asked.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .data import DatasetFile, reasoning_step_count
+from .data import DatasetFile, _fan_out, reasoning_step_count
 from .interpreter import answers_match
 from .parser import _split_line
 from .program import ProblemRecord
@@ -124,11 +124,11 @@ class EvalReport:
 
 
 def _evaluate_record(
-    record: ProblemRecord,
     spec: GeneratorSpec,
     reward_cfg: RewardConfig,
     budget: SessionBudget,
     instructions: str,
+    record: ProblemRecord,
 ) -> ProblemResult:
     transcript = run_session(
         spec.build(record), record.question, instructions, budget=budget
@@ -146,10 +146,6 @@ def _evaluate_record(
     )
 
 
-def _eval_worker(args: tuple) -> ProblemResult:
-    return _evaluate_record(*args)
-
-
 def evaluate_corpus(
     ds: DatasetFile,
     spec: GeneratorSpec,
@@ -164,12 +160,8 @@ def evaluate_corpus(
     A problem counts as a syntax error when its generated source fails the
     compile gate, which includes producing no [return] or nothing at all.
     """
-    jobs = [(record, spec, reward_cfg, budget, instructions) for record in ds.records]
-    if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_eval_worker, jobs)
-    else:
-        results = [_eval_worker(job) for job in jobs]
+    evaluate_one = partial(_evaluate_record, spec, reward_cfg, budget, instructions)
+    results = _fan_out(evaluate_one, ds.records, workers)
 
     total = len(results)
     correct = sum(1 for r in results if r.correct)

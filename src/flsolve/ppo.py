@@ -66,8 +66,7 @@ class PpoConfig:
             raise ValueError("clip ranges must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if not 0 < self.gamma <= 1 or not 0 < self.lam <= 1:
-            raise ValueError("gamma and lam must be in (0, 1]")
+        self.gae()  # validates gamma and lam
         if self.ratio_anchor not in ("old", "ref"):
             raise ValueError("ratio_anchor must be 'old' or 'ref'")
 
@@ -151,6 +150,17 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (p * np.log(safe_ratio)).sum(axis=-1)
 
 
+def _surrogate_terms(traj: Trajectory, advantages, new_logprobs, cfg: PpoConfig) -> tuple:
+    """The importance ratio against the configured anchor, and the two
+    branches of the clipped surrogate, ratio*A and clip(ratio)*A."""
+    anchor = traj.logprobs_policy if cfg.ratio_anchor == "old" else traj.logprobs_ref
+    if not (np.all(np.isfinite(new_logprobs)) and np.all(np.isfinite(anchor))):
+        raise ValueError("log-probabilities must be finite")
+    ratio = np.exp(new_logprobs - anchor)
+    clipped = np.clip(ratio, 1.0 - cfg.clip_range, 1.0 + cfg.clip_range) * advantages
+    return ratio, ratio * advantages, clipped
+
+
 def ppo_objective(
     traj: Trajectory,
     advantages: np.ndarray,
@@ -166,20 +176,23 @@ def ppo_objective(
     min(ratio*A, clip(ratio)*A). The KL penalty is exact, computed over full
     action distributions when both are supplied, and zero otherwise.
     """
-    new_logprobs = _as_float_array(new_logprobs)
-    advantages = _as_float_array(advantages)
-    anchor = traj.logprobs_policy if cfg.ratio_anchor == "old" else traj.logprobs_ref
-    if not (np.all(np.isfinite(new_logprobs)) and np.all(np.isfinite(anchor))):
-        raise ValueError("log-probabilities must be finite")
-    ratio = np.exp(new_logprobs - anchor)
-    unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - cfg.clip_range, 1.0 + cfg.clip_range) * advantages
+    ratio, unclipped, clipped = _surrogate_terms(
+        traj, _as_float_array(advantages), _as_float_array(new_logprobs), cfg
+    )
     surrogate = float(np.minimum(unclipped, clipped).mean())
     clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range))
     kl_penalty = 0.0
     if ref_dists is not None and new_dists is not None:
         kl_penalty = cfg.beta * float(np.mean(kl_divergence(ref_dists, new_dists)))
     return PpoObjective(-(surrogate - kl_penalty), kl_penalty, clip_fraction)
+
+
+def _value_errors(traj: Trajectory, returns, new_values, cfg: PpoConfig) -> tuple:
+    """Squared errors of the new values and of their copy clipped to within
+    ``clip_range_value`` of the values recorded at sampling time."""
+    old_values = traj.values[:-1]
+    low, high = old_values - cfg.clip_range_value, old_values + cfg.clip_range_value
+    return (new_values - returns) ** 2, (np.clip(new_values, low, high) - returns) ** 2
 
 
 def value_loss(
@@ -193,14 +206,40 @@ def value_loss(
     New predictions are clipped to within ``clip_range_value`` of the values
     recorded at sampling time.
     """
-    returns = _as_float_array(returns)
-    new_values = _as_float_array(new_values)
-    old_values = traj.values[:-1]
-    clipped = np.clip(
-        new_values, old_values - cfg.clip_range_value, old_values + cfg.clip_range_value
-    )
-    losses = np.maximum((new_values - returns) ** 2, (clipped - returns) ** 2)
-    return float(losses.mean())
+    raw, clipped = _value_errors(traj, _as_float_array(returns), _as_float_array(new_values), cfg)
+    return float(np.maximum(raw, clipped).mean())
+
+
+def ppo_gradients(
+    batch: Trajectory,
+    advantages: np.ndarray,
+    returns: np.ndarray,
+    policy: ToyPolicy,
+    ref_probs: np.ndarray,
+    cfg: PpoConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradients of the losses for a linear-softmax ``policy``.
+
+    Returns the ascent direction for ``policy.weights``, the gradient of
+    ``-ppo_objective(...).policy_loss`` with the KL penalty against
+    ``ref_probs``, and the descent direction for ``policy.value_weights``,
+    the gradient of ``value_loss``. Where the branches of min() or max() tie,
+    the gradient follows the unclipped one.
+    """
+    phi = batch.state_features
+    n = batch.steps
+    probs = softmax(phi @ policy.weights.T)
+    new_logprobs = np.log(probs[np.arange(n), batch.tokens])
+    _, unclipped, clipped = _surrogate_terms(batch, advantages, new_logprobs, cfg)
+    coeff = np.where(unclipped <= clipped, unclipped, 0.0)
+    onehot = np.eye(policy.n_actions)[batch.tokens]
+    grad_surrogate = ((onehot - probs) * coeff[:, None]).T @ phi / n
+    grad_kl = (probs - ref_probs).T @ phi / n
+
+    predicted = phi @ policy.value_weights
+    raw, banded = _value_errors(batch, returns, predicted, cfg)
+    grad_value = (2.0 * (predicted - returns) * (raw >= banded)) @ phi / n
+    return grad_surrogate - cfg.beta * grad_kl, grad_value
 
 
 def adaptive_kl_update(beta: float, observed_kl: float, cfg: PpoConfig, batch_size: int) -> float:

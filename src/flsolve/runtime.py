@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .interpreter import (
     Environment,
@@ -358,6 +358,3 @@ def run_session(
                 return finish(value, None)
     except EvalError as err:
         return finish(None, err)
-
-
-GeneratorFactory = Callable[[ProblemRecord], GeneratorInterface]

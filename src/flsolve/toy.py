@@ -30,6 +30,7 @@ from .ppo import (
     adaptive_kl_update,
     compute_gae,
     kl_divergence,
+    ppo_gradients,
     ppo_objective,
     softmax,
     value_loss,
@@ -437,8 +438,7 @@ def train_ppo_demo(
 
     Each iteration samples a batch of episodes (all tasks unless
     ``batch_size`` says otherwise), computes advantages once, then takes the
-    configured number of gradient epochs with exact analytic gradients of
-    the clipped surrogate, the KL penalty, and the clipped value loss.
+    configured number of gradient epochs with ``ppo_gradients``.
     Advantages are normalized per batch for the policy step only. The
     recorded ``beta`` is the adapted coefficient entering the next iteration.
     """
@@ -460,62 +460,33 @@ def train_ppo_demo(
             batch = [tasks[i] for i in order]
         results = [rollout(policy, ref, rec, reward_cfg, rng=rng) for rec in batch]
         trajectories = [r.trajectory for r in results]
-
-        adv_chunks = [compute_gae(t, gae_cfg) for t in trajectories]
-        ret_chunks = [adv + t.values[:-1] for adv, t in zip(adv_chunks, trajectories)]
-        phi = np.concatenate([t.state_features for t in trajectories])
-        actions = np.concatenate([t.tokens for t in trajectories]).astype(int)
-        old_logprobs = np.concatenate([t.logprobs_policy for t in trajectories])
-        ref_logprobs = np.concatenate([t.logprobs_ref for t in trajectories])
-        old_values = np.concatenate([t.values[:-1] for t in trajectories])
-        rewards_flat = np.concatenate([t.rewards for t in trajectories])
-        advantages = np.concatenate(adv_chunks)
-        returns = np.concatenate(ret_chunks)
-        n = len(actions)
-        rows = np.arange(n)
-        norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-        anchor = old_logprobs if ppo_cfg.ratio_anchor == "old" else ref_logprobs
-        ref_probs = softmax(phi @ ref.weights.T)
-        onehot = np.zeros((n, policy.n_actions))
-        onehot[rows, actions] = 1.0
-
-        for _ in range(ppo_cfg.epochs):
-            probs = softmax(phi @ policy.weights.T)
-            new_logprobs = np.log(probs[rows, actions])
-            ratio = np.exp(new_logprobs - anchor)
-            unclipped = ratio * norm_adv
-            clipped = np.clip(ratio, 1 - ppo_cfg.clip_range, 1 + ppo_cfg.clip_range) * norm_adv
-            # min() passes gradient only through the unclipped branch
-            coeff = np.where(unclipped <= clipped, norm_adv * ratio, 0.0)
-            grad_surrogate = ((onehot - probs) * coeff[:, None]).T @ phi / n
-            grad_kl = (probs - ref_probs).T @ phi / n
-            policy.weights += lr * (grad_surrogate - beta * grad_kl)
-
-            predicted = phi @ policy.value_weights
-            banded = np.clip(
-                predicted,
-                old_values - ppo_cfg.clip_range_value,
-                old_values + ppo_cfg.clip_range_value,
-            )
-            use_raw = (predicted - returns) ** 2 >= (banded - returns) ** 2
-            grad_value = (2.0 * (predicted - returns) * use_raw) @ phi / n
-            policy.value_weights -= lr * VALUE_LR_SCALE * grad_value
-
         flat = Trajectory(
-            tokens=actions,
-            state_features=phi,
-            logprobs_policy=old_logprobs,
-            logprobs_ref=ref_logprobs,
-            rewards=rewards_flat,
-            values=np.append(old_values, 0.0),
+            tokens=np.concatenate([t.tokens for t in trajectories]),
+            state_features=np.concatenate([t.state_features for t in trajectories]),
+            logprobs_policy=np.concatenate([t.logprobs_policy for t in trajectories]),
+            logprobs_ref=np.concatenate([t.logprobs_ref for t in trajectories]),
+            rewards=np.concatenate([t.rewards for t in trajectories]),
+            values=np.append(np.concatenate([t.values[:-1] for t in trajectories]), 0.0),
         )
+        advantages = np.concatenate([compute_gae(t, gae_cfg) for t in trajectories])
+        returns = advantages + flat.values[:-1]
+        norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+        phi = flat.state_features
+        ref_probs = softmax(phi @ ref.weights.T)
+        iter_cfg = replace(ppo_cfg, beta=beta)
+        for _ in range(ppo_cfg.epochs):
+            weights_step, value_step = ppo_gradients(
+                flat, norm_adv, returns, policy, ref_probs, iter_cfg
+            )
+            policy.weights += lr * weights_step
+            policy.value_weights -= lr * VALUE_LR_SCALE * value_step
+
         probs = softmax(phi @ policy.weights.T)
-        new_logprobs = np.log(probs[rows, actions])
-        metric_cfg = replace(ppo_cfg, beta=beta)
+        new_logprobs = np.log(probs[np.arange(flat.steps), flat.tokens])
         objective = ppo_objective(
-            flat, advantages, new_logprobs, metric_cfg, ref_dists=ref_probs, new_dists=probs
+            flat, advantages, new_logprobs, iter_cfg, ref_dists=ref_probs, new_dists=probs
         )
-        vloss = value_loss(flat, returns, phi @ policy.value_weights, metric_cfg)
+        vloss = value_loss(flat, returns, phi @ policy.value_weights, iter_cfg)
         observed_kl = float(np.mean(kl_divergence(ref_probs, probs)))
         beta = adaptive_kl_update(beta, observed_kl, ppo_cfg, len(trajectories))
         history.append(

@@ -132,3 +132,15 @@ def central_fd_logprob_grad(
                 - ToyPolicy(down, policy.value_weights).logprob(phi, action)
             ) / (2 * h)
     return grad
+
+
+def central_fd(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central finite differences of the scalar ``f`` at the array ``x``."""
+    grad = np.zeros_like(x)
+    for index in np.ndindex(x.shape):
+        up = x.copy()
+        up[index] += h
+        down = x.copy()
+        down[index] -= h
+        grad[index] = (f(up) - f(down)) / (2 * h)
+    return grad

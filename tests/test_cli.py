@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flsolve import (
+    CONFIG_ENV_VAR,
     GaeConfig,
     PpoConfig,
     RewardConfig,
@@ -290,6 +291,24 @@ class TestPpoDemoCommand:
         )
         assert code == 0
         assert json_lines(out)[-1]["summary"]["iterations"] == 1
+
+    def test_partial_config_keeps_demo_defaults(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"ppo": {"epochs": 4}}), encoding="utf-8")
+        args = ["ppo-demo", "--iterations", "3", "--tasks", "4", "--heldout", "4"]
+        _, plain, _ = run_cli(args, capsys)
+        _, with_file, _ = run_cli(args + ["--config", str(cfg_path)], capsys)
+        assert with_file == plain
+
+    def test_config_from_environment(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"ppo": {"learning_rate": 0.05}}), encoding="utf-8")
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        _, via_flag, _ = run_cli(self.DEMO_ARGS, capsys)
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg_path))
+        _, via_env, _ = run_cli(self.DEMO_ARGS[:-2], capsys)
+        assert via_env == via_flag
 
     def test_zero_iterations_rejected(self, capsys):
         code, _, err = run_cli(["ppo-demo", "--iterations", "0"], capsys)

@@ -17,6 +17,7 @@ from flsolve import (
     load_config,
     save_config,
 )
+from flsolve.toy import DEMO_LEARNING_RATE
 
 
 class TestFromJson:
@@ -30,6 +31,9 @@ class TestFromJson:
         assert cfg.ppo.kl_target == 6.0
         assert cfg.gae == GaeConfig()
         assert cfg.reward == RewardConfig()
+
+    def test_partial_ppo_section_keeps_demo_learning_rate(self):
+        assert config_from_json({"ppo": {"epochs": 2}}).ppo.learning_rate == DEMO_LEARNING_RATE
 
     def test_reward_numbers_parse_exactly(self):
         cfg = config_from_json({"reward": {"r_max": "1/2", "clamp_floor": "-0.75"}})

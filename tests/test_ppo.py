@@ -18,6 +18,7 @@ from flsolve import (
     softmax,
     value_loss,
 )
+from flsolve.ppo import ppo_gradients
 
 import oracles
 
@@ -361,3 +362,63 @@ class TestPolicyGradient:
             policy_logprob_and_grad(policy, np.zeros(5), 0)
         with pytest.raises(ValueError):
             policy_logprob_and_grad(policy, np.zeros(4), 3)
+
+
+class TestPpoGradients:
+    """``ppo_gradients`` is the step training applies; the losses are the spec."""
+
+    @staticmethod
+    def random_case(rng, anchor):
+        n, n_actions, n_features = int(rng.integers(1, 12)), 5, 6
+        policy = ToyPolicy(rng.normal(size=(n_actions, n_features)), rng.normal(size=n_features))
+        phi = rng.normal(size=(n, n_features))
+        tokens = rng.integers(n_actions, size=n)
+        rows = np.arange(n)
+
+        def logprobs_under(weights):
+            return np.log(softmax(phi @ weights.T)[rows, tokens])
+
+        # Perturbations sized so that a third of the ratios and half of the
+        # value predictions fall outside their clip bands.
+        old = policy.weights + rng.normal(scale=0.1, size=policy.weights.shape)
+        ref = policy.weights + rng.normal(scale=0.1, size=policy.weights.shape)
+        old_values = phi @ policy.value_weights + rng.normal(scale=0.3, size=n)
+        batch = Trajectory(
+            tokens=tokens,
+            state_features=phi,
+            logprobs_policy=logprobs_under(old),
+            logprobs_ref=logprobs_under(ref),
+            rewards=rng.normal(size=n),
+            values=np.append(old_values, 0.0),
+        )
+        cfg = PpoConfig(beta=float(rng.uniform(0.05, 1.0)), ratio_anchor=anchor)
+        advantages = rng.normal(size=n)
+        returns = old_values + rng.normal(scale=0.5, size=n)
+        return policy, batch, advantages, returns, softmax(phi @ ref.T), cfg
+
+    @pytest.mark.parametrize("anchor", ["old", "ref"])
+    def test_matches_central_differences_of_the_losses(self, anchor):
+        rng = np.random.default_rng(2024 if anchor == "old" else 2025)
+        for _ in range(100):
+            policy, batch, advantages, returns, ref_probs, cfg = self.random_case(rng, anchor)
+            phi, rows = batch.state_features, np.arange(batch.steps)
+
+            def objective(weights):
+                probs = softmax(phi @ weights.T)
+                new_logprobs = np.log(probs[rows, batch.tokens])
+                loss = ppo_objective(
+                    batch, advantages, new_logprobs, cfg, ref_dists=ref_probs, new_dists=probs
+                ).policy_loss
+                return -loss
+
+            def vloss(value_weights):
+                return value_loss(batch, returns, phi @ value_weights, cfg)
+
+            weights_step, value_step = ppo_gradients(
+                batch, advantages, returns, policy, ref_probs, cfg
+            )
+            for step, fd in (
+                (weights_step, oracles.central_fd(objective, policy.weights)),
+                (value_step, oracles.central_fd(vloss, policy.value_weights)),
+            ):
+                np.testing.assert_allclose(step, fd, rtol=0, atol=1e-6 * np.abs(fd).max())
