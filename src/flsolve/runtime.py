@@ -1,13 +1,16 @@
 """Generation-session orchestration.
 
-A session drives a pluggable text generator through the program protocol:
-the generator emits pseudocode, and whenever an arithmetic statement is
-complete through its closing parenthesis the session pauses generation,
-evaluates the statement exactly, appends the result as a comment, and
-resumes with the annotated line in the context. Generator-written comments
-on arithmetic lines are discarded; the solver is the single source of
-numeric truth for computed values. [find] and [return] lines pass through
-untouched (apart from [return] ending the session).
+A session drives a pluggable text generator through the program protocol.
+It reads the generator's output one line at a time, pulling chunks until a
+newline or the end of output, and parses the line whole. An arithmetic
+statement ends at its first ``)``: the session evaluates it exactly, drops
+the rest of its line (the generator's own comment too), and emits the text
+through ``)`` with the solver's result appended as a comment. The generator
+sees that annotated line in the context of its next pull. The solver is
+thus the single source of numeric truth for computed values. [find] and
+[return] lines pass through untouched (apart from [return] ending the
+session). Because every line is read whole before it is parsed, how output
+within the character cap is cut into chunks changes no outcome.
 
 Parse and evaluation failures are recorded in the transcript rather than
 raised, so a syntactically broken generation is data, not a crash.
@@ -25,6 +28,7 @@ from .interpreter import (
     EvalError,
     EvalOutcome,
     annotation_text,
+    apply_operator,
     evaluate_statement,
     resolve_operands,
 )
@@ -190,10 +194,6 @@ class _SessionFeed:
         self.buffer = ""
         self.ended = False
         self.consumed = 0
-        # The last prefix arithmetic_prefix rejected. Until a newline arrives
-        # every pull brings the same prefix back, and parse_line would reject
-        # it again.
-        self.rejected_prefix: str | None = None
 
     def pull(self, context: str) -> bool:
         if self.ended:
@@ -210,32 +210,27 @@ class _SessionFeed:
         self.buffer += chunk
         return True
 
-    def take_line(self) -> str:
+    def read_line(self, context: str) -> str | None:
+        """The next line without its newline, read through the newline or the
+        end of output; None once the output is used up.
+        """
+        while "\n" not in self.buffer:
+            if not self.pull(context):
+                line, self.buffer = self.buffer, ""
+                return line or None
         line, _, self.buffer = self.buffer.partition("\n")
         return line
 
-    def discard_rest_of_line(self, context: str) -> None:
-        while "\n" not in self.buffer:
-            if not self.pull(context):
-                self.buffer = ""
-                return
-        _, _, self.buffer = self.buffer.partition("\n")
 
-
-    def arithmetic_prefix(self) -> tuple[str, Statement] | None:
-        """An arithmetic statement complete through ')', if the buffer holds one."""
-        buffer = self.buffer
-        close = buffer.find(")")
-        if close == -1 or "#" in buffer[:close]:
-            return None
-        text = buffer[: close + 1]
-        if text == self.rejected_prefix:
-            return None
-        parsed = parse_line(text)
-        if isinstance(parsed, Statement) and parsed.is_arithmetic:
-            return text, parsed
-        self.rejected_prefix = text
+def _arithmetic_prefix(line: str) -> Statement | None:
+    """The arithmetic statement that ends at the line's first ')', if any."""
+    close = line.find(")")
+    if close == -1 or "#" in line[:close]:
         return None
+    parsed = parse_line(line[: close + 1])
+    if isinstance(parsed, Statement) and parsed.is_arithmetic:
+        return parsed
+    return None
 
 
 def run_session(
@@ -279,53 +274,32 @@ def run_session(
                     "budget-exhausted", f"line budget of {budget.max_lines} exhausted"
                 )
 
-            # Acquire the next unit: a full line, or an arithmetic statement
-            # complete through ')' (the mid-line pause point).
-            stmt_from_prefix: tuple[str, Statement] | None = None
-            line: str | None = None
-            while True:
-                if "\n" in feed.buffer:
-                    line = feed.take_line()
-                    break
-                stmt_from_prefix = feed.arithmetic_prefix()
-                if stmt_from_prefix is not None:
-                    feed.buffer = feed.buffer[len(stmt_from_prefix[0]) :]
-                    break
-                if not feed.pull(context):
-                    if feed.buffer.strip():
-                        line = feed.buffer
-                        feed.buffer = ""
-                    break
-
-            if stmt_from_prefix is not None:
-                text, stmt = stmt_from_prefix
-                feed.discard_rest_of_line(context)
-                stmt_text = text.strip()
-            elif line is not None:
-                if not line.strip():
-                    continue
-                parsed = parse_line(line, len(emitted) + 1)
-                if parsed is None:  # a comment-only line; parse_program skips it too
-                    continue
-                if isinstance(parsed, ParseError):
-                    emitted.append(EmittedLine("generator", line.strip()))
-                    raise EvalError("parse-error", f"{parsed.kind}: {parsed.message}")
-                stmt = parsed
-                if stmt.is_arithmetic:
-                    stmt_text = line.split("#", 1)[0].strip().rstrip(",").rstrip()
-                else:
-                    stmt_text = line.strip()
-            else:
+            line = feed.read_line(context)
+            if line is None:
                 raise EvalError(
                     "generator-stalled", "generator ended before a [return] statement"
                 )
+            if not line.strip():
+                continue
+            stmt = parse_line(line, len(emitted) + 1)
+            if stmt is None:  # a comment-only line; parse_program skips it too
+                continue
+            if isinstance(stmt, ParseError):
+                prefix = _arithmetic_prefix(line)
+                if prefix is None:
+                    emitted.append(EmittedLine("generator", line.strip()))
+                    raise EvalError("parse-error", f"{stmt.kind}: {stmt.message}")
+                stmt = prefix
 
             if stmt.is_arithmetic:
-                # The emitted line drops the generator's comment, and on
-                # success carries the solver's; its entry does the same.
+                # The statement ends at its first ')'. The emitted line drops
+                # the rest, the generator's comment included, and on success
+                # carries the solver's; its entry does the same.
+                stmt_text = line[: line.index(")") + 1].strip()
                 try:
                     operands = resolve_operands(stmt, env)
-                    value, env = evaluate_statement(stmt, env)
+                    value = apply_operator(stmt.op, operands)
+                    env = env.bind(stmt.target, value)
                 except EvalError as err:
                     if err.statement_index is None:
                         err.statement_index = statement_index
@@ -345,6 +319,7 @@ def run_session(
                 statement_index += 1
                 continue
 
+            stmt_text = line.strip()
             emit("generator", stmt_text, stmt)
             try:
                 value, env = evaluate_statement(stmt, env)

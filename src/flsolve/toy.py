@@ -20,6 +20,7 @@ from .interpreter import (
     Environment,
     annotation_text,
     answers_match,
+    apply_operator,
     evaluate_statement,
     resolve_operands,
 )
@@ -230,7 +231,8 @@ def _gold_program(template: TaskTemplate, values: Sequence[int]) -> tuple[Progra
         target = f"var{len(template.descriptions) + j + 1}"
         stmt = Statement(op, (left, VarRef(f"var{j + 2}")), target=target)
         operands = resolve_operands(stmt, env)
-        result, env = evaluate_statement(stmt, env)
+        result = apply_operator(op, operands)
+        env = env.bind(target, result)
         stmt = replace(
             stmt, annotation=CommentAnnotation(annotation_text(stmt, operands, result), result)
         )
@@ -275,8 +277,9 @@ class PolicySession:
     """Generator that turns policy actions into pseudocode lines.
 
     Quantities come from the reference program's [find] comments; structure
-    comes from the policy. Arithmetic lines are emitted without a trailing
-    newline so the session halts at ')' and injects the computed comment.
+    comes from the policy. An arithmetic line is emitted up to its ')', and
+    its newline on the next pull: the split stands for a model that is
+    stopped at ')' while the session injects the computed comment.
     With ``rng=None`` actions are greedy argmax.
     """
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flsolve import (
     DEFAULT_INSTRUCTIONS,
@@ -130,7 +132,8 @@ class TestHaltResume:
         assert transcript.outcome.answer == 4
         assert any("var2 = [floor](var1) # floor(4) = 4" in ctx for ctx in seen)
 
-    def test_rejected_prefix_is_parsed_once(self, monkeypatch):
+    @pytest.mark.parametrize("chunk_size", [0, 1, 5])
+    def test_each_line_is_parsed_once(self, monkeypatch, chunk_size):
         calls = []
         real = runtime.parse_line
 
@@ -139,12 +142,10 @@ class TestHaltResume:
             return real(raw, line_no)
 
         monkeypatch.setattr(runtime, "parse_line", counting)
-        source = "var1 = [find](a (b) c) # 4\n[return](var1)"
-        transcript = run_session(ScriptedGenerator(source, 1), "four")
-        assert transcript.outcome.answer == 4
-        # Each character after the first ')' arrives alone; the prefix
-        # through that ')' is not arithmetic and is parsed only once.
-        assert calls.count("var1 = [find](a (b)") == 1
+        source = "var1 = [find](a (b) c) # 4\nvar2 = [add](var1, 1)\n[return](var2)"
+        transcript = run_session(ScriptedGenerator(source, chunk_size), "four")
+        assert transcript.outcome.answer == 5
+        assert calls == source.split("\n")
 
     def test_prompt_precedes_generation(self):
         transcript = run_session(
@@ -152,6 +153,71 @@ class TestHaltResume:
         )
         assert transcript.prompt.endswith("Question: one\nPseudocode:\n")
         assert transcript.prompt.startswith(DEFAULT_INSTRUCTIONS)
+
+
+# Generator text joined from whole statements and scraps: lines that run on
+# after ')', stop short of it, or hold a statement and a half. Texts stay far
+# below the character cap, which charges whole chunks.
+FRAGMENTS = (
+    "var1 = [find](a) # 3",
+    "var2 = [find](b) # 4",
+    "var1 = [find](x (y) z) # 5",
+    "var3 = [add](var1, var2)",
+    "var4 = [multiply](var3, 2)",
+    "var5 = [divide](var3, var1)",
+    "[return](var3)",
+    "[return](var4) # 9",
+    ")", "(", "#", ",", "\n", "\n", "\r", " ", " extra", " # 999", "var1", "[frob]",
+    "[nope](var1)",
+)
+
+
+@st.composite
+def chunked_text(draw):
+    """A text and its chunks, cut at drawn points."""
+    text = "".join(draw(st.lists(st.sampled_from(FRAGMENTS), max_size=16)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(len(text) - 1, 1)))))
+    bounds = [0, *cuts, len(text)]
+    return text, [text[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
+def session_result(transcript):
+    error = transcript.outcome.error
+    return (
+        transcript.emitted_lines,
+        transcript.halted_count,
+        transcript.outcome.answer,
+        None if error is None else (error.kind, error.message, error.statement_index),
+        transcript.program,
+    )
+
+
+class TestChunkInvariance:
+    @settings(max_examples=400, deadline=None)
+    @given(chunked_text())
+    @example(
+        (
+            "var3 = [add](var1, var2)var1 = [find](a) # 3\n",
+            ["var3 = [add](var1, var2)", "var1 = [find](a) # 3\n"],
+        )
+    )
+    def test_chunks_change_no_outcome(self, case):
+        text, chunks = case
+        whole = run_session(ScriptedGenerator(text), "q")
+        assert session_result(run_session(ListGenerator(chunks), "q")) == session_result(whole)
+
+    @pytest.mark.parametrize("chunk_size", [0, 1, 5])
+    @pytest.mark.parametrize("rest", [" extra", " extra # 999"])
+    def test_text_after_close_paren_is_dropped(self, chunk_size, rest):
+        source = (
+            "var1 = [find](a) # 3\n"
+            "var2 = [find](b) # 4\n"
+            f"var3 = [add](var1, var2){rest}\n"
+            "[return](var3)"
+        )
+        transcript = run_session(ScriptedGenerator(source, chunk_size), "q")
+        assert transcript.outcome.answer == 7
+        assert transcript.emitted_lines[2].text == "var3 = [add](var1, var2) # 3 + 4 = 7"
 
 
 class TestSessionErrors:
@@ -176,6 +242,19 @@ class TestSessionErrors:
         )
         transcript = run_session(ScriptedGenerator(source), "q")
         assert transcript.outcome.error.kind == "division-by-zero"
+        assert transcript.halted_count == 0
+
+    @pytest.mark.parametrize("chunk_size", [0, 1, 5])
+    def test_arithmetic_duplicate_binding_recorded(self, chunk_size):
+        source = "var1 = [find](a) # 3\nvar1 = [add](var1, 1)\n[return](var1)"
+        transcript = run_session(ScriptedGenerator(source, chunk_size), "q")
+        error = transcript.outcome.error
+        assert (error.kind, error.statement_index) == ("duplicate-binding", 1)
+        assert [(l.source, l.text) for l in transcript.emitted_lines] == [
+            ("generator", "var1 = [find](a) # 3"),
+            ("generator", "var1 = [add](var1, 1)"),
+        ]
+        assert len(transcript.entries) == 2
         assert transcript.halted_count == 0
 
     def test_empty_generator_stalls(self):
