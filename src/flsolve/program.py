@@ -138,7 +138,9 @@ class ProblemRecord:
         """The gold program, parsed on first use and cached on the record.
 
         Raises ValueError when it does not parse. The cache sits outside the
-        dataclass fields, so equality, hashing and pickling ignore it.
+        dataclass fields, so equality, hashing and pickling ignore it, as they
+        ignore every attribute whose name starts with an underscore (the
+        reward stack caches the gold's counts that way).
         """
         parsed = self.__dict__.get(_GOLD_CACHE)
         if parsed is None:
@@ -150,9 +152,7 @@ class ProblemRecord:
         return parsed
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop(_GOLD_CACHE, None)
-        return state
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 _GOLD_CACHE = "_parsed_gold"

@@ -21,21 +21,12 @@ clamping reproduces the raw formulas.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .interpreter import EvalOutcome, evaluate
 from .parser import parse_program, program_compiles
-from .program import (
-    BASIC_OPERATORS,
-    BASIC_SYMBOLS,
-    ProblemRecord,
-    Program,
-    basic_operation_counts,
-    count_finds,
-    has_return,
-)
+from .program import BASIC_OPERATORS, BASIC_SYMBOLS, Operator, ProblemRecord, Program
 from .values import format_number
 
 
@@ -105,20 +96,65 @@ def reward_r1(gen_source: str, cfg: RewardConfig = DEFAULT_REWARD_CONFIG) -> Fra
     return cfg.r_max if program_compiles(gen_source) else Fraction(0)
 
 
+def _tally(program: Program) -> tuple[int, bool, dict]:
+    """[find] count, whether there is a [return], and basic-operator counts.
+
+    One pass over the statements, in ints. The counts dict holds only the
+    operators that occur, in order of first occurrence, as
+    ``basic_operation_counts`` does.
+    """
+    finds = 0
+    returns = False
+    counts: dict = {}
+    for statement in program.statements:
+        op = statement.op
+        if op is Operator.FIND:
+            finds += 1
+        elif op is Operator.RETURN:
+            returns = True
+        elif op in BASIC_SYMBOLS:
+            counts[op] = counts.get(op, 0) + 1
+    return finds, returns, counts
+
+
+_GOLD_TALLY = "_gold_tally"
+
+
+def _gold_tally(gold: ProblemRecord) -> tuple[int, bool, dict]:
+    """``_tally`` of the parsed gold, cached on the record beside it.
+
+    Like the parsed gold, the cache sits outside the dataclass fields, so
+    equality, hashing and pickling ignore it.
+    """
+    tally = gold.__dict__.get(_GOLD_TALLY)
+    if tally is None:
+        tally = gold.__dict__[_GOLD_TALLY] = _tally(gold.parsed_gold())
+    return tally
+
+
 def _r2(v_gen: int, v_gold: int, cfg: RewardConfig) -> Fraction:
     if v_gold < 1:
         raise ValueError("gold program declares no [find] variables")
-    score = cfg.r_max * (1 - Fraction(abs(v_gen - v_gold), v_gold))
+    # r_max * (1 - |v_gen - v_gold| / v_gold)
+    score = cfg.r_max * Fraction(v_gold - abs(v_gen - v_gold), v_gold)
     if cfg.clamp_components:
         score = max(score, cfg.floor)
     return score
 
 
-def _r3(gen_counts: Counter, gold_counts: Counter, cfg: RewardConfig) -> Fraction:
-    matched = sum(min(gen_counts[op], gold_counts[op]) for op in BASIC_OPERATORS)
-    missing = sum(max(0, gold_counts[op] - gen_counts[op]) for op in BASIC_OPERATORS)
-    extra = sum(max(0, gen_counts[op] - gold_counts[op]) for op in BASIC_OPERATORS)
-    score = cfg.r_max * (matched - missing) - cfg.r_max * Fraction(extra, 2)
+def _r3(gen_counts: dict, gold_counts: dict, cfg: RewardConfig) -> Fraction:
+    matched = missing = extra = 0
+    for op in BASIC_OPERATORS:
+        gen_n = gen_counts.get(op, 0)
+        gold_n = gold_counts.get(op, 0)
+        if gen_n < gold_n:
+            matched += gen_n
+            missing += gold_n - gen_n
+        else:
+            matched += gold_n
+            extra += gen_n - gold_n
+    # r_max * (matched - missing) - r_max * extra / 2
+    score = cfg.r_max * Fraction(2 * (matched - missing) - extra, 2)
     if cfg.clamp_components:
         score = max(score, -cfg.r_max * sum(gold_counts.values()))
     return score
@@ -128,15 +164,14 @@ def reward_r2(
     gen: Program | None, gold: Program, cfg: RewardConfig = DEFAULT_REWARD_CONFIG
 ) -> Fraction:
     """Declared-variable count reward; ``gen=None`` means it failed to parse."""
-    return _r2(0 if gen is None else count_finds(gen), count_finds(gold), cfg)
+    return _r2(0 if gen is None else _tally(gen)[0], _tally(gold)[0], cfg)
 
 
 def reward_r3(
     gen: Program | None, gold: Program, cfg: RewardConfig = DEFAULT_REWARD_CONFIG
 ) -> Fraction:
     """Operator-multiset reward over the four basic operators."""
-    gen_counts = Counter() if gen is None else basic_operation_counts(gen)
-    return _r3(gen_counts, basic_operation_counts(gold), cfg)
+    return _r3({} if gen is None else _tally(gen)[2], _tally(gold)[2], cfg)
 
 
 def reward_r4(
@@ -155,7 +190,11 @@ def reward_r4(
     y_gen = gen_outcome.answer
     if y_gold == 0:
         return cfg.r_max if y_gen == 0 else cfg.floor
-    score = cfg.r_max * (1 - abs(y_gen - y_gold) / abs(y_gold))
+    # r_max * (1 - |y_gen - y_gold| / |y_gold|) with y_gen = p/q, y_gold = r/s
+    p, q = y_gen.numerator, y_gen.denominator
+    r, s = y_gold.numerator, y_gold.denominator
+    scale = q * abs(r)
+    score = cfg.r_max * Fraction(scale - abs(p * s - r * q), scale)
     if cfg.clamp_components:
         score = max(score, cfg.floor)
     return score
@@ -185,12 +224,11 @@ def score_program(
     ``total_reward(t.generated_source, record)`` for a session transcript
     ``t``. A gold program that does not parse raises ValueError.
     """
-    gold_program = gold.parsed_gold()
-    compiled = gen is not None and has_return(gen)
-    v_gen = 0 if gen is None else count_finds(gen)
-    v_gold = count_finds(gold_program)
-    gen_counts = Counter() if gen is None else basic_operation_counts(gen)
-    gold_counts = basic_operation_counts(gold_program)
+    v_gold, _, gold_counts = _gold_tally(gold)
+    if gen is None:
+        v_gen, compiled, gen_counts = 0, False, {}
+    else:
+        v_gen, compiled, gen_counts = _tally(gen)
 
     r1 = cfg.r_max if compiled else Fraction(0)
     r2 = _r2(v_gen, v_gold, cfg)
@@ -202,7 +240,7 @@ def score_program(
         compiled=compiled,
         v_gen=v_gen,
         v_gold=v_gold,
-        op_counts_gen=dict(gen_counts),
+        op_counts_gen=gen_counts,
         op_counts_gold=dict(gold_counts),
         y_gen=None if outcome is None else outcome.answer,
     )

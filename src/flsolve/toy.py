@@ -186,8 +186,11 @@ def question_cue(question: str) -> Operator | None:
 
 
 def state_feature_vector(question: str, lines: int, finds: int, ops: int) -> np.ndarray:
+    return _features(question_cue(question), lines, finds, ops)
+
+
+def _features(cue: Operator | None, lines: int, finds: int, ops: int) -> np.ndarray:
     phi = np.zeros(N_FEATURES)
-    cue = question_cue(question)
     if cue is not None:
         phi[CUE_OPERATORS.index(cue)] = 1.0
     phi[4 + min(lines, 5)] = 1.0
@@ -273,6 +276,82 @@ def generate_toy_tasks(
     return records
 
 
+# Generator.choice rejects probabilities whose sum is further than this from 1.
+_P_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+class _StepRow:
+    """The policy's output at one state.
+
+    ``draw`` is ``Generator.choice(len(probs), p=probs)`` taken apart: the
+    same checks on ``probs``, made once when the row is built and raised on
+    the first draw, then the same inverse-CDF lookup of one
+    ``rng.random()``. Actions and generator state match ``choice``.
+    ``logprobs`` maps an action to its policy and reference log-probs.
+    """
+
+    __slots__ = ("phi", "probs", "value", "prob_sum_err", "argmax", "cdf", "p_error", "logprobs")
+
+    def __init__(self, phi: np.ndarray, probs: np.ndarray, value: float):
+        total = float(probs.sum())
+        self.phi = phi
+        self.probs = probs
+        self.value = value
+        self.prob_sum_err = abs(total - 1.0)
+        self.argmax = int(np.argmax(probs))
+        if np.isnan(total):
+            self.p_error = "Probabilities contain NaN"
+        elif (probs < 0).any():
+            self.p_error = "Probabilities are not non-negative"
+        elif abs(total - 1.0) > _P_SUM_ATOL:
+            self.p_error = "Probabilities do not sum to 1"
+        else:
+            self.p_error = None
+        self.cdf = probs.cumsum()
+        self.cdf /= self.cdf[-1]
+        self.logprobs: dict[int, tuple[float, float]] = {}
+
+    def draw(self, rng: np.random.Generator) -> int:
+        if self.p_error is not None:
+            raise ValueError(self.p_error)
+        return int(self.cdf.searchsorted(rng.random(), side="right"))
+
+
+class _StepTable:
+    """Rows of policy output by state, for weights that do not change.
+
+    A state's features depend only on (cue, ``min(lines, 5)``, finds, ops),
+    so every episode that reaches a state reads the same row. Rows and
+    their per-action log-probs are filled on first use. The table keeps no
+    copy of the weights: build a new one after an update.
+    """
+
+    def __init__(self, policy: ToyPolicy, ref: ToyPolicy):
+        self.policy = policy
+        self.ref = ref
+        self._rows: dict[tuple, _StepRow] = {}
+
+    def row(self, cue: Operator | None, lines: int, finds: int, ops: int) -> _StepRow:
+        key = (cue, min(lines, 5), finds, ops)
+        row = self._rows.get(key)
+        if row is None:
+            phi = _features(cue, lines, finds, ops)
+            row = self._rows[key] = _StepRow(
+                phi, self.policy.action_probs(phi), self.policy.value(phi)
+            )
+        return row
+
+    def logprobs(self, row: _StepRow, action: int) -> tuple[float, float]:
+        """log pi(action) and log pi_ref(action) at ``row``'s state."""
+        pair = row.logprobs.get(action)
+        if pair is None:
+            pair = row.logprobs[action] = (
+                float(np.log(row.probs[action])),
+                self.ref.logprob(row.phi, action),
+            )
+        return pair
+
+
 class PolicySession:
     """Generator that turns policy actions into pseudocode lines.
 
@@ -281,6 +360,11 @@ class PolicySession:
     its newline on the next pull: the split stands for a model that is
     stopped at ')' while the session injects the computed comment.
     With ``rng=None`` actions are greedy argmax.
+
+    Each step reads the policy from a step table, one row per state, since
+    the weights stay fixed while episodes run. A session builds its own
+    table; ``train_ppo_demo`` shares one table across an iteration's
+    episodes, and ``greedy_accuracy`` one across its records.
     """
 
     def __init__(
@@ -297,8 +381,7 @@ class PolicySession:
         ]
         if not self.gold_finds:
             raise ValueError(f"reference program for '{record.id}' declares no quantities")
-        self.policy = policy
-        self.ref = ref
+        self.table = _StepTable(policy, ref)
         self.record = record
         self.rng = rng
         self.features: list[np.ndarray] = []
@@ -307,6 +390,7 @@ class PolicySession:
         self.ref_logprobs: list[float] = []
         self.values: list[float] = []
         self.prob_sum_err = 0.0
+        self._cue = question_cue(record.question)
         self._next_var = 1
         self._finds = 0
         self._ops = 0
@@ -319,20 +403,15 @@ class PolicySession:
             return chunk
         if self._done:
             return ""
-        phi = state_feature_vector(
-            self.record.question, len(self.actions), self._finds, self._ops
-        )
-        probs = self.policy.action_probs(phi)
-        self.prob_sum_err = max(self.prob_sum_err, abs(float(probs.sum()) - 1.0))
-        if self.rng is None:
-            action = int(np.argmax(probs))
-        else:
-            action = int(self.rng.choice(len(probs), p=probs))
-        self.features.append(phi)
+        row = self.table.row(self._cue, len(self.actions), self._finds, self._ops)
+        self.prob_sum_err = max(self.prob_sum_err, row.prob_sum_err)
+        action = row.argmax if self.rng is None else row.draw(self.rng)
+        logprob, ref_logprob = self.table.logprobs(row, action)
+        self.features.append(row.phi)
         self.actions.append(action)
-        self.logprobs.append(float(np.log(probs[action])))
-        self.ref_logprobs.append(self.ref.logprob(phi, action))
-        self.values.append(self.policy.value(phi))
+        self.logprobs.append(logprob)
+        self.ref_logprobs.append(ref_logprob)
+        self.values.append(row.value)
         return self._emit(action)
 
     def _emit(self, action: int) -> str:
@@ -380,7 +459,20 @@ def rollout(
     """
     if not greedy and rng is None:
         raise ValueError("stochastic rollout needs an rng; pass greedy=True for argmax")
-    session = PolicySession(policy, ref, record, rng=None if greedy else rng)
+    return _rollout(
+        _StepTable(policy, ref), record, reward_cfg, None if greedy else rng, budget
+    )
+
+
+def _rollout(
+    table: _StepTable,
+    record: ProblemRecord,
+    reward_cfg: RewardConfig,
+    rng: np.random.Generator | None,
+    budget: SessionBudget = DEMO_BUDGET,
+) -> RolloutResult:
+    session = PolicySession(table.policy, table.ref, record, rng)
+    session.table = table  # read the rows other episodes have filled
     transcript = run_session(session, record.question, budget=budget)
     breakdown = score_program(transcript.program, record, reward_cfg)
     rewards = np.zeros(len(session.actions))
@@ -404,9 +496,10 @@ def greedy_accuracy(
     """Fraction of records the argmax policy answers correctly."""
     if not records:
         raise ValueError("no records to evaluate")
+    table = _StepTable(policy, policy)
     hits = 0
     for record in records:
-        result = rollout(policy, policy, record, reward_cfg, greedy=True)
+        result = _rollout(table, record, reward_cfg, None)
         if answers_match(result.transcript.outcome.answer, record.gold_answer):
             hits += 1
     return hits / len(records)
@@ -461,7 +554,8 @@ def train_ppo_demo(
         else:
             order = rng.permutation(len(tasks))[:batch_size]
             batch = [tasks[i] for i in order]
-        results = [rollout(policy, ref, rec, reward_cfg, rng=rng) for rec in batch]
+        table = _StepTable(policy, ref)
+        results = [_rollout(table, rec, reward_cfg, rng) for rec in batch]
         trajectories = [r.trajectory for r in results]
         flat = Trajectory(
             tokens=np.concatenate([t.tokens for t in trajectories]),

@@ -1,17 +1,33 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately written from scratch on plain big-int pairs
-and python loops, trading speed for obviousness.
+Everything here is deliberately written on plain big-int pairs, python loops
+and straightforward per-call recomputation, trading speed for obviousness.
+The policy step and the reward scorer are the package's earlier, unoptimized
+versions, kept as the differential tests' references.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
-from flsolve import ToyPolicy
+from flsolve import (
+    BASIC_OPERATORS,
+    DEFAULT_REWARD_CONFIG,
+    RewardBreakdown,
+    RewardConfig,
+    RewardDiagnostics,
+    ToyPolicy,
+    basic_operation_counts,
+    count_finds,
+    evaluate,
+    has_return,
+)
+from flsolve.toy import PolicySession, state_feature_vector
 
 
 def norm_pair(n: int, d: int) -> tuple[int, int]:
@@ -144,3 +160,90 @@ def central_fd(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         down[index] -= h
         grad[index] = (f(up) - f(down)) / (2 * h)
     return grad
+
+
+class ReferencePolicySession(PolicySession):
+    """The policy step computed afresh at every step, with ``Generator.choice``.
+
+    Reads the policy and reference through the session's step table but none
+    of its cached rows.
+    """
+
+    def next_chunk(self, context: str) -> str:
+        if self._pending is not None:
+            chunk, self._pending = self._pending, None
+            return chunk
+        if self._done:
+            return ""
+        policy, ref = self.table.policy, self.table.ref
+        phi = state_feature_vector(
+            self.record.question, len(self.actions), self._finds, self._ops
+        )
+        probs = policy.action_probs(phi)
+        self.prob_sum_err = max(self.prob_sum_err, abs(float(probs.sum()) - 1.0))
+        if self.rng is None:
+            action = int(np.argmax(probs))
+        else:
+            action = int(self.rng.choice(len(probs), p=probs))
+        self.features.append(phi)
+        self.actions.append(action)
+        self.logprobs.append(float(np.log(probs[action])))
+        self.ref_logprobs.append(ref.logprob(phi, action))
+        self.values.append(policy.value(phi))
+        return self._emit(action)
+
+
+def _reference_r2(v_gen: int, v_gold: int, cfg: RewardConfig) -> Fraction:
+    if v_gold < 1:
+        raise ValueError("gold program declares no [find] variables")
+    score = cfg.r_max * (1 - Fraction(abs(v_gen - v_gold), v_gold))
+    if cfg.clamp_components:
+        score = max(score, cfg.floor)
+    return score
+
+
+def _reference_r3(gen_counts: Counter, gold_counts: Counter, cfg: RewardConfig) -> Fraction:
+    matched = sum(min(gen_counts[op], gold_counts[op]) for op in BASIC_OPERATORS)
+    missing = sum(max(0, gold_counts[op] - gen_counts[op]) for op in BASIC_OPERATORS)
+    extra = sum(max(0, gen_counts[op] - gold_counts[op]) for op in BASIC_OPERATORS)
+    score = cfg.r_max * (matched - missing) - cfg.r_max * Fraction(extra, 2)
+    if cfg.clamp_components:
+        score = max(score, -cfg.r_max * sum(gold_counts.values()))
+    return score
+
+
+def _reference_r4(answer, y_gold: Fraction, cfg: RewardConfig) -> Fraction:
+    if answer is None:
+        return Fraction(0)
+    if y_gold == 0:
+        return cfg.r_max if answer == 0 else cfg.floor
+    score = cfg.r_max * (1 - abs(answer - y_gold) / abs(y_gold))
+    if cfg.clamp_components:
+        score = max(score, cfg.floor)
+    return score
+
+
+def reference_score_program(gen, gold, cfg: RewardConfig = DEFAULT_REWARD_CONFIG):
+    """``score_program`` in Fraction arithmetic over ``Counter``s, gold recounted per call."""
+    gold_program = gold.parsed_gold()
+    compiled = gen is not None and has_return(gen)
+    v_gen = 0 if gen is None else count_finds(gen)
+    v_gold = count_finds(gold_program)
+    gen_counts = Counter() if gen is None else basic_operation_counts(gen)
+    gold_counts = basic_operation_counts(gold_program)
+
+    r1 = cfg.r_max if compiled else Fraction(0)
+    r2 = _reference_r2(v_gen, v_gold, cfg)
+    r3 = _reference_r3(gen_counts, gold_counts, cfg)
+    outcome = evaluate(gen) if gen is not None else None
+    r4 = _reference_r4(None if outcome is None else outcome.answer, gold.gold_answer, cfg)
+
+    diagnostics = RewardDiagnostics(
+        compiled=compiled,
+        v_gen=v_gen,
+        v_gold=v_gold,
+        op_counts_gen=dict(gen_counts),
+        op_counts_gold=dict(gold_counts),
+        y_gen=None if outcome is None else outcome.answer,
+    )
+    return RewardBreakdown(r1, r2, r3, r4, r1 + r2 + r3 + r4, diagnostics)

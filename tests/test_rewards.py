@@ -1,17 +1,23 @@
 """Reward components: golden values, perturbations, clamps, monotonicity."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flsolve import (
     BASIC_OPERATORS,
+    CommentAnnotation,
     DEFAULT_REWARD_CONFIG,
     Environment,
     EvalOutcome,
     Operator,
+    ProblemRecord,
     Program,
+    RewardBreakdown,
     RewardConfig,
     Statement,
     VarRef,
@@ -21,8 +27,11 @@ from flsolve import (
     reward_r2,
     reward_r3,
     reward_r4,
+    render_program,
+    score_program,
     total_reward,
 )
+from flsolve.values import format_number
 
 import oracles
 
@@ -340,3 +349,112 @@ class TestTotalReward:
             assert breakdown.total == (
                 breakdown.r1 + breakdown.r2 + breakdown.r3 + breakdown.r4
             )
+
+
+# Strategies are built once: building them inside a draw is what costs time.
+SMALL = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+# The four scored operators, plus two that r3 must ignore.
+ARITHMETIC = st.sampled_from(
+    (Operator.ADD, Operator.SUBTRACT, Operator.MULTIPLY, Operator.DIVIDE, Operator.MOD, Operator.LCM)
+)
+KIND = st.sampled_from(["find", "find", "op"])
+KINDS = st.lists(KIND, max_size=8)
+INDEX = st.integers(0, 8)
+
+
+@st.composite
+def programs(draw, wild: bool = False, kinds=KINDS) -> Program:
+    """Straight-line programs, shaped as the parser accepts them unless ``wild``.
+
+    A wild program may use literals and variables before their definition.
+    Values may still fail to divide, and a [find] may lack its value.
+    """
+    statements: list[Statement] = []
+    defined = 0
+
+    def ref():
+        last = defined + 1 if wild else max(defined, 1)
+        return VarRef(f"var{1 + draw(INDEX) % last}")
+
+    for kind in draw(kinds):
+        if kind == "find" or not (defined or wild):
+            value = draw(SMALL)
+            annotation = CommentAnnotation(format_number(value), value)
+            if not draw(INDEX):
+                annotation = None  # no declared value: an evaluation error
+            statement = Statement(Operator.FIND, (f"q{defined + 1}",), f"var{defined + 1}", annotation)
+        else:
+            args = tuple(
+                draw(SMALL) if wild and draw(st.booleans()) else ref() for _ in range(2)
+            )
+            statement = Statement(draw(ARITHMETIC), args, f"var{defined + 1}")
+        statements.append(statement)
+        defined += 1
+    if (defined or wild) and draw(INDEX) % 4:
+        statements.append(Statement(Operator.RETURN, (ref(),)))
+    return Program(tuple(statements))
+
+
+@st.composite
+def gold_records(draw) -> ProblemRecord:
+    answer = draw(SMALL)  # 0 often enough for the zero-gold rule
+    # Never empty, so it declares at least one [find].
+    source = render_program(draw(programs(kinds=st.lists(KIND, min_size=1, max_size=8))))
+    return ProblemRecord("gold", "?", source, answer)
+
+
+reward_configs = st.builds(
+    RewardConfig,
+    r_max=st.builds(Fraction, st.integers(1, 40), st.integers(1, 8)),
+    clamp_components=st.booleans(),
+    clamp_floor=st.one_of(st.none(), st.builds(Fraction, st.integers(-48, 8), st.integers(1, 8))),
+)
+
+GOLD_SUM = "var1 = [find](a) # 3\nvar2 = [find](b) # 4\nvar3 = [add](var1, var2)\n[return](var3)"
+
+
+def scored(score, gen, gold, cfg):
+    try:
+        return score(gen, gold, cfg)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestScoreProgramAgainstReference:
+    """The integer kernel against the Fraction/Counter scorer it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(st.none(), programs(), programs(wild=True)), gold_records(), reward_configs
+    )
+    @example(None, ProblemRecord("g", "?", GOLD_SUM, Fraction(7)), DEFAULT_REWARD_CONFIG)
+    @example(  # no return; extra and missing operators; zero gold answer
+        parse_program("var1 = [find](a) # 3\nvar2 = [divide](var1, var1)\nvar3 = [divide](var2, 2)"),
+        ProblemRecord("g", "?", GOLD_SUM, Fraction(0)),
+        RewardConfig(r_max=Fraction(3, 2), clamp_components=False),
+    )
+    @example(  # a gold without [find]s raises in both
+        parse_program(GOLD_SUM), ProblemRecord("g", "?", "var1 = [add](1, 2)\n[return](var1)", Fraction(3)), DEFAULT_REWARD_CONFIG
+    )
+    def test_equal_breakdowns(self, gen, gold, cfg):
+        expected = scored(oracles.reference_score_program, gen, gold, cfg)
+        for _ in range(2):  # the second call reads the cached gold counts
+            breakdown = scored(score_program, gen, gold, cfg)
+            assert breakdown == expected
+        if not isinstance(breakdown, RewardBreakdown):
+            return
+        # Count order reaches the JSON, so it must match too.
+        for name in ("op_counts_gen", "op_counts_gold"):
+            assert list(getattr(breakdown.diagnostics, name).items()) == list(
+                getattr(expected.diagnostics, name).items()
+            )
+        assert json.dumps(breakdown.to_json()) == json.dumps(expected.to_json())
+        gold_program = gold.parsed_gold()
+        assert reward_r2(gen, gold_program, cfg) == breakdown.r2
+        assert reward_r3(gen, gold_program, cfg) == breakdown.r3
+
+    def test_cached_counts_are_not_shared_with_results(self):
+        gold = ProblemRecord("g", "?", GOLD_SUM, Fraction(7))
+        first = score_program(None, gold)
+        first.diagnostics.op_counts_gold.clear()
+        assert score_program(None, gold).diagnostics.op_counts_gold == {Operator.ADD: 1}

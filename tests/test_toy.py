@@ -1,5 +1,6 @@
 """Toy environment: task generation, the action protocol, demo training."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,14 +22,20 @@ from flsolve import (
     train_ppo_demo,
     verify_annotations,
 )
+from flsolve import toy
+from flsolve.ppo import softmax
 from flsolve.toy import (
     CUE_KEYWORDS,
     CUE_OPERATORS,
     DEMO_LEARNING_RATE,
     PolicySession,
+    _StepRow,
+    _StepTable,
     question_cue,
     state_feature_vector,
 )
+
+import oracles
 
 
 def optimal_policy() -> ToyPolicy:
@@ -276,3 +283,140 @@ class TestTraining:
         assert cfg.beta == 0.03
         assert cfg.gamma == 0.99
         assert demo_config(learning_rate=0.25).learning_rate == 0.25
+
+
+def random_distribution(rng: np.random.Generator, trial: int) -> np.ndarray:
+    """Probabilities of one of four shapes, two of them near-degenerate."""
+    n = int(rng.integers(1, 12))
+    kind = trial % 4
+    if kind == 0:
+        return rng.dirichlet(np.ones(n))
+    if kind == 1:  # entries down to ~1e-300, some exactly 0
+        return softmax(rng.normal(scale=300.0, size=n))
+    if kind == 2:  # exact zeros, including at both ends
+        p = rng.dirichlet(np.full(n, 0.3))
+        p[rng.random(n) < 0.4] = 0.0
+        if p.sum() == 0.0:
+            p[-1] = 1.0
+        return p / p.sum()
+    return softmax(rng.normal(scale=5.0, size=n))  # mass piled on one entry
+
+
+class TestStepTable:
+    """The per-iteration table against ``Generator.choice`` and the old step."""
+
+    def test_draw_matches_generator_choice(self):
+        # The table's draw reproduces numpy's implementation of choice; a
+        # numpy release that changes it fails here first.
+        shapes = np.random.default_rng(2024)
+        for trial in range(4000):
+            probs = random_distribution(shapes, trial)
+            row = _StepRow(np.zeros(N_FEATURES), probs, 0.0)
+            ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(3):
+                assert row.draw(ours) == int(theirs.choice(len(probs), p=probs)), (trial, probs)
+            assert ours.bit_generator.state == theirs.bit_generator.state, trial
+
+    def test_draw_on_a_cdf_boundary_matches_generator_choice(self):
+        # Put a CDF step exactly on the next uniform, where the side of the
+        # search and the normalization by the last CDF entry decide the action.
+        for trial in range(2000):
+            u = np.random.default_rng(trial).random()
+            shape = trial % 3
+            if shape == 0:
+                probs = np.array([u, 1.0 - u])
+            elif shape == 1:
+                probs = np.array([0.0, u / 2, u / 2, 0.0, 1.0 - u, 0.0])
+            else:
+                probs = np.array([u, 1.0 - u]) * (1.0 - 1e-9)  # inside choice's tolerance
+            row = _StepRow(np.zeros(N_FEATURES), probs, 0.0)
+            ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+            assert row.draw(ours) == int(theirs.choice(len(probs), p=probs)), (trial, probs)
+            assert ours.bit_generator.state == theirs.bit_generator.state, trial
+
+    def test_table_rows_draw_like_choice(self):
+        weights = np.random.default_rng(5)
+        for trial in range(200):
+            scale = (0.1, 3.0, 60.0)[trial % 3]
+            policy = ToyPolicy(
+                weights.normal(scale=scale, size=(len(ACTION_NAMES), N_FEATURES)),
+                weights.normal(size=N_FEATURES),
+            )
+            table = _StepTable(policy, policy)
+            ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+            for cue in (None,) + CUE_OPERATORS:
+                for lines in range(7):
+                    row = table.row(cue, lines, lines // 2, lines - lines // 2)
+                    probs = policy.action_probs(row.phi)
+                    assert np.array_equal(row.probs, probs)
+                    assert row.draw(ours) == int(theirs.choice(len(probs), p=probs))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.5, np.nan, 0.5], [1.2, -0.2], [0.5, 0.4], [0.3, 0.3, 0.3], [0.5, 0.5 - 1e-6]],
+        ids=["nan", "negative", "short-sum", "short-sum-3", "just-outside-tolerance"],
+    )
+    def test_draw_checks_probabilities_like_choice(self, probs):
+        probs = np.array(probs)
+        row = _StepRow(np.zeros(N_FEATURES), probs, 0.0)
+        ours, theirs = np.random.default_rng(1), np.random.default_rng(1)
+        with pytest.raises(ValueError) as expected:
+            theirs.choice(len(probs), p=probs)
+        with pytest.raises(ValueError) as raised:
+            row.draw(ours)
+        # numpy's sum message adds a pointer to its own docstring.
+        assert str(raised.value) == str(expected.value).split(". See Notes")[0]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_nan_weights_fail_a_stochastic_rollout(self, single_op_tasks):
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        policy.weights[:] = np.nan
+        with pytest.raises(ValueError, match="Probabilities contain NaN"):
+            rollout(policy, policy, single_op_tasks[0], rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="Probabilities contain NaN"):
+            train_ppo_demo(policy, single_op_tasks[:2], iterations=1)
+
+    def test_nan_weights_greedy_rollout_matches_reference(self, single_op_tasks, monkeypatch):
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        policy.weights[:] = np.nan
+        ours = rollout(policy, policy, single_op_tasks[0], greedy=True)
+        monkeypatch.setattr(toy, "PolicySession", oracles.ReferencePolicySession)
+        theirs = rollout(policy, policy, single_op_tasks[0], greedy=True)
+        for field in ("tokens", "state_features", "logprobs_policy", "logprobs_ref", "rewards", "values"):
+            assert np.array_equal(
+                getattr(ours.trajectory, field), getattr(theirs.trajectory, field), equal_nan=True
+            ), field
+        assert ours.breakdown == theirs.breakdown
+        assert ours.transcript.emitted_lines == theirs.transcript.emitted_lines
+        assert greedy_accuracy(policy, single_op_tasks) == 0.0
+
+    def test_rows_are_built_once_per_state(self):
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        table = _StepTable(policy, policy)
+        first = table.row(Operator.ADD, 7, 3, 4)
+        assert table.row(Operator.ADD, 5, 3, 4) is first  # lines saturate at 5
+        assert table.row(Operator.ADD, 5, 4, 3) is not first
+        assert table.logprobs(first, 2) is table.logprobs(first, 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    @pytest.mark.parametrize("batch_size", [None, 5])
+    @pytest.mark.parametrize("anchor", ["old", "ref"])
+    def test_training_matches_reference(self, seed, batch_size, anchor, monkeypatch):
+        def run():
+            tasks = generate_toy_tasks(seed, 8)
+            policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+            cfg = replace(demo_config(), ratio_anchor=anchor)
+            stats = train_ppo_demo(
+                policy, tasks, ppo_cfg=cfg, iterations=25, seed=seed, batch_size=batch_size
+            )
+            return stats, policy, greedy_accuracy(policy, generate_toy_tasks(seed + 1, 16))
+
+        stats, policy, accuracy = run()
+        monkeypatch.setattr(toy, "PolicySession", oracles.ReferencePolicySession)
+        monkeypatch.setattr(toy, "score_program", oracles.reference_score_program)
+        ref_stats, ref_policy, ref_accuracy = run()
+        assert stats == ref_stats
+        assert np.array_equal(policy.weights, ref_policy.weights)
+        assert np.array_equal(policy.value_weights, ref_policy.value_weights)
+        assert accuracy == ref_accuracy
