@@ -2,7 +2,8 @@
 
 A config file may specify any subset of fields; everything missing keeps
 its default, ``ppo-demo``'s own for the ``ppo`` section. Reward values
-serialize as exact number strings.
+serialize as exact number strings. GAE's gamma and lambda are ``ppo.gamma``
+and ``ppo.lam``; a ``gae`` section is rejected rather than ignored.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .ppo import GaeConfig, PpoConfig
+from .ppo import PpoConfig
 from .rewards import RewardConfig
 from .toy import demo_config
 from .values import format_number, parse_number
@@ -23,12 +24,11 @@ CONFIG_ENV_VAR = "FLSOLVE_CONFIG"
 @dataclass(frozen=True)
 class ToolkitConfig:
     ppo: PpoConfig
-    gae: GaeConfig
     reward: RewardConfig
 
 
 def default_config() -> ToolkitConfig:
-    return ToolkitConfig(demo_config(), GaeConfig(), RewardConfig())
+    return ToolkitConfig(demo_config(), RewardConfig())
 
 
 def _exact_number(value: object, where: str) -> Fraction:
@@ -53,12 +53,15 @@ def _plain_section(default, obj: dict, where: str):
 def config_from_json(obj: dict) -> ToolkitConfig:
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(obj) - {"ppo", "gae", "reward"}
+    if "gae" in obj:
+        raise ValueError(
+            "config: the 'gae' section is not read; set gamma and lambda as ppo.gamma and ppo.lam"
+        )
+    unknown = set(obj) - {"ppo", "reward"}
     if unknown:
         raise ValueError(f"config: unknown sections {sorted(unknown)}")
     defaults = default_config()
     ppo = _plain_section(defaults.ppo, obj.get("ppo", {}), "ppo")
-    gae = _plain_section(defaults.gae, obj.get("gae", {}), "gae")
 
     reward = dict(obj.get("reward", {}))
     if "r_max" in reward:
@@ -67,13 +70,12 @@ def config_from_json(obj: dict) -> ToolkitConfig:
         reward["clamp_floor"] = _exact_number(reward["clamp_floor"], "reward.clamp_floor")
     if "clamp_components" in reward:
         reward["clamp_components"] = bool(reward["clamp_components"])
-    return ToolkitConfig(ppo, gae, _plain_section(defaults.reward, reward, "reward"))
+    return ToolkitConfig(ppo, _plain_section(defaults.reward, reward, "reward"))
 
 
 def config_to_json(cfg: ToolkitConfig) -> dict:
     return {
         "ppo": {f.name: getattr(cfg.ppo, f.name) for f in fields(PpoConfig)},
-        "gae": {f.name: getattr(cfg.gae, f.name) for f in fields(GaeConfig)},
         "reward": {
             "r_max": format_number(cfg.reward.r_max),
             "clamp_components": cfg.reward.clamp_components,

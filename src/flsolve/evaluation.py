@@ -14,7 +14,7 @@ from .data import DatasetFile, _fan_out, reasoning_step_count
 from .interpreter import answers_match
 from .parser import _split_line
 from .program import ProblemRecord
-from .rewards import DEFAULT_REWARD_CONFIG, RewardBreakdown, RewardConfig, score_program
+from .rewards import DEFAULT_REWARD_CONFIG, RewardBreakdown, RewardConfig, _score_transcript
 from .runtime import (
     DEFAULT_INSTRUCTIONS,
     GeneratorInterface,
@@ -133,7 +133,7 @@ def _evaluate_record(
     transcript = run_session(
         spec.build(record), record.question, instructions, budget=budget
     )
-    breakdown = score_program(transcript.program, record, reward_cfg)
+    breakdown = _score_transcript(transcript, record, reward_cfg)
     outcome = transcript.outcome
     return ProblemResult(
         id=record.id,

@@ -27,6 +27,7 @@ from fractions import Fraction
 from .interpreter import EvalOutcome, evaluate
 from .parser import parse_program, program_compiles
 from .program import BASIC_OPERATORS, BASIC_SYMBOLS, Operator, ProblemRecord, Program
+from .runtime import SessionTranscript
 from .values import format_number
 
 
@@ -224,6 +225,25 @@ def score_program(
     ``total_reward(t.generated_source, record)`` for a session transcript
     ``t``. A gold program that does not parse raises ValueError.
     """
+    return _score(gen, None if gen is None else evaluate(gen), gold, cfg)
+
+
+def _score_transcript(
+    transcript: SessionTranscript, gold: ProblemRecord, cfg: RewardConfig
+) -> RewardBreakdown:
+    """``score_program(transcript.program, gold, cfg)``, with r4 read off the
+    session's own outcome when the program holds the statements it ran.
+    """
+    gen, ran = transcript._program()
+    if gen is None or not ran:
+        return score_program(gen, gold, cfg)
+    return _score(gen, transcript.outcome, gold, cfg)
+
+
+def _score(
+    gen: Program | None, outcome: EvalOutcome | None, gold: ProblemRecord, cfg: RewardConfig
+) -> RewardBreakdown:
+    """The scoring body; ``outcome`` is ``gen``'s evaluation."""
     v_gold, _, gold_counts = _gold_tally(gold)
     if gen is None:
         v_gen, compiled, gen_counts = 0, False, {}
@@ -233,7 +253,6 @@ def score_program(
     r1 = cfg.r_max if compiled else Fraction(0)
     r2 = _r2(v_gen, v_gold, cfg)
     r3 = _r3(gen_counts, gold_counts, cfg)
-    outcome = evaluate(gen) if gen is not None else None
     r4 = reward_r4(outcome, gold.gold_answer, cfg)
 
     diagnostics = RewardDiagnostics(

@@ -9,8 +9,9 @@ through ``)`` with the solver's result appended as a comment. The generator
 sees that annotated line in the context of its next pull. The solver is
 thus the single source of numeric truth for computed values. [find] and
 [return] lines pass through untouched (apart from [return] ending the
-session). Because every line is read whole before it is parsed, how output
-within the character cap is cut into chunks changes no outcome.
+session). Every line is read whole before it is parsed, and the character
+cap is charged per line read, so how output is cut into chunks changes no
+outcome.
 
 Parse and evaluation failures are recorded in the transcript rather than
 raised, so a syntactically broken generation is data, not a crash.
@@ -136,18 +137,25 @@ class SessionTranscript:
         Built from the statements the session already parsed, so the text is
         not parsed twice.
         """
+        return self._program()[0]
+
+    def _program(self) -> tuple[Program | None, bool]:
+        """``program``, and whether it holds the statements the session ran.
+
+        Only then is ``outcome`` its evaluation. Text parsed again at a
+        foreign line break can differ: ``var1 = [find](a) # 3\r[return](var1)``
+        stalls the session, yet parses to a program that answers 3.
+        """
         source = self.generated_source
         # Checked before the parse-error shortcut: split at such a break, a
         # line the session could not parse may parse.
         if self.entries is None or _FOREIGN_LINE_BREAK.search(source):
             parsed = parse_program(source)
-            return parsed if isinstance(parsed, Program) else None
+            return (parsed if isinstance(parsed, Program) else None), False
         error = self.outcome.error
-        if error is not None and error.kind == "parse-error":
-            return None
-        if _static_check(self.entries):
-            return None
-        return Program(tuple(stmt for _, stmt in self.entries))
+        if (error is not None and error.kind == "parse-error") or _static_check(self.entries):
+            return None, True
+        return Program(tuple(stmt for _, stmt in self.entries)), True
 
 
 def assemble_prompt(
@@ -202,24 +210,27 @@ class _SessionFeed:
         if chunk == "":
             self.ended = True
             return False
-        self.consumed += len(chunk)
-        if self.consumed > self.max_chars:
-            raise EvalError(
-                "budget-exhausted", f"generator output exceeded {self.max_chars} characters"
-            )
         self.buffer += chunk
         return True
 
     def read_line(self, context: str) -> str | None:
         """The next line without its newline, read through the newline or the
         end of output; None once the output is used up.
+
+        Each line read is charged through its newline, so text the session
+        never reads costs nothing and the cap does not hang on the chunking.
+        A partial line fails as soon as it alone passes the remaining cap.
         """
         while "\n" not in self.buffer:
-            if not self.pull(context):
-                line, self.buffer = self.buffer, ""
-                return line or None
-        line, _, self.buffer = self.buffer.partition("\n")
-        return line
+            if len(self.buffer) > self.max_chars - self.consumed or not self.pull(context):
+                break
+        line, newline, self.buffer = self.buffer.partition("\n")
+        self.consumed += len(line) + len(newline)
+        if self.consumed > self.max_chars:
+            raise EvalError(
+                "budget-exhausted", f"generator output exceeded {self.max_chars} characters"
+            )
+        return line if newline else line or None
 
 
 def _arithmetic_prefix(line: str) -> Statement | None:

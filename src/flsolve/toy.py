@@ -45,7 +45,13 @@ from .program import (
     VarRef,
     render_program,
 )
-from .rewards import DEFAULT_REWARD_CONFIG, RewardBreakdown, RewardConfig, score_program
+from .rewards import (
+    DEFAULT_REWARD_CONFIG,
+    RewardBreakdown,
+    RewardConfig,
+    _score_transcript,
+    score_program,
+)
 from .runtime import SessionBudget, SessionTranscript, run_session
 from .values import format_number
 
@@ -475,9 +481,15 @@ def _rollout(
     session.table = table  # read the rows other episodes have filled
     transcript = run_session(session, record.question, budget=budget)
     breakdown = score_program(transcript.program, record, reward_cfg)
+    trajectory = _trajectory(session, float(breakdown.total))
+    return RolloutResult(trajectory, breakdown, session, transcript)
+
+
+def _trajectory(session: PolicySession, total: float) -> Trajectory:
+    """The session's steps, with the whole reward on the last one."""
     rewards = np.zeros(len(session.actions))
-    rewards[-1] = float(breakdown.total)
-    trajectory = Trajectory(
+    rewards[-1] = total
+    return Trajectory(
         tokens=np.array(session.actions, dtype=int),
         state_features=np.array(session.features),
         logprobs_policy=np.array(session.logprobs),
@@ -485,7 +497,54 @@ def _rollout(
         rewards=rewards,
         values=np.append(np.array(session.values), 0.0),
     )
-    return RolloutResult(trajectory, breakdown, session, transcript)
+
+
+class _Resume:
+    """Replays the chunks already pulled from ``session``, one by one, then
+    pulls from the session itself."""
+
+    def __init__(self, chunks: list[str], session: PolicySession):
+        self.chunks = iter(chunks)
+        self.session = session
+
+    def next_chunk(self, context: str) -> str:
+        chunk = next(self.chunks, None)
+        return self.session.next_chunk(context) if chunk is None else chunk
+
+
+def _play(
+    memo: dict,
+    table: _StepTable,
+    position: int,
+    record: ProblemRecord,
+    reward_cfg: RewardConfig,
+    rng: np.random.Generator,
+) -> tuple[PolicySession, float]:
+    """One training episode and its total reward, through ``memo``.
+
+    ``memo`` maps (task position, action prefix) to None when the runtime
+    went on to ask for another action, else to the episode's total reward.
+    While the prefix is known, the episode only pulls from the session: a
+    draw per action, and an operation line's pending newline, after which
+    the same prefix is looked up again. At the first unknown prefix the
+    runtime takes over, fed the chunks pulled so far, and the episode is
+    scored and recorded.
+    """
+    session = PolicySession(table.policy, table.ref, record, rng)
+    session.table = table
+    chunks: list[str] = []
+    while (key := (position, tuple(session.actions))) in memo:
+        total = memo[key]
+        if total is not None:
+            return session, total
+        chunks.append(session.next_chunk(""))
+    transcript = run_session(_Resume(chunks, session), record.question, budget=DEMO_BUDGET)
+    total = float(_score_transcript(transcript, record, reward_cfg).total)
+    actions = tuple(session.actions)
+    for k in range(len(actions)):
+        memo[position, actions[:k]] = None
+    memo[position, actions] = total
+    return session, total
 
 
 def greedy_accuracy(
@@ -537,6 +596,13 @@ def train_ppo_demo(
     configured number of gradient epochs with ``ppo_gradients``.
     Advantages are normalized per batch for the policy step only. The
     recorded ``beta`` is the adapted coefficient entering the next iteration.
+
+    Each (task, action sequence) is played through the session runtime and
+    scored once per call; an episode that repeats one only draws its actions
+    and reads the total reward from a memo that lives for this call. That is
+    exact: ``PolicySession`` ignores its context, so its chunks are a function
+    of its actions and the record, and the budget and ``reward_cfg`` are fixed
+    for the call. Draws, stats and weights match playing every episode afresh.
     """
     if ppo_cfg is None:
         ppo_cfg = demo_config()
@@ -548,15 +614,20 @@ def train_ppo_demo(
     beta = ppo_cfg.beta
     lr = ppo_cfg.learning_rate
     history: list[IterationStats] = []
+    memo: dict = {}
     for iteration in range(iterations):
         if batch_size is None:
             batch = list(tasks)
+            positions = range(len(batch))
         else:
-            order = rng.permutation(len(tasks))[:batch_size]
-            batch = [tasks[i] for i in order]
+            positions = rng.permutation(len(tasks))[:batch_size]
+            batch = [tasks[i] for i in positions]
         table = _StepTable(policy, ref)
-        results = [_rollout(table, rec, reward_cfg, rng) for rec in batch]
-        trajectories = [r.trajectory for r in results]
+        episodes = [
+            _play(memo, table, position, rec, reward_cfg, rng)
+            for position, rec in zip(positions, batch)
+        ]
+        trajectories = [_trajectory(session, total) for session, total in episodes]
         flat = Trajectory(
             tokens=np.concatenate([t.tokens for t in trajectories]),
             state_features=np.concatenate([t.state_features for t in trajectories]),
@@ -589,13 +660,13 @@ def train_ppo_demo(
         history.append(
             IterationStats(
                 iteration=iteration,
-                mean_total_reward=float(np.mean([float(r.breakdown.total) for r in results])),
+                mean_total_reward=float(np.mean([total for _, total in episodes])),
                 mean_kl=observed_kl,
                 clip_fraction=objective.clip_fraction,
                 beta=beta,
                 policy_loss=objective.policy_loss,
                 value_loss=vloss,
-                prob_sum_err=max(r.session.prob_sum_err for r in results),
+                prob_sum_err=max(session.prob_sum_err for session, _ in episodes),
             )
         )
     return history

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written on plain big-int pairs, python loops
 and straightforward per-call recomputation, trading speed for obviousness.
-The policy step and the reward scorer are the package's earlier, unoptimized
-versions, kept as the differential tests' references.
+The policy step, the reward scorer and the training loop are the package's
+earlier, unoptimized versions, kept as the differential tests' references.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,18 @@ from flsolve import (
     evaluate,
     has_return,
 )
-from flsolve.toy import PolicySession, state_feature_vector
+from flsolve import toy
+from flsolve.ppo import (
+    Trajectory,
+    adaptive_kl_update,
+    compute_gae,
+    kl_divergence,
+    ppo_gradients,
+    ppo_objective,
+    softmax,
+    value_loss,
+)
+from flsolve.toy import VALUE_LR_SCALE, IterationStats, PolicySession, state_feature_vector
 
 
 def norm_pair(n: int, d: int) -> tuple[int, int]:
@@ -247,3 +259,72 @@ def reference_score_program(gen, gold, cfg: RewardConfig = DEFAULT_REWARD_CONFIG
         y_gen=None if outcome is None else outcome.answer,
     )
     return RewardBreakdown(r1, r2, r3, r4, r1 + r2 + r3 + r4, diagnostics)
+
+
+def reference_train_ppo_demo(
+    policy, tasks, reward_cfg=DEFAULT_REWARD_CONFIG, ppo_cfg=None, iterations=300, *,
+    seed=0, batch_size=None,
+):
+    """``train_ppo_demo`` without the episode memo: every episode goes through
+    ``toy._rollout``, with a fresh ``run_session`` each time."""
+    if ppo_cfg is None:
+        ppo_cfg = toy.demo_config()
+    if not tasks:
+        raise ValueError("no training tasks")
+    ref = policy.copy()
+    rng = np.random.default_rng(seed)
+    gae_cfg = ppo_cfg.gae()
+    beta = ppo_cfg.beta
+    lr = ppo_cfg.learning_rate
+    history = []
+    for iteration in range(iterations):
+        if batch_size is None:
+            batch = list(tasks)
+        else:
+            order = rng.permutation(len(tasks))[:batch_size]
+            batch = [tasks[i] for i in order]
+        table = toy._StepTable(policy, ref)
+        results = [toy._rollout(table, rec, reward_cfg, rng) for rec in batch]
+        trajectories = [r.trajectory for r in results]
+        flat = Trajectory(
+            tokens=np.concatenate([t.tokens for t in trajectories]),
+            state_features=np.concatenate([t.state_features for t in trajectories]),
+            logprobs_policy=np.concatenate([t.logprobs_policy for t in trajectories]),
+            logprobs_ref=np.concatenate([t.logprobs_ref for t in trajectories]),
+            rewards=np.concatenate([t.rewards for t in trajectories]),
+            values=np.append(np.concatenate([t.values[:-1] for t in trajectories]), 0.0),
+        )
+        advantages = np.concatenate([compute_gae(t, gae_cfg) for t in trajectories])
+        returns = advantages + flat.values[:-1]
+        norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+        phi = flat.state_features
+        ref_probs = softmax(phi @ ref.weights.T)
+        iter_cfg = replace(ppo_cfg, beta=beta)
+        for _ in range(ppo_cfg.epochs):
+            weights_step, value_step = ppo_gradients(
+                flat, norm_adv, returns, policy, ref_probs, iter_cfg
+            )
+            policy.weights += lr * weights_step
+            policy.value_weights -= lr * VALUE_LR_SCALE * value_step
+
+        probs = softmax(phi @ policy.weights.T)
+        new_logprobs = np.log(probs[np.arange(flat.steps), flat.tokens])
+        objective = ppo_objective(
+            flat, advantages, new_logprobs, iter_cfg, ref_dists=ref_probs, new_dists=probs
+        )
+        vloss = value_loss(flat, returns, phi @ policy.value_weights, iter_cfg)
+        observed_kl = float(np.mean(kl_divergence(ref_probs, probs)))
+        beta = adaptive_kl_update(beta, observed_kl, ppo_cfg, len(trajectories))
+        history.append(
+            IterationStats(
+                iteration=iteration,
+                mean_total_reward=float(np.mean([float(r.breakdown.total) for r in results])),
+                mean_kl=observed_kl,
+                clip_fraction=objective.clip_fraction,
+                beta=beta,
+                policy_loss=objective.policy_loss,
+                value_loss=vloss,
+                prob_sum_err=max(r.session.prob_sum_err for r in results),
+            )
+        )
+    return history

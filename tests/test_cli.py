@@ -8,7 +8,6 @@ import pytest
 
 from flsolve import (
     CONFIG_ENV_VAR,
-    GaeConfig,
     PpoConfig,
     RewardConfig,
     ToolkitConfig,
@@ -281,7 +280,7 @@ class TestPpoDemoCommand:
     def test_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         save_config(
-            ToolkitConfig(PpoConfig(learning_rate=0.05, epochs=1), GaeConfig(), RewardConfig()),
+            ToolkitConfig(PpoConfig(learning_rate=0.05, epochs=1), RewardConfig()),
             str(cfg_path),
         )
         code, out, _ = run_cli(
@@ -314,6 +313,14 @@ class TestPpoDemoCommand:
         code, _, err = run_cli(["ppo-demo", "--iterations", "0"], capsys)
         assert code == 1
         assert "--iterations" in err
+
+    def test_gae_section_fails_loudly(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"gae": {"gamma": 0.5, "lam": 0.5}}), encoding="utf-8")
+        code, out, err = run_cli(["ppo-demo", "--iterations", "1", "--config", str(cfg_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "ppo.gamma and ppo.lam" in err
 
     def test_seeded_runs_repeat(self, capsys):
         _, first, _ = run_cli(self.DEMO_ARGS + ["--seed", "3"], capsys)

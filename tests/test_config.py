@@ -29,7 +29,6 @@ class TestFromJson:
         assert cfg.ppo.beta == 0.1
         assert cfg.ppo.epochs == 2
         assert cfg.ppo.kl_target == 6.0
-        assert cfg.gae == GaeConfig()
         assert cfg.reward == RewardConfig()
 
     def test_partial_ppo_section_keeps_demo_learning_rate(self):
@@ -60,10 +59,20 @@ class TestFromJson:
             config_from_json({"reward": {"r_max": True}})
 
     def test_section_validation_still_applies(self):
-        with pytest.raises(ValueError):
-            config_from_json({"gae": {"gamma": 2.0}})
+        with pytest.raises(ValueError, match="gamma must be in"):
+            config_from_json({"ppo": {"gamma": 2.0}})
         with pytest.raises(ValueError):
             config_from_json({"ppo": {"ratio_anchor": "frozen"}})
+
+    @pytest.mark.parametrize("section", [{}, {"gamma": 0.5, "lam": 0.5}, {"gamma": 2.0}])
+    def test_gae_section_rejected(self, section):
+        # ppo-demo reads gamma and lambda from the ppo section only.
+        with pytest.raises(ValueError, match=r"ppo\.gamma and ppo\.lam"):
+            config_from_json({"gae": section})
+
+    def test_gamma_and_lambda_come_from_the_ppo_section(self):
+        cfg = config_from_json({"ppo": {"gamma": 0.5, "lam": 0.7}})
+        assert cfg.ppo.gae() == GaeConfig(0.5, 0.7)
 
 
 class TestRoundTrip:
@@ -73,14 +82,14 @@ class TestRoundTrip:
 
     def test_custom_round_trip(self):
         cfg = ToolkitConfig(
-            ppo=PpoConfig(beta=0.5, ratio_anchor="ref", learning_rate=0.3),
-            gae=GaeConfig(gamma=0.9, lam=0.8),
+            ppo=PpoConfig(beta=0.5, ratio_anchor="ref", learning_rate=0.3, gamma=0.9, lam=0.8),
             reward=RewardConfig(r_max=Fraction(2), clamp_floor=Fraction(-1, 2)),
         )
         assert config_from_json(config_to_json(cfg)) == cfg
+        assert "gae" not in config_to_json(cfg)
 
     def test_reward_values_serialize_as_exact_strings(self):
-        cfg = ToolkitConfig(PpoConfig(), GaeConfig(), RewardConfig(r_max=Fraction(1, 3)))
+        cfg = ToolkitConfig(PpoConfig(), RewardConfig(r_max=Fraction(1, 3)))
         payload = config_to_json(cfg)
         assert payload["reward"]["r_max"] == "1/3"
         assert payload["reward"]["clamp_floor"] is None
@@ -88,7 +97,7 @@ class TestRoundTrip:
 
 class TestFiles:
     def test_save_load(self, tmp_path):
-        cfg = ToolkitConfig(PpoConfig(epochs=7), GaeConfig(), RewardConfig())
+        cfg = ToolkitConfig(PpoConfig(epochs=7), RewardConfig())
         path = tmp_path / "cfg.json"
         save_config(cfg, str(path))
         assert load_config(str(path)) == cfg
@@ -96,7 +105,7 @@ class TestFiles:
         assert json.loads(path.read_text(encoding="utf-8"))["ppo"]["epochs"] == 7
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
-        cfg = ToolkitConfig(PpoConfig(beta=0.07), GaeConfig(), RewardConfig())
+        cfg = ToolkitConfig(PpoConfig(beta=0.07), RewardConfig())
         path = tmp_path / "cfg.json"
         save_config(cfg, str(path))
         monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
@@ -109,8 +118,8 @@ class TestFiles:
     def test_explicit_path_beats_env(self, tmp_path, monkeypatch):
         via_env = tmp_path / "env.json"
         via_path = tmp_path / "path.json"
-        save_config(ToolkitConfig(PpoConfig(epochs=2), GaeConfig(), RewardConfig()), str(via_env))
-        save_config(ToolkitConfig(PpoConfig(epochs=9), GaeConfig(), RewardConfig()), str(via_path))
+        save_config(ToolkitConfig(PpoConfig(epochs=2), RewardConfig()), str(via_env))
+        save_config(ToolkitConfig(PpoConfig(epochs=9), RewardConfig()), str(via_path))
         monkeypatch.setenv(CONFIG_ENV_VAR, str(via_env))
         assert load_config(str(via_path)).ppo.epochs == 9
 

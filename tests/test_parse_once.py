@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flsolve import (
+    DEFAULT_REWARD_CONFIG,
     DatasetFile,
     GeneratorSpec,
     ProblemRecord,
@@ -28,7 +29,7 @@ from flsolve import (
     score_program,
     total_reward,
 )
-from flsolve import parser, runtime
+from flsolve import parser, rewards, runtime
 from flsolve.toy import ACTION_NAMES, N_FEATURES
 
 GOLD = ProblemRecord(
@@ -85,6 +86,31 @@ class TestTranscriptProgram:
         assert score_program(t.program, GOLD) == total_reward(source, GOLD)
         compiled = t.program is not None and has_return(t.program)
         assert compiled == program_compiles(source)
+
+    @settings(max_examples=400, deadline=None)
+    @given(generator_text | st.text(max_size=60), st.integers(0, 13))
+    @example("var1 = [find](a) # 3\r[return](var1)\n", 0)
+    @example("var1 = [find](a) # 3\nvar2 = [divide](var1, 0)\n[return](var2)", 1)
+    def test_scoring_the_transcript_matches_the_text(self, text, chunk_size):
+        t = run_session(ScriptedGenerator(text, chunk_size), GOLD.question)
+        scored = rewards._score_transcript(t, GOLD, DEFAULT_REWARD_CONFIG)
+        assert scored == total_reward(t.generated_source, GOLD)
+
+    def test_a_reparse_at_a_foreign_line_break_is_scored_on_its_own(self):
+        # The session stalls on one line; split at \r, the text answers 3.
+        t = run_session(ScriptedGenerator("var1 = [find](a) # 3\r[return](var1)\n"), "q")
+        assert t.outcome.error.kind == "generator-stalled"
+        scored = rewards._score_transcript(t, GOLD, DEFAULT_REWARD_CONFIG)
+        assert scored.diagnostics.y_gen == 3
+
+    def test_the_session_outcome_scores_r4(self, monkeypatch):
+        record = bundled_examples().records[0]
+        t = run_session(ScriptedGenerator(record.gold_program, 3), record.question)
+        expected = score_program(t.program, record)
+        monkeypatch.setattr(rewards, "evaluate", None)  # evaluating would fail
+        assert rewards._score_transcript(t, record, DEFAULT_REWARD_CONFIG) == expected
+        report = evaluate_corpus(DatasetFile((record,), "one"), GeneratorSpec("gold-replay"))
+        assert report.per_problem[0].reward == expected
 
     def test_gold_replay_program_carries_injected_comments(self):
         record = bundled_examples().records[0]

@@ -156,8 +156,7 @@ class TestHaltResume:
 
 
 # Generator text joined from whole statements and scraps: lines that run on
-# after ')', stop short of it, or hold a statement and a half. Texts stay far
-# below the character cap, which charges whole chunks.
+# after ')', stop short of it, or hold a statement and a half.
 FRAGMENTS = (
     "var1 = [find](a) # 3",
     "var2 = [find](b) # 4",
@@ -194,17 +193,59 @@ def session_result(transcript):
 
 class TestChunkInvariance:
     @settings(max_examples=400, deadline=None)
-    @given(chunked_text())
+    @given(chunked_text(), st.none() | st.integers(0, 200))
     @example(
         (
             "var3 = [add](var1, var2)var1 = [find](a) # 3\n",
             ["var3 = [add](var1, var2)", "var1 = [find](a) # 3\n"],
-        )
+        ),
+        None,
     )
-    def test_chunks_change_no_outcome(self, case):
+    @example(
+        (
+            "var1 = [find](a) # 1\n[return](var1)\n" + "x" * 100,
+            ["var1 = [find](a) # 1\n", "[return](var1)\n" + "x" * 100],
+        ),
+        50,
+    )
+    @example(("var1 = [find](a) # 1\nx", ["var1 = [find](a) # 1\n", "x"]), 21)
+    @example(("var1 = [find](a) # 1\nx", ["var1 = [find](a) # 1\n", "x"]), 22)
+    def test_chunks_change_no_outcome(self, case, max_chars):
         text, chunks = case
-        whole = run_session(ScriptedGenerator(text), "q")
-        assert session_result(run_session(ListGenerator(chunks), "q")) == session_result(whole)
+        budget = SessionBudget() if max_chars is None else SessionBudget(max_chars=max_chars)
+        whole = run_session(ScriptedGenerator(text), "q", budget=budget)
+        chunked = run_session(ListGenerator(chunks), "q", budget=budget)
+        assert session_result(chunked) == session_result(whole)
+
+    @pytest.mark.parametrize("chunk_size", [0, 1, 10])
+    def test_text_the_session_never_reads_costs_nothing(self, chunk_size):
+        source = "var1 = [find](a) # 1\n[return](var1)\n" + "x" * 100
+        budget = SessionBudget(max_chars=50)
+        transcript = run_session(ScriptedGenerator(source, chunk_size), "q", budget=budget)
+        assert transcript.outcome.error is None
+        assert transcript.outcome.answer == 1
+
+    @pytest.mark.parametrize("chunk_size", [0, 1, 10])
+    @pytest.mark.parametrize("max_chars, kind", [(35, "budget-exhausted"), (36, None)])
+    def test_each_line_is_charged_through_its_newline(self, chunk_size, max_chars, kind):
+        # 21 characters for the [find] line, 15 for the [return] line.
+        source = "var1 = [find](a) # 1\n[return](var1)\n"
+        budget = SessionBudget(max_chars=max_chars)
+        transcript = run_session(ScriptedGenerator(source, chunk_size), "q", budget=budget)
+        error = transcript.outcome.error
+        assert (None if error is None else error.kind) == kind
+
+    def test_a_partial_line_fails_once_it_passes_the_cap(self):
+        pulls = []
+
+        class NoNewline:
+            def next_chunk(self, context):
+                pulls.append(context)
+                return "x" * 10 if len(pulls) <= 100 else ""
+
+        transcript = run_session(NoNewline(), "q", budget=SessionBudget(max_chars=45))
+        assert transcript.outcome.error.kind == "budget-exhausted"
+        assert len(pulls) == 5
 
     @pytest.mark.parametrize("chunk_size", [0, 1, 5])
     @pytest.mark.parametrize("rest", [" extra", " extra # 999"])

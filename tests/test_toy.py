@@ -403,20 +403,133 @@ class TestStepTable:
     @pytest.mark.parametrize("batch_size", [None, 5])
     @pytest.mark.parametrize("anchor", ["old", "ref"])
     def test_training_matches_reference(self, seed, batch_size, anchor, monkeypatch):
-        def run():
+        # The reference plays every episode afresh, with the old policy step
+        # and the old scorer.
+        def run(train):
             tasks = generate_toy_tasks(seed, 8)
             policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
             cfg = replace(demo_config(), ratio_anchor=anchor)
-            stats = train_ppo_demo(
+            stats = train(
                 policy, tasks, ppo_cfg=cfg, iterations=25, seed=seed, batch_size=batch_size
             )
             return stats, policy, greedy_accuracy(policy, generate_toy_tasks(seed + 1, 16))
 
-        stats, policy, accuracy = run()
+        stats, policy, accuracy = run(train_ppo_demo)
         monkeypatch.setattr(toy, "PolicySession", oracles.ReferencePolicySession)
         monkeypatch.setattr(toy, "score_program", oracles.reference_score_program)
-        ref_stats, ref_policy, ref_accuracy = run()
+        ref_stats, ref_policy, ref_accuracy = run(oracles.reference_train_ppo_demo)
         assert stats == ref_stats
         assert np.array_equal(policy.weights, ref_policy.weights)
         assert np.array_equal(policy.value_weights, ref_policy.value_weights)
         assert accuracy == ref_accuracy
+
+
+class PoisonedTasks(list):
+    """Tasks that set the policy's weights to NaN when iterated the ``at``-th time."""
+
+    def __init__(self, tasks, policy, at):
+        super().__init__(tasks)
+        self.policy, self.at, self.passes = policy, at, 0
+
+    def __iter__(self):
+        self.passes += 1
+        if self.passes == self.at:
+            self.policy.weights[:] = np.nan
+        return super().__iter__()
+
+
+class TestEpisodeMemo:
+    """``train_ppo_demo`` plays each (task, actions) pair through the runtime once."""
+
+    @staticmethod
+    def train(train, seed, batch_size=None, tasks=16, iterations=300):
+        tasks = generate_toy_tasks(seed, tasks, SINGLE_OP_TEMPLATES)
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        stats = train(policy, tasks, iterations=iterations, seed=seed, batch_size=batch_size)
+        return stats, policy, tasks
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bench_shape_matches_reference(self, seed):
+        # The benchmark's train op: 16 single-operation tasks, 300 iterations.
+        heldout = generate_toy_tasks(seed + 1, 32, SINGLE_OP_TEMPLATES)
+        stats, policy, _ = self.train(train_ppo_demo, seed)
+        ref_stats, ref_policy, _ = self.train(oracles.reference_train_ppo_demo, seed)
+        assert stats == ref_stats
+        assert np.array_equal(policy.weights, ref_policy.weights)
+        assert np.array_equal(policy.value_weights, ref_policy.value_weights)
+        assert greedy_accuracy(policy, heldout) == greedy_accuracy(ref_policy, heldout)
+
+    @staticmethod
+    def spy_sessions(monkeypatch):
+        """Record, per ``run_session`` call, the question and the chunks pulled."""
+        calls = []
+        real = toy.run_session
+
+        def spy(gen, question, *args, **kwargs):
+            chunks = []
+
+            class Recorder:
+                def next_chunk(self, context):
+                    chunk = gen.next_chunk(context)
+                    chunks.append(chunk)
+                    return chunk
+
+            transcript = real(Recorder(), question, *args, **kwargs)
+            calls.append((question, tuple(chunks)))
+            return transcript
+
+        monkeypatch.setattr(toy, "run_session", spy)
+        return calls
+
+    @pytest.mark.parametrize("batch_size", [None, 5])
+    def test_runtime_runs_once_per_distinct_episode(self, batch_size, monkeypatch):
+        calls = self.spy_sessions(monkeypatch)
+        self.train(train_ppo_demo, 1, batch_size, iterations=120)
+        memo_calls = list(calls)
+        calls.clear()
+        episodes = []
+        real_rollout = toy._rollout
+
+        def rollout_spy(table, record, *args):
+            result = real_rollout(table, record, *args)
+            episodes.append((id(record), tuple(result.session.actions)))
+            return result
+
+        monkeypatch.setattr(toy, "_rollout", rollout_spy)
+        _, _, tasks = self.train(oracles.reference_train_ppo_demo, 1, batch_size, iterations=120)
+        assert len(episodes) == 120 * (batch_size or len(tasks))
+        assert len(memo_calls) == len(set(episodes)) < len(episodes)
+        # Each call saw the chunks a fresh session yields, one by one.
+        assert set(memo_calls) <= set(calls)
+        assert len(set(memo_calls)) == len(memo_calls)
+
+    def test_memo_lives_for_one_call(self, monkeypatch):
+        calls = self.spy_sessions(monkeypatch)
+        tasks = generate_toy_tasks(2, 8, SINGLE_OP_TEMPLATES)
+        counts = []
+        for _ in range(2):
+            policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+            train_ppo_demo(policy, tasks, iterations=20, seed=2)
+            counts.append(len(calls))
+            calls.clear()
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("at", [1, 2, 9])
+    def test_nan_weights_raise_like_reference(self, at, monkeypatch):
+        generators = []
+        default_rng = np.random.default_rng
+
+        def capture(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", capture)
+        outcomes = []
+        for train in (train_ppo_demo, oracles.reference_train_ppo_demo):
+            policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+            tasks = PoisonedTasks(generate_toy_tasks(4, 8, SINGLE_OP_TEMPLATES), policy, at)
+            with pytest.raises(ValueError) as raised:
+                train(policy, tasks, iterations=20, seed=4)
+            outcomes.append((str(raised.value), generators[-1].bit_generator.state))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == "Probabilities contain NaN"
