@@ -123,12 +123,15 @@ def compute_gae(traj: Trajectory, cfg: GaeConfig) -> np.ndarray:
     with delta_t = r_t + gamma*V(s_{t+1}) - V(s_t), which equals the
     forward discounted sum of deltas.
     """
-    rewards, values = traj.rewards, traj.values
-    steps = len(rewards)
-    advantages = np.empty(steps, dtype=np.float64)
+    return np.array(_gae(traj.rewards.tolist(), traj.values.tolist(), cfg), dtype=np.float64)
+
+
+def _gae(rewards: list[float], values: list[float], cfg: GaeConfig) -> list[float]:
+    """``compute_gae`` on plain floats; ``values`` has the bootstrap entry."""
+    advantages = [0.0] * len(rewards)
     decay = cfg.gamma * cfg.lam
     carry = 0.0
-    for t in range(steps - 1, -1, -1):
+    for t in range(len(rewards) - 1, -1, -1):
         delta = rewards[t] + cfg.gamma * values[t + 1] - values[t]
         carry = delta + decay * carry
         advantages[t] = carry

@@ -28,8 +28,8 @@ from .ppo import (
     PpoConfig,
     ToyPolicy,
     Trajectory,
+    _gae,
     adaptive_kl_update,
-    compute_gae,
     kl_divergence,
     ppo_gradients,
     ppo_objective,
@@ -191,14 +191,20 @@ def question_cue(question: str) -> Operator | None:
     return None
 
 
+def _cue_index(question: str) -> int | None:
+    """Position of the question's cue in ``CUE_OPERATORS``; None without a cue."""
+    cue = question_cue(question)
+    return None if cue is None else CUE_OPERATORS.index(cue)
+
+
 def state_feature_vector(question: str, lines: int, finds: int, ops: int) -> np.ndarray:
-    return _features(question_cue(question), lines, finds, ops)
+    return _features(_cue_index(question), lines, finds, ops)
 
 
-def _features(cue: Operator | None, lines: int, finds: int, ops: int) -> np.ndarray:
+def _features(cue: int | None, lines: int, finds: int, ops: int) -> np.ndarray:
     phi = np.zeros(N_FEATURES)
     if cue is not None:
-        phi[CUE_OPERATORS.index(cue)] = 1.0
+        phi[cue] = 1.0
     phi[4 + min(lines, 5)] = 1.0
     phi[10] = finds / 3.0
     phi[11] = ops / 2.0
@@ -293,12 +299,15 @@ class _StepRow:
     same checks on ``probs``, made once when the row is built and raised on
     the first draw, then the same inverse-CDF lookup of one
     ``rng.random()``. Actions and generator state match ``choice``.
-    ``logprobs`` maps an action to its policy and reference log-probs.
+    ``logprobs`` maps an action to its policy and reference log-probs,
+    ``ref_logprobs`` to its reference log-prob only; rows of one state in
+    tables on the same reference may share the latter.
     """
 
-    __slots__ = ("phi", "probs", "value", "prob_sum_err", "argmax", "cdf", "p_error", "logprobs")
+    __slots__ = ("phi", "probs", "value", "prob_sum_err", "argmax", "cdf", "p_error", "logprobs",
+                 "ref_logprobs")
 
-    def __init__(self, phi: np.ndarray, probs: np.ndarray, value: float):
+    def __init__(self, phi: np.ndarray, probs: np.ndarray, value: float, ref_logprobs=None):
         total = float(probs.sum())
         self.phi = phi
         self.probs = probs
@@ -316,6 +325,7 @@ class _StepRow:
         self.cdf = probs.cumsum()
         self.cdf /= self.cdf[-1]
         self.logprobs: dict[int, tuple[float, float]] = {}
+        self.ref_logprobs = {} if ref_logprobs is None else ref_logprobs
 
     def draw(self, rng: np.random.Generator) -> int:
         if self.p_error is not None:
@@ -326,24 +336,30 @@ class _StepRow:
 class _StepTable:
     """Rows of policy output by state, for weights that do not change.
 
-    A state's features depend only on (cue, ``min(lines, 5)``, finds, ops),
-    so every episode that reaches a state reads the same row. Rows and
+    A state's features depend only on (cue index, ``min(lines, 5)``, finds,
+    ops), so every episode that reaches a state reads the same row. Rows and
     their per-action log-probs are filled on first use. The table keeps no
     copy of the weights: build a new one after an update.
+
+    ``ref_logprobs`` maps a state to its reference log-probs by action.
+    Tables on the same unchanged ``ref`` may share it, so that each is
+    computed once for all of them.
     """
 
-    def __init__(self, policy: ToyPolicy, ref: ToyPolicy):
+    def __init__(self, policy: ToyPolicy, ref: ToyPolicy, ref_logprobs: dict | None = None):
         self.policy = policy
         self.ref = ref
+        self.ref_logprobs = {} if ref_logprobs is None else ref_logprobs
         self._rows: dict[tuple, _StepRow] = {}
 
-    def row(self, cue: Operator | None, lines: int, finds: int, ops: int) -> _StepRow:
+    def row(self, cue: int | None, lines: int, finds: int, ops: int) -> _StepRow:
         key = (cue, min(lines, 5), finds, ops)
         row = self._rows.get(key)
         if row is None:
             phi = _features(cue, lines, finds, ops)
             row = self._rows[key] = _StepRow(
-                phi, self.policy.action_probs(phi), self.policy.value(phi)
+                phi, self.policy.action_probs(phi), self.policy.value(phi),
+                self.ref_logprobs.setdefault(key, {}),
             )
         return row
 
@@ -351,14 +367,58 @@ class _StepTable:
         """log pi(action) and log pi_ref(action) at ``row``'s state."""
         pair = row.logprobs.get(action)
         if pair is None:
-            pair = row.logprobs[action] = (
-                float(np.log(row.probs[action])),
-                self.ref.logprob(row.phi, action),
-            )
+            ref_logprob = row.ref_logprobs.get(action)
+            if ref_logprob is None:
+                ref_logprob = row.ref_logprobs[action] = self.ref.logprob(row.phi, action)
+            pair = row.logprobs[action] = (float(np.log(row.probs[action])), ref_logprob)
         return pair
 
 
-class PolicySession:
+class _Steps:
+    """The policy's side of one episode: the state it has reached and, per
+    step, the features, action, log-probs and value of the row it read.
+
+    ``_step`` reads the current state's row and picks an action, argmax
+    with ``rng=None``; ``_advance`` moves the state past an action. A
+    training episode whose outcome is already known takes only these steps.
+    """
+
+    def __init__(self, table: _StepTable, cue: int | None, rng: np.random.Generator | None):
+        self.table = table
+        self.rng = rng
+        self.features: list[np.ndarray] = []
+        self.actions: list[int] = []
+        self.logprobs: list[float] = []
+        self.ref_logprobs: list[float] = []
+        self.values: list[float] = []
+        self.prob_sum_err = 0.0
+        self._cue = cue
+        self._finds = 0
+        self._ops = 0
+        self._done = False
+
+    def _step(self) -> int:
+        row = self.table.row(self._cue, len(self.actions), self._finds, self._ops)
+        self.prob_sum_err = max(self.prob_sum_err, row.prob_sum_err)
+        action = row.argmax if self.rng is None else row.draw(self.rng)
+        logprob, ref_logprob = self.table.logprobs(row, action)
+        self.features.append(row.phi)
+        self.actions.append(action)
+        self.logprobs.append(logprob)
+        self.ref_logprobs.append(ref_logprob)
+        self.values.append(row.value)
+        return action
+
+    def _advance(self, action: int) -> None:
+        if action in (0, 1):
+            self._finds += 1
+        elif action in OP_ACTIONS:
+            self._ops += 1
+        else:
+            self._done = True
+
+
+class PolicySession(_Steps):
     """Generator that turns policy actions into pseudocode lines.
 
     Quantities come from the reference program's [find] comments; structure
@@ -369,8 +429,9 @@ class PolicySession:
 
     Each step reads the policy from a step table, one row per state, since
     the weights stay fixed while episodes run. A session builds its own
-    table; ``train_ppo_demo`` shares one table across an iteration's
-    episodes, and ``greedy_accuracy`` one across its records.
+    table unless given one built on ``policy`` and ``ref``: ``rollout`` and
+    ``greedy_accuracy`` share one across their episodes, ``train_ppo_demo``
+    one across an iteration's episodes.
     """
 
     def __init__(
@@ -379,6 +440,8 @@ class PolicySession:
         ref: ToyPolicy,
         record: ProblemRecord,
         rng: np.random.Generator | None = None,
+        *,
+        table: _StepTable | None = None,
     ):
         self.gold_finds = [
             (s.args[0], s.annotation.declared_value if s.annotation else None)
@@ -387,20 +450,10 @@ class PolicySession:
         ]
         if not self.gold_finds:
             raise ValueError(f"reference program for '{record.id}' declares no quantities")
-        self.table = _StepTable(policy, ref)
+        if table is None:
+            table = _StepTable(policy, ref)
+        super().__init__(table, _cue_index(record.question), rng)
         self.record = record
-        self.rng = rng
-        self.features: list[np.ndarray] = []
-        self.actions: list[int] = []
-        self.logprobs: list[float] = []
-        self.ref_logprobs: list[float] = []
-        self.values: list[float] = []
-        self.prob_sum_err = 0.0
-        self._cue = question_cue(record.question)
-        self._next_var = 1
-        self._finds = 0
-        self._ops = 0
-        self._done = False
         self._pending: str | None = None
 
     def next_chunk(self, context: str) -> str:
@@ -409,36 +462,40 @@ class PolicySession:
             return chunk
         if self._done:
             return ""
-        row = self.table.row(self._cue, len(self.actions), self._finds, self._ops)
-        self.prob_sum_err = max(self.prob_sum_err, row.prob_sum_err)
-        action = row.argmax if self.rng is None else row.draw(self.rng)
-        logprob, ref_logprob = self.table.logprobs(row, action)
-        self.features.append(row.phi)
-        self.actions.append(action)
-        self.logprobs.append(logprob)
-        self.ref_logprobs.append(ref_logprob)
-        self.values.append(row.value)
-        return self._emit(action)
+        return self._emit(self._step())
 
     def _emit(self, action: int) -> str:
+        self._advance(action)
+        var = self._finds + self._ops
         if action in (0, 1):
             index = min(action, len(self.gold_finds) - 1)
             desc, quantity = self.gold_finds[index]
-            line = f"var{self._next_var} = [find]({desc})"
+            line = f"var{var} = [find]({desc})"
             if quantity is not None:
                 line += f" # {format_number(quantity)}"
-            self._next_var += 1
-            self._finds += 1
             return line + "\n"
         if action in OP_ACTIONS:
-            op = OP_ACTIONS[action]
-            line = f"var{self._next_var} = [{op.value}](var1, var2)"
-            self._next_var += 1
-            self._ops += 1
             self._pending = "\n"
-            return line
-        self._done = True
-        return f"[return](var{max(self._next_var - 1, 1)})\n"
+            return f"var{var} = [{OP_ACTIONS[action].value}](var1, var2)"
+        return f"[return](var{max(var, 1)})\n"
+
+    def _replay(self, steps: _Steps) -> list[str]:
+        """Take over the steps ``steps`` has taken, without drawing again.
+
+        Returns the chunks this session would have yielded for them, an
+        operation line's newline included; a newline still due after the
+        last step stays pending.
+        """
+        self.features, self.actions = steps.features, steps.actions
+        self.logprobs, self.ref_logprobs = steps.logprobs, steps.ref_logprobs
+        self.values, self.prob_sum_err = steps.values, steps.prob_sum_err
+        chunks: list[str] = []
+        for action in self.actions:
+            if self._pending is not None:
+                chunks.append(self._pending)
+                self._pending = None
+            chunks.append(self._emit(action))
+        return chunks
 
 
 @dataclass
@@ -477,25 +534,27 @@ def _rollout(
     rng: np.random.Generator | None,
     budget: SessionBudget = DEMO_BUDGET,
 ) -> RolloutResult:
-    session = PolicySession(table.policy, table.ref, record, rng)
-    session.table = table  # read the rows other episodes have filled
+    session = PolicySession(table.policy, table.ref, record, rng, table=table)
     transcript = run_session(session, record.question, budget=budget)
     breakdown = score_program(transcript.program, record, reward_cfg)
-    trajectory = _trajectory(session, float(breakdown.total))
+    trajectory = _trajectory([(session, float(breakdown.total))])
     return RolloutResult(trajectory, breakdown, session, transcript)
 
 
-def _trajectory(session: PolicySession, total: float) -> Trajectory:
-    """The session's steps, with the whole reward on the last one."""
-    rewards = np.zeros(len(session.actions))
-    rewards[-1] = total
+def _trajectory(episodes: Sequence[tuple[_Steps, float]]) -> Trajectory:
+    """Episodes end to end, each with its whole reward on its last step.
+
+    The values carry one bootstrap entry, zero, after the last step.
+    """
+    steps = [s for s, _ in episodes]
+    rewards = [r for s, total in episodes for r in [0.0] * (len(s.actions) - 1) + [total]]
     return Trajectory(
-        tokens=np.array(session.actions, dtype=int),
-        state_features=np.array(session.features),
-        logprobs_policy=np.array(session.logprobs),
-        logprobs_ref=np.array(session.ref_logprobs),
-        rewards=rewards,
-        values=np.append(np.array(session.values), 0.0),
+        tokens=np.array([a for s in steps for a in s.actions], dtype=int),
+        state_features=np.array([phi for s in steps for phi in s.features]),
+        logprobs_policy=np.array([lp for s in steps for lp in s.logprobs]),
+        logprobs_ref=np.array([lp for s in steps for lp in s.ref_logprobs]),
+        rewards=np.array(rewards),
+        values=np.array([v for s in steps for v in s.values] + [0.0]),
     )
 
 
@@ -516,34 +575,38 @@ def _play(
     memo: dict,
     table: _StepTable,
     position: int,
+    cue: int | None,
     record: ProblemRecord,
     reward_cfg: RewardConfig,
     rng: np.random.Generator,
-) -> tuple[PolicySession, float]:
+) -> tuple[_Steps, float]:
     """One training episode and its total reward, through ``memo``.
 
-    ``memo`` maps (task position, action prefix) to None when the runtime
-    went on to ask for another action, else to the episode's total reward.
-    While the prefix is known, the episode only pulls from the session: a
-    draw per action, and an operation line's pending newline, after which
-    the same prefix is looked up again. At the first unknown prefix the
-    runtime takes over, fed the chunks pulled so far, and the episode is
+    ``memo`` maps a task position to a tree of the action sequences played
+    on it: a dict of the next actions where the runtime went on to ask for
+    another action, else the episode's total reward. While the episode's
+    prefix is in the tree it only takes steps: one row read and one draw per
+    action. At the first unknown prefix a session takes over those steps
+    and the runtime runs it, fed the chunks they stand for; the episode is
     scored and recorded.
     """
-    session = PolicySession(table.policy, table.ref, record, rng)
-    session.table = table
-    chunks: list[str] = []
-    while (key := (position, tuple(session.actions))) in memo:
-        total = memo[key]
-        if total is not None:
-            return session, total
-        chunks.append(session.next_chunk(""))
+    steps = _Steps(table, cue, rng)
+    node = memo.get(position)
+    while type(node) is dict:
+        action = steps._step()
+        steps._advance(action)
+        node = node.get(action)
+    if node is not None:
+        return steps, node
+    session = PolicySession(table.policy, table.ref, record, rng, table=table)
+    chunks = session._replay(steps)
     transcript = run_session(_Resume(chunks, session), record.question, budget=DEMO_BUDGET)
     total = float(_score_transcript(transcript, record, reward_cfg).total)
-    actions = tuple(session.actions)
-    for k in range(len(actions)):
-        memo[position, actions[:k]] = None
-    memo[position, actions] = total
+    *prefix, last = session.actions
+    node = memo.setdefault(position, {})
+    for action in prefix:
+        node = node.setdefault(action, {})
+    node[last] = total
     return session, total
 
 
@@ -593,50 +656,55 @@ def train_ppo_demo(
 
     Each iteration samples a batch of episodes (all tasks unless
     ``batch_size`` says otherwise), computes advantages once, then takes the
-    configured number of gradient epochs with ``ppo_gradients``.
-    Advantages are normalized per batch for the policy step only. The
-    recorded ``beta`` is the adapted coefficient entering the next iteration.
+    configured number of gradient epochs with ``ppo_gradients`` on the
+    batch as one flat trajectory. Advantages are normalized per batch for
+    the policy step only. The recorded ``beta`` is the adapted coefficient
+    entering the next iteration.
 
     Each (task, action sequence) is played through the session runtime and
     scored once per call; an episode that repeats one only draws its actions
-    and reads the total reward from a memo that lives for this call. That is
+    from the iteration's step table, builds no session and no text, and
+    reads the total reward from a memo that lives for this call. That is
     exact: ``PolicySession`` ignores its context, so its chunks are a function
     of its actions and the record, and the budget and ``reward_cfg`` are fixed
-    for the call. Draws, stats and weights match playing every episode afresh.
+    for the call. The reference is frozen too, so its log-prob of each
+    (state, action) is computed once per call. Draws, stats and weights
+    match playing every episode afresh.
     """
     if ppo_cfg is None:
         ppo_cfg = demo_config()
     if not tasks:
         raise ValueError("no training tasks")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
     ref = policy.copy()
     rng = np.random.default_rng(seed)
     gae_cfg = ppo_cfg.gae()
     beta = ppo_cfg.beta
     lr = ppo_cfg.learning_rate
     history: list[IterationStats] = []
+    # Indexed, not iterated: iterating ``tasks`` counts as taking a batch.
+    cues = [_cue_index(tasks[i].question) for i in range(len(tasks))]
+    ref_logprobs: dict = {}
     memo: dict = {}
     for iteration in range(iterations):
         if batch_size is None:
             batch = list(tasks)
             positions = range(len(batch))
         else:
-            positions = rng.permutation(len(tasks))[:batch_size]
+            positions = rng.permutation(len(tasks))[:batch_size].tolist()
             batch = [tasks[i] for i in positions]
-        table = _StepTable(policy, ref)
+        table = _StepTable(policy, ref, ref_logprobs)
         episodes = [
-            _play(memo, table, position, rec, reward_cfg, rng)
+            _play(memo, table, position, cues[position], rec, reward_cfg, rng)
             for position, rec in zip(positions, batch)
         ]
-        trajectories = [_trajectory(session, total) for session, total in episodes]
-        flat = Trajectory(
-            tokens=np.concatenate([t.tokens for t in trajectories]),
-            state_features=np.concatenate([t.state_features for t in trajectories]),
-            logprobs_policy=np.concatenate([t.logprobs_policy for t in trajectories]),
-            logprobs_ref=np.concatenate([t.logprobs_ref for t in trajectories]),
-            rewards=np.concatenate([t.rewards for t in trajectories]),
-            values=np.append(np.concatenate([t.values[:-1] for t in trajectories]), 0.0),
-        )
-        advantages = np.concatenate([compute_gae(t, gae_cfg) for t in trajectories])
+        flat = _trajectory(episodes)
+        episode_advantages: list[float] = []
+        for steps, total in episodes:
+            rewards = [0.0] * (len(steps.actions) - 1) + [total]
+            episode_advantages += _gae(rewards, steps.values + [0.0], gae_cfg)
+        advantages = np.array(episode_advantages)
         returns = advantages + flat.values[:-1]
         norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         phi = flat.state_features
@@ -656,7 +724,7 @@ def train_ppo_demo(
         )
         vloss = value_loss(flat, returns, phi @ policy.value_weights, iter_cfg)
         observed_kl = float(np.mean(kl_divergence(ref_probs, probs)))
-        beta = adaptive_kl_update(beta, observed_kl, ppo_cfg, len(trajectories))
+        beta = adaptive_kl_update(beta, observed_kl, ppo_cfg, len(episodes))
         history.append(
             IterationStats(
                 iteration=iteration,
@@ -666,7 +734,7 @@ def train_ppo_demo(
                 beta=beta,
                 policy_loss=objective.policy_loss,
                 value_loss=vloss,
-                prob_sum_err=max(session.prob_sum_err for session, _ in episodes),
+                prob_sum_err=max(steps.prob_sum_err for steps, _ in episodes),
             )
         )
     return history

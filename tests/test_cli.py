@@ -314,6 +314,13 @@ class TestPpoDemoCommand:
         assert code == 1
         assert "--iterations" in err
 
+    @pytest.mark.parametrize("batch_size", ["0", "-3"])
+    def test_batch_size_below_one_rejected(self, capsys, batch_size):
+        code, out, err = run_cli(self.DEMO_ARGS + ["--batch-size", batch_size], capsys)
+        assert code == 1
+        assert out == ""
+        assert "batch_size must be at least 1" in err
+
     def test_gae_section_fails_loudly(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"gae": {"gamma": 0.5, "lam": 0.5}}), encoding="utf-8")

@@ -277,6 +277,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_ppo_demo(ToyPolicy.zeros(7, N_FEATURES), [])
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, single_op_tasks, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            train_ppo_demo(
+                ToyPolicy.zeros(7, N_FEATURES), single_op_tasks, iterations=1, batch_size=batch_size
+            )
+
     def test_demo_config_overrides_only_the_learning_rate(self):
         cfg = demo_config()
         assert cfg.learning_rate == DEMO_LEARNING_RATE
@@ -344,7 +351,7 @@ class TestStepTable:
             )
             table = _StepTable(policy, policy)
             ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
-            for cue in (None,) + CUE_OPERATORS:
+            for cue in (None,) + tuple(range(len(CUE_OPERATORS))):
                 for lines in range(7):
                     row = table.row(cue, lines, lines // 2, lines - lines // 2)
                     probs = policy.action_probs(row.phi)
@@ -394,9 +401,10 @@ class TestStepTable:
     def test_rows_are_built_once_per_state(self):
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         table = _StepTable(policy, policy)
-        first = table.row(Operator.ADD, 7, 3, 4)
-        assert table.row(Operator.ADD, 5, 3, 4) is first  # lines saturate at 5
-        assert table.row(Operator.ADD, 5, 4, 3) is not first
+        add = CUE_OPERATORS.index(Operator.ADD)
+        first = table.row(add, 7, 3, 4)
+        assert table.row(add, 5, 3, 4) is first  # lines saturate at 5
+        assert table.row(add, 5, 4, 3) is not first
         assert table.logprobs(first, 2) is table.logprobs(first, 2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 7])
@@ -423,6 +431,35 @@ class TestStepTable:
         assert np.array_equal(policy.value_weights, ref_policy.value_weights)
         assert accuracy == ref_accuracy
 
+    def test_reference_logprobs_match_reference_from_random_starts(self, monkeypatch):
+        # From a zero policy every reference log-prob is log(1/7). Random
+        # starts tell states and actions apart, anchor "ref" puts them in the
+        # ratio, and two calls in a row show nothing carries over.
+        tasks = generate_toy_tasks(5, 8, SINGLE_OP_TEMPLATES)
+        cfg = replace(demo_config(), ratio_anchor="ref")
+
+        def run(train):
+            results = []
+            for start in (1, 2):
+                weights = np.random.default_rng(start)
+                policy = ToyPolicy(
+                    weights.normal(size=(len(ACTION_NAMES), N_FEATURES)),
+                    weights.normal(size=N_FEATURES),
+                )
+                stats = train(policy, tasks, ppo_cfg=cfg, iterations=15, seed=start)
+                results.append((stats, policy.weights, policy.value_weights))
+            return results
+
+        ours = run(train_ppo_demo)
+        monkeypatch.setattr(toy, "PolicySession", oracles.ReferencePolicySession)
+        monkeypatch.setattr(toy, "score_program", oracles.reference_score_program)
+        for (stats, weights, values), (ref_stats, ref_weights, ref_values) in zip(
+            ours, run(oracles.reference_train_ppo_demo)
+        ):
+            assert stats == ref_stats
+            assert np.array_equal(weights, ref_weights)
+            assert np.array_equal(values, ref_values)
+
 
 class PoisonedTasks(list):
     """Tasks that set the policy's weights to NaN when iterated the ``at``-th time."""
@@ -448,7 +485,7 @@ class TestEpisodeMemo:
         stats = train(policy, tasks, iterations=iterations, seed=seed, batch_size=batch_size)
         return stats, policy, tasks
 
-    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("seed", [0, 3, 31337])
     def test_bench_shape_matches_reference(self, seed):
         # The benchmark's train op: 16 single-operation tasks, 300 iterations.
         heldout = generate_toy_tasks(seed + 1, 32, SINGLE_OP_TEMPLATES)
@@ -533,3 +570,75 @@ class TestEpisodeMemo:
             outcomes.append((str(raised.value), generators[-1].bit_generator.state))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == "Probabilities contain NaN"
+
+
+class TestWorkCounts:
+    """Work ``train_ppo_demo`` does once per iteration, call or episode."""
+
+    @staticmethod
+    def count_instances(monkeypatch, name):
+        """Replace ``toy.<name>`` by a subclass that records each instance."""
+        built = []
+        base = getattr(toy, name)
+
+        class Counted(base):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(toy, name, Counted)
+        return built
+
+    def test_one_step_table_per_iteration_and_per_evaluation(self, single_op_tasks, monkeypatch):
+        tables = self.count_instances(monkeypatch, "_StepTable")
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        train_ppo_demo(policy, single_op_tasks, iterations=7, seed=0)
+        assert len(tables) == 7
+        train_ppo_demo(policy, single_op_tasks, iterations=3, seed=0, batch_size=5)
+        assert len(tables) == 10
+        greedy_accuracy(policy, single_op_tasks)
+        assert len(tables) == 11
+
+    def test_one_session_per_runtime_call(self, single_op_tasks, monkeypatch):
+        sessions = self.count_instances(monkeypatch, "PolicySession")
+        runs = []
+        real = toy.run_session
+
+        def spy(gen, *args, **kwargs):
+            runs.append(gen)
+            return real(gen, *args, **kwargs)
+
+        monkeypatch.setattr(toy, "run_session", spy)
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        train_ppo_demo(policy, single_op_tasks, iterations=60, seed=1)
+        assert 0 < len(runs) < 60 * len(single_op_tasks)
+        assert len(sessions) == len(runs)
+        greedy_accuracy(policy, single_op_tasks)
+        rollout(policy, policy, single_op_tasks[0], rng=np.random.default_rng(0))
+        assert len(sessions) == len(runs)
+
+    def test_reference_logprob_once_per_state_and_action(self, monkeypatch):
+        calls = []
+        real_logprob = ToyPolicy.logprob
+
+        def logprob_spy(self, features, action):
+            calls.append((tuple(features), action))
+            return real_logprob(self, features, action)
+
+        batches = []
+        real_gradients = toy.ppo_gradients
+
+        def gradients_spy(batch, *args):
+            batches.extend(zip(map(tuple, batch.state_features), batch.tokens.tolist()))
+            return real_gradients(batch, *args)
+
+        monkeypatch.setattr(ToyPolicy, "logprob", logprob_spy)
+        monkeypatch.setattr(toy, "ppo_gradients", gradients_spy)
+        tasks = generate_toy_tasks(3, 16, SINGLE_OP_TEMPLATES)
+        for _ in range(2):  # nothing carries over from one call to the next
+            policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+            train_ppo_demo(policy, tasks, iterations=40, seed=3)
+            assert len(calls) == len(set(calls))
+            assert set(calls) == set(batches)
+            calls.clear()
+            batches.clear()
