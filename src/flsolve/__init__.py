@@ -51,7 +51,6 @@ from .interpreter import (
     apply_operator,
     evaluate,
     evaluate_statement,
-    format_annotation,
     resolve_operands,
     verify_annotations,
 )
@@ -60,11 +59,9 @@ from .parser import (
     ParseError,
     parse_line,
     parse_program,
-    program_compiles,
     tokenize,
 )
 from .ppo import (
-    GaeConfig,
     PpoConfig,
     PpoObjective,
     ToyPolicy,

@@ -138,6 +138,8 @@ def cmd_ppo_demo(args: argparse.Namespace) -> int:
         ppo_cfg = replace(ppo_cfg, learning_rate=args.learning_rate)
     if args.iterations < 1:
         raise ValueError("--iterations must be at least 1")
+    if args.heldout < 1:
+        raise ValueError("--heldout must be at least 1")
 
     tasks = generate_toy_tasks(args.seed, args.tasks, SINGLE_OP_TEMPLATES)
     heldout = generate_toy_tasks(args.seed + 1, args.heldout, SINGLE_OP_TEMPLATES)

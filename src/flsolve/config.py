@@ -43,10 +43,34 @@ def _exact_number(value: object, where: str) -> Fraction:
     raise ValueError(f"{where}: expected a number, got {value!r}")
 
 
+# The JSON type a field of each annotated type must arrive as; bool is no number.
+_JSON_TYPES = {
+    "float": ("a number", (int, float)),
+    "int": ("an integer", int),
+    "str": ("a string", str),
+    "bool": ("a boolean", bool),
+}
+
+
+def _section(obj: dict, name: str) -> dict:
+    section = obj.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"{name}: expected a JSON object, got {section!r}")
+    return section
+
+
 def _plain_section(default, obj: dict, where: str):
-    unknown = set(obj) - {f.name for f in fields(default)}
+    types = {f.name: f.type for f in fields(default)}
+    unknown = set(obj) - set(types)
     if unknown:
         raise ValueError(f"{where}: unknown fields {sorted(unknown)}")
+    for name, value in obj.items():
+        expected = _JSON_TYPES.get(types[name])
+        if expected is None:
+            continue
+        label, accepted = expected
+        if not isinstance(value, accepted) or isinstance(value, bool) != (accepted is bool):
+            raise ValueError(f"{where}.{name}: expected {label}, got {value!r}")
     return replace(default, **obj)
 
 
@@ -61,15 +85,13 @@ def config_from_json(obj: dict) -> ToolkitConfig:
     if unknown:
         raise ValueError(f"config: unknown sections {sorted(unknown)}")
     defaults = default_config()
-    ppo = _plain_section(defaults.ppo, obj.get("ppo", {}), "ppo")
+    ppo = _plain_section(defaults.ppo, _section(obj, "ppo"), "ppo")
 
-    reward = dict(obj.get("reward", {}))
+    reward = dict(_section(obj, "reward"))
     if "r_max" in reward:
         reward["r_max"] = _exact_number(reward["r_max"], "reward.r_max")
     if reward.get("clamp_floor") is not None:
         reward["clamp_floor"] = _exact_number(reward["clamp_floor"], "reward.clamp_floor")
-    if "clamp_components" in reward:
-        reward["clamp_components"] = bool(reward["clamp_components"])
     return ToolkitConfig(ppo, _plain_section(defaults.reward, reward, "reward"))
 
 

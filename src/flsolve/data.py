@@ -193,19 +193,9 @@ def operator_stats(ds: DatasetFile) -> dict:
     return dict(counts)
 
 
-def reasoning_step_count(program: Program, *, include_finds: bool = True) -> int:
-    """Number of statements excluding [return].
-
-    With ``include_finds=False`` only computing statements are counted.
-    """
-    count = 0
-    for stmt in program.statements:
-        if stmt.is_return:
-            continue
-        if stmt.is_find and not include_finds:
-            continue
-        count += 1
-    return count
+def reasoning_step_count(program: Program) -> int:
+    """Number of statements excluding [return]."""
+    return sum(1 for stmt in program.statements if not stmt.is_return)
 
 
 def shuffled(records: Sequence[ProblemRecord], seed: int) -> list[ProblemRecord]:

@@ -254,11 +254,6 @@ def annotation_text(stmt: Statement, operands: list[Fraction], result: Fraction)
     return f"{stmt.op.value}({joined}) = {format_number(result)}"
 
 
-def format_annotation(stmt: Statement, operands: list[Fraction], result: Fraction) -> str:
-    """Canonical injected comment, e.g. ``# 8 - (-3) = 11``."""
-    return f"# {annotation_text(stmt, operands, result)}"
-
-
 def answers_match(candidate: Fraction | None, gold: Fraction, rel_tol: Fraction = Fraction(1, 10**6)) -> bool:
     """Answer comparison rule.
 

@@ -26,7 +26,6 @@ from .program import (
     Program,
     Statement,
     VarRef,
-    has_return,
 )
 from .values import parse_number
 
@@ -381,13 +380,3 @@ def parse_program(source: str) -> Program | list[ParseError]:
     if errors:
         return sorted(errors, key=lambda e: e.line_number)
     return Program(tuple(stmt for _, stmt in entries))
-
-
-def program_compiles(source: str) -> bool:
-    """Compile gate: parses cleanly, passes static checks, declares an answer.
-
-    This is the single notion of "syntactically correct" shared by the
-    compilation reward and the corpus syntax-error metric.
-    """
-    result = parse_program(source)
-    return isinstance(result, Program) and has_return(result)

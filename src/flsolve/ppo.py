@@ -17,18 +17,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class GaeConfig:
-    gamma: float = 0.99
-    lam: float = 0.95
-
-    def __post_init__(self) -> None:
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
-        if not 0 < self.lam <= 1:
-            raise ValueError("lam must be in (0, 1]")
-
-
-@dataclass(frozen=True)
 class PpoConfig:
     """Optimization hyperparameters.
 
@@ -66,12 +54,12 @@ class PpoConfig:
             raise ValueError("clip ranges must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        self.gae()  # validates gamma and lam
+        if not 0 < self.gamma <= 1:
+            raise ValueError("gamma must be in (0, 1]")
+        if not 0 < self.lam <= 1:
+            raise ValueError("lam must be in (0, 1]")
         if self.ratio_anchor not in ("old", "ref"):
             raise ValueError("ratio_anchor must be 'old' or 'ref'")
-
-    def gae(self) -> GaeConfig:
-        return GaeConfig(self.gamma, self.lam)
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -116,7 +104,7 @@ class Trajectory:
         return len(self.tokens)
 
 
-def compute_gae(traj: Trajectory, cfg: GaeConfig) -> np.ndarray:
+def compute_gae(traj: Trajectory, cfg: PpoConfig) -> np.ndarray:
     """Generalized advantage estimates, one per step.
 
     Computed by the backward recursion A_t = delta_t + gamma*lam*A_{t+1}
@@ -126,7 +114,7 @@ def compute_gae(traj: Trajectory, cfg: GaeConfig) -> np.ndarray:
     return np.array(_gae(traj.rewards.tolist(), traj.values.tolist(), cfg), dtype=np.float64)
 
 
-def _gae(rewards: list[float], values: list[float], cfg: GaeConfig) -> list[float]:
+def _gae(rewards: list[float], values: list[float], cfg: PpoConfig) -> list[float]:
     """``compute_gae`` on plain floats; ``values`` has the bootstrap entry."""
     advantages = [0.0] * len(rewards)
     decay = cfg.gamma * cfg.lam

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .interpreter import EvalOutcome, evaluate
-from .parser import parse_program, program_compiles
+from .parser import parse_program
 from .program import BASIC_OPERATORS, BASIC_SYMBOLS, Operator, ProblemRecord, Program
 from .runtime import SessionTranscript
 from .values import format_number
@@ -92,9 +92,12 @@ class RewardBreakdown:
         }
 
 
-def reward_r1(gen_source: str, cfg: RewardConfig = DEFAULT_REWARD_CONFIG) -> Fraction:
-    """Compilation reward: r_max iff the source compiles, else 0."""
-    return cfg.r_max if program_compiles(gen_source) else Fraction(0)
+def reward_r1(gen: Program | None, cfg: RewardConfig = DEFAULT_REWARD_CONFIG) -> Fraction:
+    """Compilation reward: r_max iff ``gen`` parsed and declares an answer.
+
+    ``gen=None`` means it failed to parse or to pass the static checks.
+    """
+    return cfg.r_max if gen is not None and _tally(gen)[1] else Fraction(0)
 
 
 def _tally(program: Program) -> tuple[int, bool, dict]:

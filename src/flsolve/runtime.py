@@ -169,8 +169,10 @@ def assemble_prompt(
     Blocks are separated by one blank line and the prompt ends with the
     scaffold line the generator is expected to continue.
     """
-    if k > len(exemplars):
-        raise ValueError(f"requested {k} exemplars but only {len(exemplars)} are available")
+    if not 0 <= k <= len(exemplars):
+        raise ValueError(
+            f"requested {k} exemplars; k must be between 0 and the {len(exemplars)} available"
+        )
     blocks: list[str] = []
     if instructions.strip():
         blocks.append(instructions.rstrip())

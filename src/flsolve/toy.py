@@ -378,9 +378,12 @@ class _Steps:
     """The policy's side of one episode: the state it has reached and, per
     step, the features, action, log-probs and value of the row it read.
 
-    ``_step`` reads the current state's row and picks an action, argmax
-    with ``rng=None``; ``_advance`` moves the state past an action. A
-    training episode whose outcome is already known takes only these steps.
+    ``_step`` reads the current state's row and picks an action: the next
+    one of ``_forced`` while any are left, else argmax with ``rng=None``,
+    else a draw. A forced step reads its row and log-probs as any other
+    step does but leaves ``rng`` alone. ``_advance`` moves the state past
+    an action. A training episode whose outcome is already known takes only
+    these steps.
     """
 
     def __init__(self, table: _StepTable, cue: int | None, rng: np.random.Generator | None):
@@ -392,6 +395,7 @@ class _Steps:
         self.ref_logprobs: list[float] = []
         self.values: list[float] = []
         self.prob_sum_err = 0.0
+        self._forced: Sequence[int] = ()
         self._cue = cue
         self._finds = 0
         self._ops = 0
@@ -400,7 +404,10 @@ class _Steps:
     def _step(self) -> int:
         row = self.table.row(self._cue, len(self.actions), self._finds, self._ops)
         self.prob_sum_err = max(self.prob_sum_err, row.prob_sum_err)
-        action = row.argmax if self.rng is None else row.draw(self.rng)
+        if len(self.actions) < len(self._forced):
+            action = self._forced[len(self.actions)]
+        else:
+            action = row.argmax if self.rng is None else row.draw(self.rng)
         logprob, ref_logprob = self.table.logprobs(row, action)
         self.features.append(row.phi)
         self.actions.append(action)
@@ -431,7 +438,8 @@ class PolicySession(_Steps):
     the weights stay fixed while episodes run. A session builds its own
     table unless given one built on ``policy`` and ``ref``: ``rollout`` and
     ``greedy_accuracy`` share one across their episodes, ``train_ppo_demo``
-    one across an iteration's episodes.
+    one across an iteration's episodes. ``_play`` sets the inherited
+    ``_forced`` prefix to hand the session actions already drawn.
     """
 
     def __init__(
@@ -478,24 +486,6 @@ class PolicySession(_Steps):
             self._pending = "\n"
             return f"var{var} = [{OP_ACTIONS[action].value}](var1, var2)"
         return f"[return](var{max(var, 1)})\n"
-
-    def _replay(self, steps: _Steps) -> list[str]:
-        """Take over the steps ``steps`` has taken, without drawing again.
-
-        Returns the chunks this session would have yielded for them, an
-        operation line's newline included; a newline still due after the
-        last step stays pending.
-        """
-        self.features, self.actions = steps.features, steps.actions
-        self.logprobs, self.ref_logprobs = steps.logprobs, steps.ref_logprobs
-        self.values, self.prob_sum_err = steps.values, steps.prob_sum_err
-        chunks: list[str] = []
-        for action in self.actions:
-            if self._pending is not None:
-                chunks.append(self._pending)
-                self._pending = None
-            chunks.append(self._emit(action))
-        return chunks
 
 
 @dataclass
@@ -558,19 +548,6 @@ def _trajectory(episodes: Sequence[tuple[_Steps, float]]) -> Trajectory:
     )
 
 
-class _Resume:
-    """Replays the chunks already pulled from ``session``, one by one, then
-    pulls from the session itself."""
-
-    def __init__(self, chunks: list[str], session: PolicySession):
-        self.chunks = iter(chunks)
-        self.session = session
-
-    def next_chunk(self, context: str) -> str:
-        chunk = next(self.chunks, None)
-        return self.session.next_chunk(context) if chunk is None else chunk
-
-
 def _play(
     memo: dict,
     table: _StepTable,
@@ -586,9 +563,9 @@ def _play(
     on it: a dict of the next actions where the runtime went on to ask for
     another action, else the episode's total reward. While the episode's
     prefix is in the tree it only takes steps: one row read and one draw per
-    action. At the first unknown prefix a session takes over those steps
-    and the runtime runs it, fed the chunks they stand for; the episode is
-    scored and recorded.
+    action. At the first unknown prefix the runtime runs a session whose
+    forced prefix is the actions drawn so far: it steps through them again
+    on table reads alone, then draws on. The episode is scored and recorded.
     """
     steps = _Steps(table, cue, rng)
     node = memo.get(position)
@@ -599,8 +576,8 @@ def _play(
     if node is not None:
         return steps, node
     session = PolicySession(table.policy, table.ref, record, rng, table=table)
-    chunks = session._replay(steps)
-    transcript = run_session(_Resume(chunks, session), record.question, budget=DEMO_BUDGET)
+    session._forced = steps.actions
+    transcript = run_session(session, record.question, budget=DEMO_BUDGET)
     total = float(_score_transcript(transcript, record, reward_cfg).total)
     *prefix, last = session.actions
     node = memo.setdefault(position, {})
@@ -679,7 +656,6 @@ def train_ppo_demo(
         raise ValueError("batch_size must be at least 1")
     ref = policy.copy()
     rng = np.random.default_rng(seed)
-    gae_cfg = ppo_cfg.gae()
     beta = ppo_cfg.beta
     lr = ppo_cfg.learning_rate
     history: list[IterationStats] = []
@@ -703,7 +679,7 @@ def train_ppo_demo(
         episode_advantages: list[float] = []
         for steps, total in episodes:
             rewards = [0.0] * (len(steps.actions) - 1) + [total]
-            episode_advantages += _gae(rewards, steps.values + [0.0], gae_cfg)
+            episode_advantages += _gae(rewards, steps.values + [0.0], ppo_cfg)
         advantages = np.array(episode_advantages)
         returns = advantages + flat.values[:-1]
         norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)

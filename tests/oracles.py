@@ -273,7 +273,6 @@ def reference_train_ppo_demo(
         raise ValueError("no training tasks")
     ref = policy.copy()
     rng = np.random.default_rng(seed)
-    gae_cfg = ppo_cfg.gae()
     beta = ppo_cfg.beta
     lr = ppo_cfg.learning_rate
     history = []
@@ -294,7 +293,7 @@ def reference_train_ppo_demo(
             rewards=np.concatenate([t.rewards for t in trajectories]),
             values=np.append(np.concatenate([t.values[:-1] for t in trajectories]), 0.0),
         )
-        advantages = np.concatenate([compute_gae(t, gae_cfg) for t in trajectories])
+        advantages = np.concatenate([compute_gae(t, ppo_cfg) for t in trajectories])
         returns = advantages + flat.values[:-1]
         norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         phi = flat.state_features

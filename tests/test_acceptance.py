@@ -17,8 +17,8 @@ import pytest
 
 from flsolve import (
     DatasetFile,
-    GaeConfig,
     GeneratorSpec,
+    PpoConfig,
     ProblemRecord,
     Program,
     ScriptedGenerator,
@@ -199,7 +199,7 @@ def test_criterion_4_gae_against_direct_summation():
             rewards=rewards,
             values=values,
         )
-        fast = compute_gae(traj, GaeConfig(gamma, lam))
+        fast = compute_gae(traj, PpoConfig(gamma=gamma, lam=lam))
         slow = oracles.gae_direct(list(rewards), list(values), gamma, lam)
         worst = max(worst, float(np.abs(fast - np.array(slow)).max()))
     elapsed = time.perf_counter() - start

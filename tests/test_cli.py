@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flsolve
 from flsolve import (
     CONFIG_ENV_VAR,
     PpoConfig,
@@ -237,6 +242,15 @@ class TestPromptCommand:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("k", ["-1", "-5"])
+    def test_negative_k(self, capsys, fixture_path, k):
+        code, out, err = run_cli(
+            ["prompt", "--question", "q", "--dataset", fixture_path, "--k", k], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestPpoDemoCommand:
     DEMO_ARGS = [
@@ -320,6 +334,39 @@ class TestPpoDemoCommand:
         assert code == 1
         assert out == ""
         assert "batch_size must be at least 1" in err
+
+    @pytest.mark.parametrize("heldout", ["0", "-2"])
+    def test_heldout_below_one_rejected_before_training(self, capsys, heldout):
+        code, out, err = run_cli(self.DEMO_ARGS + ["--heldout", heldout], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--heldout must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"ppo": 5}, "ppo: expected a JSON object"),
+            ({"reward": 5}, "reward: expected a JSON object"),
+            ({"ppo": {"epochs": "4"}}, "ppo.epochs: expected an integer"),
+            ({"ppo": {"beta": None}}, "ppo.beta: expected a number"),
+            ({"reward": {"clamp_components": "no"}}, "reward.clamp_components: expected a boolean"),
+        ],
+    )
+    def test_mistyped_config_is_an_error_not_a_traceback(self, tmp_path, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        src = str(Path(flsolve.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "flsolve", "ppo-demo", "--iterations", "1",
+             "--config", str(cfg_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"error: {message}, got ")
+        assert done.stderr.count("\n") == 1
 
     def test_gae_section_fails_loudly(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -7,7 +7,6 @@ import pytest
 
 from flsolve import (
     CONFIG_ENV_VAR,
-    GaeConfig,
     PpoConfig,
     RewardConfig,
     ToolkitConfig,
@@ -58,6 +57,47 @@ class TestFromJson:
         with pytest.raises(ValueError, match="expected a number"):
             config_from_json({"reward": {"r_max": True}})
 
+    @pytest.mark.parametrize("section", ["ppo", "reward"])
+    @pytest.mark.parametrize("value", [5, "ppo", [], None, True])
+    def test_section_must_be_an_object(self, section, value):
+        with pytest.raises(ValueError, match=rf"^{section}: expected a JSON object"):
+            config_from_json({section: value})
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("beta", None, "a number"),
+            ("beta", "0.1", "a number"),
+            ("beta", True, "a number"),
+            ("kl_target", [6], "a number"),
+            ("clip_range", {}, "a number"),
+            ("clip_range_value", False, "a number"),
+            ("learning_rate", "fast", "a number"),
+            ("gamma", None, "a number"),
+            ("lam", "0.9", "a number"),
+            ("epochs", "4", "an integer"),
+            ("epochs", 4.0, "an integer"),
+            ("epochs", True, "an integer"),
+            ("kl_horizon", 1e4, "an integer"),
+            ("kl_horizon", None, "an integer"),
+            ("ratio_anchor", 1, "a string"),
+            ("ratio_anchor", None, "a string"),
+        ],
+    )
+    def test_ppo_field_must_have_its_json_type(self, field, value, expected):
+        with pytest.raises(ValueError, match=rf"^ppo\.{field}: expected {expected}, got "):
+            config_from_json({"ppo": {field: value}})
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None, []])
+    def test_clamp_components_must_be_a_boolean(self, value):
+        with pytest.raises(ValueError, match=r"^reward\.clamp_components: expected a boolean"):
+            config_from_json({"reward": {"clamp_components": value}})
+
+    def test_integers_are_numbers(self):
+        cfg = config_from_json({"ppo": {"beta": 1, "kl_target": 3}})
+        assert (cfg.ppo.beta, cfg.ppo.kl_target) == (1, 3)
+        assert config_from_json({"reward": {"clamp_components": False}}).reward.clamp_components is False
+
     def test_section_validation_still_applies(self):
         with pytest.raises(ValueError, match="gamma must be in"):
             config_from_json({"ppo": {"gamma": 2.0}})
@@ -72,7 +112,7 @@ class TestFromJson:
 
     def test_gamma_and_lambda_come_from_the_ppo_section(self):
         cfg = config_from_json({"ppo": {"gamma": 0.5, "lam": 0.7}})
-        assert cfg.ppo.gae() == GaeConfig(0.5, 0.7)
+        assert (cfg.ppo.gamma, cfg.ppo.lam) == (0.5, 0.7)
 
 
 class TestRoundTrip:

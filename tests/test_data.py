@@ -231,7 +231,7 @@ class TestReasoningStepCount:
             "road-repair": 5,
         }
         ops_only = {
-            record_id: reasoning_step_count(p, include_finds=False)
+            record_id: sum(1 for s in p.statements if not (s.is_find or s.is_return))
             for record_id, p in programs.items()
         }
         assert ops_only == {

@@ -18,12 +18,12 @@ from flsolve import (
     Statement,
     UNKNOWN,
     VarRef,
+    annotation_text,
     answers_match,
     apply_operator,
     bundled_examples,
     evaluate,
     evaluate_statement,
-    format_annotation,
     parse_program,
     verify_annotations,
 )
@@ -245,31 +245,33 @@ class TestAnnotations:
 
 
 class TestFormatAnnotation:
+    """``annotation_text`` renders the comment body the session injects after ``# ``."""
+
     def test_basic_operator_infix(self):
         stmt = Statement(Operator.SUBTRACT, (VarRef("var1"), VarRef("var3")), target="var4")
-        assert format_annotation(stmt, [Fraction(7), Fraction(10)], Fraction(-3)) == "# 7 - 10 = -3"
+        assert annotation_text(stmt, [Fraction(7), Fraction(10)], Fraction(-3)) == "7 - 10 = -3"
 
     def test_negative_operands_parenthesized(self):
         stmt = Statement(Operator.SUBTRACT, (VarRef("var5"), VarRef("var4")), target="var6")
         assert (
-            format_annotation(stmt, [Fraction(8), Fraction(-3)], Fraction(11))
-            == "# 8 - (-3) = 11"
+            annotation_text(stmt, [Fraction(8), Fraction(-3)], Fraction(11))
+            == "8 - (-3) = 11"
         )
 
     def test_decimal_rendering(self):
         stmt = Statement(Operator.ADD, (VarRef("var2"), VarRef("var3")), target="var4")
         assert (
-            format_annotation(stmt, [Fraction(3, 4), Fraction(5, 4)], Fraction(2))
-            == "# 0.75 + 1.25 = 2"
+            annotation_text(stmt, [Fraction(3, 4), Fraction(5, 4)], Fraction(2))
+            == "0.75 + 1.25 = 2"
         )
 
     def test_named_form_for_non_basic_operators(self):
         stmt = Statement(Operator.ROUND, (VarRef("var1"),), target="var2")
-        assert format_annotation(stmt, [Fraction(5, 2)], Fraction(3)) == "# round(2.5) = 3"
+        assert annotation_text(stmt, [Fraction(5, 2)], Fraction(3)) == "round(2.5) = 3"
         stmt = Statement(Operator.MOD, (VarRef("var1"), VarRef("var2")), target="var3")
         assert (
-            format_annotation(stmt, [Fraction(-7), Fraction(3)], Fraction(2))
-            == "# mod((-7), 3) = 2"
+            annotation_text(stmt, [Fraction(-7), Fraction(3)], Fraction(2))
+            == "mod((-7), 3) = 2"
         )
 
 

@@ -23,7 +23,7 @@ from flsolve import (
     generate_toy_tasks,
     has_return,
     parse_program,
-    program_compiles,
+    reward_r1,
     rollout,
     run_session,
     score_program,
@@ -85,7 +85,8 @@ class TestTranscriptProgram:
         assert t.program == reparsed(source)
         assert score_program(t.program, GOLD) == total_reward(source, GOLD)
         compiled = t.program is not None and has_return(t.program)
-        assert compiled == program_compiles(source)
+        assert reward_r1(reparsed(source)) == (1 if compiled else 0)
+        assert total_reward(source, GOLD).diagnostics.compiled == compiled
 
     @settings(max_examples=400, deadline=None)
     @given(generator_text | st.text(max_size=60), st.integers(0, 13))

@@ -20,8 +20,8 @@ from flsolve import (
     has_return,
     parse_line,
     parse_program,
-    program_compiles,
     render_program,
+    reward_r1,
 )
 from flsolve.parser import _walk_tokens, parse_comment_value, tokenize, tokenize_line
 from flsolve.values import NUMBER_PATTERN, parse_number
@@ -315,19 +315,28 @@ class TestParseProgram:
 
 
 class TestProgramCompiles:
+    """The compile gate is ``reward_r1`` on the parsed program: it parses,
+    passes the static checks, and declares an answer."""
+
+    @staticmethod
+    def compiles(source: str) -> bool:
+        parsed = parse_program(source)
+        return reward_r1(parsed if isinstance(parsed, Program) else None) == 1
+
     def test_bundled_examples_compile(self):
         for record in bundled_examples().records:
-            assert program_compiles(record.gold_program), record.id
+            assert self.compiles(record.gold_program), record.id
 
     def test_missing_return_fails_gate(self):
-        assert not program_compiles("var1 = [find](a) # 3")
+        assert isinstance(parse_program("var1 = [find](a) # 3"), Program)
+        assert not self.compiles("var1 = [find](a) # 3")
 
     def test_empty_source_fails_gate(self):
-        assert not program_compiles("")
-        assert not program_compiles("   \n  \n")
+        assert not self.compiles("")
+        assert not self.compiles("   \n  \n")
 
     def test_parse_error_fails_gate(self):
-        assert not program_compiles("var1 = [oops](a)\n[return](var1)")
+        assert not self.compiles("var1 = [oops](a)\n[return](var1)")
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from flsolve import (
-    GaeConfig,
     PpoConfig,
     ToyPolicy,
     Trajectory,
@@ -53,16 +52,16 @@ class TestConfigs:
         assert cfg.lam == 0.95
         assert cfg.ratio_anchor == "old"
 
-    def test_gae_view(self):
-        assert PpoConfig(gamma=0.5, lam=0.7).gae() == GaeConfig(0.5, 0.7)
-
     @pytest.mark.parametrize("kwargs", [{"gamma": 0.0}, {"gamma": 1.5}, {"lam": 0.0}, {"lam": 1.1}])
     def test_gae_config_rejects_out_of_range(self, kwargs):
-        with pytest.raises(ValueError):
-            GaeConfig(**{"gamma": 0.9, "lam": 0.9, **kwargs})
+        # GAE's gamma and lambda are PpoConfig fields, checked on construction.
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=rf"{name} must be in \(0, 1\]"):
+            PpoConfig(**{"gamma": 0.9, "lam": 0.9, **kwargs})
 
     def test_gae_config_accepts_boundaries(self):
-        GaeConfig(gamma=1.0, lam=1.0)
+        cfg = PpoConfig(gamma=1.0, lam=1.0)
+        assert (cfg.gamma, cfg.lam) == (1.0, 1.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -107,14 +106,14 @@ class TestTrajectory:
 class TestComputeGae:
     def test_hand_case(self):
         traj = make_traj(rewards=[1.0, 0.0], values=[0.5, 0.2, 0.0])
-        adv = compute_gae(traj, GaeConfig(gamma=0.5, lam=0.5))
+        adv = compute_gae(traj, PpoConfig(gamma=0.5, lam=0.5))
         # delta_1 = 0 + 0.5*0 - 0.2 = -0.2
         # delta_0 = 1 + 0.5*0.2 - 0.5 = 0.6; A_0 = 0.6 + 0.25*(-0.2)
         assert adv == pytest.approx([0.55, -0.2], abs=1e-15)
 
     def test_single_step(self):
         traj = make_traj(rewards=[3.0], values=[1.0, 0.5])
-        adv = compute_gae(traj, GaeConfig(gamma=0.9, lam=0.8))
+        adv = compute_gae(traj, PpoConfig(gamma=0.9, lam=0.8))
         assert adv == pytest.approx([3.0 + 0.9 * 0.5 - 1.0])
 
     def test_gamma_lam_one_telescopes_to_monte_carlo(self):
@@ -122,7 +121,7 @@ class TestComputeGae:
         rewards = rng.normal(size=9)
         values = np.append(rng.normal(size=9), 0.0)
         traj = make_traj(rewards=rewards, values=values)
-        adv = compute_gae(traj, GaeConfig(gamma=1.0, lam=1.0))
+        adv = compute_gae(traj, PpoConfig(gamma=1.0, lam=1.0))
         suffix = np.cumsum(rewards[::-1])[::-1]
         assert adv == pytest.approx(suffix - values[:-1], abs=1e-12)
 
@@ -135,7 +134,7 @@ class TestComputeGae:
             traj = make_traj(rewards=rewards, values=values)
             gamma = float(rng.choice([0.5, 0.9, 0.95, 0.99, 1.0]))
             lam = float(rng.choice([0.5, 0.9, 0.95, 0.99, 1.0]))
-            fast = compute_gae(traj, GaeConfig(gamma, lam))
+            fast = compute_gae(traj, PpoConfig(gamma=gamma, lam=lam))
             slow = oracles.gae_direct(list(rewards), list(values), gamma, lam)
             assert np.abs(fast - np.array(slow)).max() <= 1e-12
 

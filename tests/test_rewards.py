@@ -174,15 +174,22 @@ class TestPerturbations:
         assert breakdown.diagnostics.compiled is False
 
 
+def parsed(source: str) -> Program | None:
+    """``source`` parsed, or None where it fails to parse or check."""
+    result = parse_program(source)
+    return result if isinstance(result, Program) else None
+
+
 class TestComponentRules:
     def test_r1_is_the_compile_gate(self):
-        assert reward_r1("var1 = [find](a) # 2\n[return](var1)") == 1
-        assert reward_r1("var1 = [find](a) # 2") == 0
-        assert reward_r1("nonsense") == 0
+        assert reward_r1(parsed("var1 = [find](a) # 2\n[return](var1)")) == 1
+        assert reward_r1(parsed("var1 = [find](a) # 2")) == 0
+        assert parsed("nonsense") is None
+        assert reward_r1(None) == 0
 
     def test_r1_scales_with_r_max(self):
         cfg = RewardConfig(r_max=Fraction(3))
-        assert reward_r1("var1 = [find](a) # 2\n[return](var1)", cfg) == 3
+        assert reward_r1(parsed("var1 = [find](a) # 2\n[return](var1)"), cfg) == 3
 
     def test_r2_requires_gold_finds(self):
         gen = parse_program("var1 = [find](a) # 1\n[return](var1)")

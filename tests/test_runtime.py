@@ -393,6 +393,13 @@ class TestAssemblePrompt:
         with pytest.raises(ValueError):
             assemble_prompt("How many?", "Go.", [self.exemplar(1)], k=2)
 
+    @pytest.mark.parametrize("k", [-1, -2, -5, -6])
+    def test_negative_k_raises(self, k):
+        # A negative k would slice exemplars from the end, e.g. 3 of 5 for k=-2.
+        exemplars = [self.exemplar(n) for n in range(1, 6)]
+        with pytest.raises(ValueError, match=f"requested {k} exemplars"):
+            assemble_prompt("How many?", "Go.", exemplars, k=k)
+
     def test_blank_instructions_are_omitted(self):
         assert assemble_prompt("How many?", "  ") == "Question: How many?\nPseudocode:\n"
 
