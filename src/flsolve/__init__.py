@@ -131,6 +131,7 @@ from .toy import (
     train_ppo_demo,
 )
 from .values import (
+    MAX_VALUE_BITS,
     NUMBER_PATTERN,
     UNKNOWN,
     NumericValue,

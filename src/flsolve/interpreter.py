@@ -20,7 +20,7 @@ from .program import (
     Statement,
     VarRef,
 )
-from .values import UNKNOWN, Unknown, format_number, is_terminating_decimal
+from .values import MAX_VALUE_BITS, UNKNOWN, Unknown, format_number, is_terminating_decimal
 
 Value = Union[Fraction, Unknown]
 
@@ -35,6 +35,7 @@ EVAL_ERROR_KINDS = (
     "duplicate-binding",
     "missing-return",
     "annotation-mismatch",
+    "value-overflow",
 )
 
 
@@ -61,9 +62,10 @@ class Environment:
     def bind(self, name: str, value: Value) -> "Environment":
         if name in self._bindings:
             raise EvalError("duplicate-binding", f"variable '{name}' is already bound")
-        env = Environment()
-        env._bindings.update(self._bindings)
-        env._bindings[name] = value
+        if value is not UNKNOWN:
+            _check_bound(value, f"variable '{name}'")
+        env = Environment.__new__(Environment)
+        env._bindings = {**self._bindings, name: value}
         return env
 
     def lookup(self, name: str) -> Value:
@@ -100,11 +102,21 @@ class AnnotationMismatch:
     computed: Fraction
 
 
+def _check_bound(value: Fraction, what: str) -> Fraction:
+    """``value``, or value-overflow past MAX_VALUE_BITS. Literal operands and
+    bound values are checked, so no operation builds much past the bound."""
+    num, den = value.numerator, value.denominator
+    if num.bit_length() > MAX_VALUE_BITS or den.bit_length() > MAX_VALUE_BITS:
+        raise EvalError("value-overflow", f"{what} is past the {MAX_VALUE_BITS}-bit value bound")
+    return value
+
+
 def resolve_operands(stmt: Statement, env: Environment) -> list[Fraction]:
-    """Argument values of an arithmetic statement, with UNKNOWN rejected."""
+    """Argument values of an arithmetic statement, with UNKNOWN and literals
+    past the value bound rejected."""
     operands: list[Fraction] = []
     for arg in stmt.args:
-        value = env.lookup(arg.name) if isinstance(arg, VarRef) else arg
+        value = env.lookup(arg.name) if isinstance(arg, VarRef) else _check_bound(arg, "a literal")
         if value is UNKNOWN:
             raise EvalError(
                 "unknown-operand",
@@ -199,6 +211,7 @@ def evaluate(program: Program, *, strict_annotations: bool = False) -> EvalOutco
             if strict_annotations and not stmt.is_find:
                 ann = stmt.annotation
                 if ann is not None and ann.declared_value is not None and ann.declared_value != value:
+                    _check_bound(ann.declared_value, "the comment's value")
                     raise EvalError(
                         "annotation-mismatch",
                         f"comment declares {format_number(ann.declared_value)}, "
@@ -241,7 +254,7 @@ def verify_annotations(program: Program) -> list[AnnotationMismatch]:
 
 def _operand_text(value: Fraction) -> str:
     text = format_number(value)
-    return f"({text})" if value < 0 else text
+    return f"({text})" if value.numerator < 0 else text
 
 
 def annotation_text(stmt: Statement, operands: list[Fraction], result: Fraction) -> str:

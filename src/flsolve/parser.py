@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 from .program import (
@@ -27,7 +28,7 @@ from .program import (
     Statement,
     VarRef,
 )
-from .values import parse_number
+from .values import NUMBER_PATTERN, _literal_value, parse_number
 
 PARSE_ERROR_KINDS = (
     "malformed-line",
@@ -74,6 +75,11 @@ _ARG = rf"(?:({_IDENT})|({_NUMBER_BODY}))"
 _CALL_BODY_RE = re.compile(
     rf"\s*(?:({_IDENT})\s*=\s*)?\[({_IDENT})\]\s*\(\s*{_ARG}(?:\s*,\s*{_ARG})?\s*\)\s*"
 )
+# VarRefs are immutable, so the fast path shares one per recent name.
+_var_ref = lru_cache(maxsize=1024)(VarRef)
+# A comment's declared value: the whole comment, or the text after its last
+# '=', is one number literal.
+_COMMENT_VALUE_RE = re.compile(rf"(?:.*=)?\s*({NUMBER_PATTERN})\s*", re.DOTALL)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -180,14 +186,9 @@ def parse_comment_value(comment: str) -> CommentAnnotation:
         text = text[:-1].rstrip()
     if text == "?":
         return CommentAnnotation(text, None, True)
-    value = parse_number(text)
-    if value is not None:
-        return CommentAnnotation(text, value, False)
-    if "=" in text:
-        value = parse_number(text.rsplit("=", 1)[1])
-        if value is not None:
-            return CommentAnnotation(text, value, False)
-    return CommentAnnotation(text, None, False)
+    match = _COMMENT_VALUE_RE.fullmatch(text)
+    value = None if match is None else _literal_value(match.group(1))
+    return CommentAnnotation(text, value, False)
 
 
 def parse_line(raw: str, line_no: int = 1) -> Statement | ParseError | None:
@@ -211,10 +212,14 @@ def parse_line(raw: str, line_no: int = 1) -> Statement | ParseError | None:
 def _match_body(body: str) -> tuple[Operator, tuple, str | None] | None:
     """``(op, args, target)`` of a well-formed statement body, else None.
 
-    None means only "not on the fast path": the token walk decides.
+    None means only "not on the fast path": the token walk decides. One
+    pattern is tried per body: without the literal ``[find]`` the find shape
+    cannot match, and with it a call shape could only name ``find``.
     """
-    match = _FIND_BODY_RE.fullmatch(body)
-    if match is not None:
+    if "[find]" in body:
+        match = _FIND_BODY_RE.fullmatch(body)
+        if match is None:
+            return None
         description = match.group(2).strip()
         return (Operator.FIND, (description,), match.group(1)) if description else None
     match = _CALL_BODY_RE.fullmatch(body)
@@ -227,9 +232,9 @@ def _match_body(body: str) -> tuple[Operator, tuple, str | None] | None:
     args: list = []
     for ident, number in ((ident1, number1), (ident2, number2)):
         if ident is not None:
-            args.append(VarRef(ident))
+            args.append(_var_ref(ident))
         elif number is not None:
-            value = parse_number(number)
+            value = _literal_value(number)
             if value is None:
                 return None
             args.append(value)

@@ -44,6 +44,13 @@ class PpoConfig:
     ratio_anchor: str = "old"
 
     def __post_init__(self) -> None:
+        for name in ("beta", "kl_target", "clip_range", "clip_range_value", "learning_rate"):
+            value, clip = getattr(self, name), name.startswith("clip")
+            # inf is a clip range's documented "no clipping" setting.
+            if math.isnan(value) or (math.isinf(value) and not clip):
+                raise ValueError(f"{name} must be finite{' or inf' if clip else ''}, got {value!r}")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be non-negative")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
         if self.kl_target <= 0:

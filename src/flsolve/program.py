@@ -36,6 +36,10 @@ class Operator(Enum):
     MOD = "mod"
     RETURN = "return"
 
+    # Members are singletons compared by identity: the C identity hash agrees
+    # with equality and skips Enum.__hash__'s Python-level call.
+    __hash__ = object.__hash__
+
 
 # find and return are structural; the other nine are computing operations.
 ARITHMETIC_OPERATORS = frozenset(

@@ -205,15 +205,14 @@ class _SessionFeed:
         self.ended = False
         self.consumed = 0
 
-    def pull(self, context: str) -> bool:
+    def pull(self, context: str) -> str:
+        """The generator's next chunk; "" once its output has ended."""
         if self.ended:
-            return False
+            return ""
         chunk = self.gen.next_chunk(context)
         if chunk == "":
             self.ended = True
-            return False
-        self.buffer += chunk
-        return True
+        return chunk
 
     def read_line(self, context: str) -> str | None:
         """The next line without its newline, read through the newline or the
@@ -222,11 +221,19 @@ class _SessionFeed:
         Each line read is charged through its newline, so text the session
         never reads costs nothing and the cap does not hang on the chunking.
         A partial line fails as soon as it alone passes the remaining cap.
+        Only each new chunk is scanned for the newline.
         """
-        while "\n" not in self.buffer:
-            if len(self.buffer) > self.max_chars - self.consumed or not self.pull(context):
-                break
-        line, newline, self.buffer = self.buffer.partition("\n")
+        buffer = self.buffer
+        if "\n" not in buffer:
+            room = self.max_chars - self.consumed
+            while len(buffer) <= room:
+                chunk = self.pull(context)
+                if not chunk:
+                    break
+                buffer += chunk
+                if "\n" in chunk:
+                    break
+        line, newline, self.buffer = buffer.partition("\n")
         self.consumed += len(line) + len(newline)
         if self.consumed > self.max_chars:
             raise EvalError(

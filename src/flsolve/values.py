@@ -28,6 +28,12 @@ class Unknown:
 
 UNKNOWN = Unknown()
 
+# The solver refuses a value whose numerator or denominator has more bits
+# (EvalError "value-overflow"). Then format_number stays under CPython's
+# 4300-digit int-to-str limit: its longest rendering, a terminating decimal
+# p/2**k shown as p*5**k, has about 0.30*bits(p) + 0.70*k <= 4096 digits.
+MAX_VALUE_BITS = 4096
+
 # Integer, decimal, or p/q literal with an optional sign.
 NUMBER_PATTERN = r"[+-]?(?:\d+\.\d+|\.\d+|\d+(?:/\d+)?)"
 _NUMBER_RE = re.compile(rf"^{NUMBER_PATTERN}$")
@@ -38,10 +44,22 @@ def parse_number(text: str) -> Fraction | None:
     text = text.strip()
     if not _NUMBER_RE.match(text):
         return None
+    return _literal_value(text)
+
+
+def _literal_value(text: str) -> Fraction | None:
+    """``Fraction(text)`` for text matching NUMBER_PATTERN whole, without its
+    string parsing. Each part goes through int() on its own, as there, so a
+    zero denominator or a part past CPython's digit limit gives None."""
     try:
-        if "." in text or "/" in text:
-            return Fraction(text)
-        # An integer: int() skips Fraction's own string parsing.
+        if "/" in text:
+            num, _, den = text.partition("/")
+            return Fraction(int(num), int(den))
+        if "." in text:
+            whole, _, decimal = text.partition(".")
+            scale = 10 ** len(decimal)
+            value = int(whole.lstrip("+-") or "0") * scale + int(decimal)
+            return Fraction(-value if whole.startswith("-") else value, scale)
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError):
         return None
@@ -61,8 +79,6 @@ def format_number(value: Fraction) -> str:
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
-    if not is_terminating_decimal(value):
-        return f"{num}/{den}"
     twos = fives = 0
     d = den
     while d % 2 == 0:
@@ -71,6 +87,8 @@ def format_number(value: Fraction) -> str:
     while d % 5 == 0:
         fives += 1
         d //= 5
+    if d != 1:
+        return f"{num}/{den}"
     digits = max(twos, fives)
     scaled = abs(num) * 10**digits // den
     text = str(scaled).rjust(digits + 1, "0")

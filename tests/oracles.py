@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -29,6 +30,10 @@ from flsolve import (
     has_return,
 )
 from flsolve import toy
+from flsolve.interpreter import EvalError
+from flsolve.program import CommentAnnotation
+from flsolve.runtime import _SessionFeed
+from flsolve.values import NUMBER_PATTERN
 from flsolve.ppo import (
     Trajectory,
     adaptive_kl_update,
@@ -172,6 +177,61 @@ def central_fd(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         down[index] -= h
         grad[index] = (f(up) - f(down)) / (2 * h)
     return grad
+
+
+_NUMBER_RE = re.compile(rf"^{NUMBER_PATTERN}$")
+
+
+def reference_parse_number(text: str) -> Fraction | None:
+    """parse_number as one body: strip, match, convert."""
+    text = text.strip()
+    if not _NUMBER_RE.match(text):
+        return None
+    try:
+        if "." in text or "/" in text:
+            return Fraction(text)
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def reference_parse_comment_value(comment: str) -> CommentAnnotation:
+    """parse_comment_value read in two tries: the whole comment as a number,
+    then the text after its last '='."""
+    text = comment.strip()
+    if text.endswith(","):
+        text = text[:-1].rstrip()
+    if text == "?":
+        return CommentAnnotation(text, None, True)
+    value = reference_parse_number(text)
+    if value is not None:
+        return CommentAnnotation(text, value, False)
+    if "=" in text:
+        value = reference_parse_number(text.rsplit("=", 1)[1])
+        if value is not None:
+            return CommentAnnotation(text, value, False)
+    return CommentAnnotation(text, None, False)
+
+
+class ReferenceSessionFeed(_SessionFeed):
+    """The session feed whose line reader scans the whole buffer for a newline
+    after every pull."""
+
+    def read_line(self, context: str) -> str | None:
+        while "\n" not in self.buffer:
+            if len(self.buffer) > self.max_chars - self.consumed:
+                break
+            chunk = self.pull(context)
+            if not chunk:
+                break
+            self.buffer += chunk
+        line, newline, self.buffer = self.buffer.partition("\n")
+        self.consumed += len(line) + len(newline)
+        if self.consumed > self.max_chars:
+            raise EvalError(
+                "budget-exhausted", f"generator output exceeded {self.max_chars} characters"
+            )
+        return line if newline else line or None
 
 
 class ReferencePolicySession(PolicySession):

@@ -114,6 +114,17 @@ class TestRunCommand:
         assert code == 3
         assert "division-by-zero" in err
 
+    def test_value_past_the_bound_exits_3(self, tmp_path, capsys):
+        # Squaring 10 fourteen times; the twelfth value has 6804 bits.
+        lines = ["var1 = [find](side length) # 10"]
+        lines += [f"var{i} = [multiply](var{i - 1}, var{i - 1})" for i in range(2, 16)]
+        path = tmp_path / "p.txt"
+        path.write_text("\n".join(lines + ["[return](var15)"]) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["run", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("value-overflow: variable 'var12'")
+        assert err.endswith("(statement 11)\n")
+
     def test_strict_flags_contradicted_comment(self, tmp_path, capsys):
         path = tmp_path / "p.txt"
         path.write_text(
@@ -341,6 +352,27 @@ class TestPpoDemoCommand:
         assert code == 1
         assert out == ""
         assert "--heldout must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "rate, message",
+        [
+            ("nan", "learning_rate must be finite, got nan"),
+            ("inf", "learning_rate must be finite, got inf"),
+            ("-1.0", "learning_rate must be non-negative"),
+        ],
+    )
+    def test_bad_learning_rate_rejected_before_training(self, capsys, rate, message):
+        code, out, err = run_cli(self.DEMO_ARGS + ["--learning-rate", rate], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("field", ["beta", "learning_rate", "kl_target", "clip_range"])
+    def test_nan_in_config_file_rejected_before_training(self, tmp_path, capsys, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"ppo": {"%s": NaN}}' % field, encoding="utf-8")
+        code, out, err = run_cli(["ppo-demo", "--iterations", "3", "--config", str(cfg_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {field} must be finite")
 
     @pytest.mark.parametrize(
         "config, message",

@@ -114,6 +114,20 @@ class TestFromJson:
         cfg = config_from_json({"ppo": {"gamma": 0.5, "lam": 0.7}})
         assert (cfg.ppo.gamma, cfg.ppo.lam) == (0.5, 0.7)
 
+    @pytest.mark.parametrize(
+        "field", ["beta", "kl_target", "clip_range", "clip_range_value", "learning_rate"]
+    )
+    def test_bare_nan_in_a_file_is_rejected_naming_the_field(self, field):
+        # Python's json reads a bare NaN; it must not reach training.
+        obj = json.loads('{"ppo": {"%s": NaN}}' % field)
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            config_from_json(obj)
+
+    def test_infinite_clip_range_stays_legal(self):
+        obj = json.loads('{"ppo": {"clip_range": Infinity, "clip_range_value": Infinity}}')
+        cfg = config_from_json(obj)
+        assert cfg.ppo.clip_range == cfg.ppo.clip_range_value == float("inf")
+
 
 class TestRoundTrip:
     def test_defaults_round_trip(self):

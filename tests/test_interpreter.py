@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flsolve import (
+    MAX_VALUE_BITS,
     AnnotationMismatch,
     Environment,
     EvalError,
@@ -179,6 +180,7 @@ class TestEvaluate:
             "non-integer-operand": "var1 = [find](a) # 3.5\nvar2 = [find](b) # 2\nvar3 = [mod](var1, var2)\n[return](var3)",
             "return-of-unknown": "var1 = [find](a) # ?\n[return](var1)",
             "missing-return": "var1 = [find](a) # 1",
+            "value-overflow": f"var1 = [find](a) # {2**5000}\n[return](var1)",
         }
         for kind, source in sources.items():
             outcome = evaluate(parsed(source))
@@ -198,6 +200,67 @@ class TestEvaluate:
         )
         assert outcome.error is None
         assert outcome.answer == 5
+
+
+class TestValueBound:
+    """Every literal operand and every bound value has at most MAX_VALUE_BITS
+    bits in numerator and denominator."""
+
+    AT = 2**MAX_VALUE_BITS - 1
+    PAST = 2**MAX_VALUE_BITS
+
+    @pytest.mark.parametrize(
+        "value",
+        [Fraction(AT), Fraction(-AT), Fraction(1, AT), Fraction(-AT, AT - 1)],
+    )
+    def test_values_at_the_bound_bind(self, value):
+        assert Environment().bind("v", value).lookup("v") == value
+
+    @pytest.mark.parametrize("value", [Fraction(PAST), Fraction(-PAST), Fraction(1, PAST)])
+    def test_values_past_the_bound_do_not_bind(self, value):
+        with pytest.raises(EvalError) as excinfo:
+            Environment().bind("v", value)
+        assert excinfo.value.kind == "value-overflow"
+        assert "'v'" in excinfo.value.message
+
+    def test_unknown_binds(self):
+        assert Environment().bind("v", UNKNOWN).lookup("v") is UNKNOWN
+
+    def test_find_value_past_the_bound(self):
+        outcome = evaluate(parsed(f"var1 = [find](a) # {self.PAST}\n[return](var1)"))
+        assert (outcome.error.kind, outcome.error.statement_index) == ("value-overflow", 0)
+
+    @pytest.mark.parametrize("literal", [str(PAST), f"1/{PAST}", f"-{PAST}"])
+    def test_literal_operand_past_the_bound(self, literal):
+        outcome = evaluate(
+            parsed(f"var1 = [find](a) # 1\nvar2 = [multiply](var1, {literal})\n[return](var2)")
+        )
+        assert (outcome.error.kind, outcome.error.statement_index) == ("value-overflow", 1)
+        assert "literal" in outcome.error.message
+
+    def test_result_past_the_bound(self):
+        outcome = evaluate(
+            parsed(
+                f"var1 = [find](a) # {self.AT}\n"
+                "var2 = [multiply](var1, var1)\n"
+                "[return](var2)"
+            )
+        )
+        assert (outcome.error.kind, outcome.error.statement_index) == ("value-overflow", 1)
+
+    def test_strict_comment_past_the_bound(self):
+        # The mismatch message cannot render the declared value.
+        source = f"var1 = [find](a) # 1\nvar2 = [add](var1, 1) # 1/{2**14000}\n[return](var2)"
+        assert evaluate(parsed(source)).answer == 2
+        error = evaluate(parsed(source), strict_annotations=True).error
+        assert (error.kind, error.statement_index) == ("value-overflow", 1)
+
+    def test_fourteen_squarings(self):
+        # 10**(2**11) is the first square past the bound: var12, statement 11.
+        lines = ["var1 = [find](side length) # 10"]
+        lines += [f"var{i} = [multiply](var{i - 1}, var{i - 1})" for i in range(2, 16)]
+        outcome = evaluate(parsed("\n".join(lines + ["[return](var15)"])))
+        assert (outcome.error.kind, outcome.error.statement_index) == ("value-overflow", 11)
 
 
 class TestAnnotations:

@@ -1,5 +1,6 @@
 """Parser behavior: tokens, line classification, and whole-program checks."""
 
+import pickle
 import random
 import re
 import sys
@@ -131,6 +132,83 @@ class TestParseCommentValue:
 
     def test_equation_with_non_numeric_rhs(self):
         assert parse_comment_value("a = b").declared_value is None
+
+
+# Comment pieces at the edges of the declared-value pattern: '=', ',', '?',
+# Unicode whitespace, non-ASCII digits, a zero denominator and literals past
+# CPython's 4300-digit int-to-str limit.
+COMMENT_PIECES = (
+    "=", "=", ",", "?", " ", "\t", "\u3000", "\u00a0", "\x1c", "\u2028", "\r", "\n",
+    "\u0663", "\u06f5.\u0967", "-", "+", ".", "/", "1/0", "7", "-3", "12.85", ".5", "3/4",
+    "8 - (-3)", "x", "#", "9" * 5000, "1" * 5000 + ".5", "0." + "3" * 5000, "2/" + "7" * 5000,
+)
+
+
+SPACES = st.text(alphabet=" \t\r\n\x0b\x1c\u00a0\u2028\u3000", max_size=2)
+
+
+@st.composite
+def comments(draw):
+    """Free mixes of the pieces, and '<text> = <literal>,' shapes with the
+    pieces around the parts."""
+    free = st.lists(st.sampled_from(COMMENT_PIECES) | st.text(max_size=3), max_size=8)
+    if draw(st.booleans()):
+        return "".join(draw(free))
+    literal = draw(number_literals() | st.sampled_from(COMMENT_PIECES))
+    parts = [
+        "".join(draw(free)) if draw(st.booleans()) else "",
+        draw(st.sampled_from(("", "=", " = ", "=="))),
+        draw(SPACES),
+        literal,
+        draw(SPACES),
+        draw(st.sampled_from(("", ",", " ,", ",,"))),
+        draw(st.sampled_from(COMMENT_PIECES)) if draw(st.integers(0, 3)) == 0 else "",
+    ]
+    return "".join(parts)
+
+
+class TestParseCommentValueMatchesReference:
+    @settings(max_examples=800, deadline=None)
+    @given(comments())
+    def test_drawn_comments(self, comment):
+        assert parse_comment_value(comment) == oracles.reference_parse_comment_value(comment)
+
+    @pytest.mark.parametrize(
+        "comment",
+        [
+            "", "?", " ? ,", "7", "=7", "a = b = 7", "7 = a", "1/0", "x = 1/0", "3 = 1/0",
+            "a =\u30007\u3000,", "\u0663 + 1 = \u0664", "x\r= 5", "x =\n5", "x\n= 5", "= 5 =",
+            "= " + "9" * 5000, "=" + "4" * 4300, "= 0." + "3" * 5000, "= 1" * 2000,
+        ],
+    )
+    def test_edge_comments(self, comment):
+        assert parse_comment_value(comment) == oracles.reference_parse_comment_value(comment)
+
+
+class TestOperatorIdentity:
+    def test_hash_matches_equality(self):
+        for a in Operator:
+            for b in Operator:
+                assert (a == b) == (a is b)
+                if a == b:
+                    assert hash(a) == hash(b)
+        assert {op: op.value for op in Operator}[Operator.ADD] == "add"
+
+    def test_members_survive_a_pickle_round_trip(self):
+        for op in Operator:
+            copy = pickle.loads(pickle.dumps(op))
+            assert copy is op
+            assert hash(copy) == hash(op)
+
+    def test_statement_equality_and_hashing(self):
+        first = parse_line("var3 = [add](var1, 2) # 5")
+        second = parse_line("  var3 = [add]( var1 ,2 )  #  5 ")
+        other = parse_line("var3 = [subtract](var1, 2) # 5")
+        assert first == second and hash(first) == hash(second)
+        assert first != other
+        assert len({first, second, other}) == 2
+        copy = pickle.loads(pickle.dumps(first))
+        assert copy == first and hash(copy) == hash(first)
 
 
 class TestParseLine:
@@ -457,6 +535,20 @@ class TestParseNumberMatchesFraction:
 
     @pytest.mark.parametrize("text", ["007", "-0", "+12", "-000.50", "\u0663", "-\u0663/\u0664", "3/0"])
     def test_edge_literals(self, text):
+        assert parse_number(text) == _fraction_or_none(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "4" * 4000 + "." + "5" * 4000,
+            "-" + "4" * 4300 + "/" + "7" * 4300,
+            "1" * 4301 + ".5",
+            "-0." + "5" * 4301,
+            "3/" + "7" * 4301,
+        ],
+    )
+    def test_parts_at_and_past_the_digit_limit(self, text):
+        # Fraction(text) converts each part with int() on its own.
         assert parse_number(text) == _fraction_or_none(text)
 
     def test_over_the_digit_limit(self):

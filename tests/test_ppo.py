@@ -80,6 +80,35 @@ class TestConfigs:
         with pytest.raises(ValueError):
             PpoConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("beta", math.nan),
+            ("beta", math.inf),
+            ("kl_target", math.nan),
+            ("kl_target", math.inf),
+            ("clip_range", math.nan),
+            ("clip_range_value", math.nan),
+            ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
+            ("learning_rate", -math.inf),
+        ],
+    )
+    def test_non_finite_float_fields_are_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            PpoConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["gamma", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_gamma_and_lam_are_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be in"):
+            PpoConfig(**{name: value})
+
+    def test_learning_rate_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="^learning_rate must be non-negative"):
+            PpoConfig(learning_rate=-1.0)
+        assert PpoConfig(learning_rate=0.0).learning_rate == 0.0
+
 
 class TestTrajectory:
     def test_validates_lengths(self):

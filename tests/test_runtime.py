@@ -8,16 +8,22 @@ from hypothesis import strategies as st
 
 from flsolve import (
     DEFAULT_INSTRUCTIONS,
+    EVAL_ERROR_KINDS,
     ProblemRecord,
     ScriptedGenerator,
     SessionBudget,
     Statement,
     assemble_prompt,
+    evaluate,
     parse_line,
+    parse_program,
     run_session,
     strip_computed_comments,
+    total_reward,
 )
 from flsolve import runtime
+
+import oracles
 
 
 class ListGenerator:
@@ -259,6 +265,119 @@ class TestChunkInvariance:
         transcript = run_session(ScriptedGenerator(source, chunk_size), "q")
         assert transcript.outcome.answer == 7
         assert transcript.emitted_lines[2].text == "var3 = [add](var1, var2) # 3 + 4 = 7"
+
+
+class RecordingGenerator:
+    """A scripted generator that records every (context, chunk) it serves."""
+
+    def __init__(self, text: str, chunk_size: int):
+        self.inner = ScriptedGenerator(text, chunk_size)
+        self.calls = []
+
+    def next_chunk(self, context: str) -> str:
+        chunk = self.inner.next_chunk(context)
+        self.calls.append((context, chunk))
+        return chunk
+
+
+FEED = runtime._SessionFeed
+
+
+def feed_calls(feed_cls, text: str, chunk_size: int, budget: SessionBudget):
+    """The generator's calls, the feed's pull count and the session result."""
+    pulls = []
+
+    class CountingFeed(feed_cls):
+        def pull(self, context):
+            pulls.append(context)
+            return super().pull(context)
+
+    gen = RecordingGenerator(text, chunk_size)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runtime, "_SessionFeed", CountingFeed)
+        transcript = run_session(gen, "q", budget=budget)
+    return gen.calls, len(pulls), session_result(transcript)
+
+
+class TestFeedMatchesReference:
+    """The line reader scans only new chunks for a newline; the reference
+    scans the whole buffer after every pull. Same calls, same pulls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunked_text(), st.integers(0, 13), st.none() | st.integers(0, 200))
+    @example(("var1 = [find](a) # 1\nx", []), 1, 21)
+    @example(("x" * 60, []), 7, 45)
+    def test_same_calls_and_pulls(self, case, chunk_size, max_chars):
+        text, _ = case
+        budget = SessionBudget() if max_chars is None else SessionBudget(max_chars=max_chars)
+        ours = feed_calls(FEED, text, chunk_size, budget)
+        assert ours == feed_calls(oracles.ReferenceSessionFeed, text, chunk_size, budget)
+
+    @pytest.mark.parametrize("chunk_size", range(14))
+    def test_gold_replays(self, records, chunk_size):
+        for record in records:
+            text = strip_computed_comments(record.gold_program)
+            ours = feed_calls(FEED, text, chunk_size, SessionBudget())
+            assert ours == feed_calls(oracles.ReferenceSessionFeed, text, chunk_size, SessionBudget())
+
+
+# Literals up to and past the value bound: long integers, p/2**k with k up to
+# 14000 bits and decimals with up to 4000 places.
+BIG_LITERALS = st.one_of(
+    st.integers(1, 4300).map(lambda n: "9" * n),
+    st.integers(1, 14000).map(lambda k: f"1/{2**k}"),
+    st.integers(1, 14000).map(lambda k: f"-{3**(k // 2)}/{2**k}"),
+    st.integers(0, 4000).map(lambda n: "0." + "0" * n + "5"),
+    st.integers(-(10**12), 10**12).map(str),
+)
+SIGNED_BIG_LITERALS = st.tuples(st.sampled_from(("", "-")), BIG_LITERALS).map(
+    lambda t: t[0] + t[1] if not t[1].startswith("-") else t[1]
+)
+
+
+@st.composite
+def big_value_programs(draw):
+    """Multiplies, divides and squarings of large literals."""
+    lines = [f"var1 = [find](start) # {draw(SIGNED_BIG_LITERALS)}"]
+    for i in range(2, draw(st.integers(2, 16)) + 1):
+        step = draw(st.sampled_from(("multiply", "divide", "square")))
+        if step == "square":
+            lines.append(f"var{i} = [multiply](var{i - 1}, var{i - 1})")
+        else:
+            lines.append(f"var{i} = [{step}](var{i - 1}, {draw(SIGNED_BIG_LITERALS)})")
+    lines.append(f"[return](var{len(lines)})")
+    return "\n".join(lines)
+
+
+class TestValueBound:
+    GOLD = ProblemRecord("g", "q", "var1 = [find](a) # 2\n[return](var1)", Fraction(2))
+
+    @settings(max_examples=120, deadline=None)
+    @given(big_value_programs(), st.sampled_from((0, 1, 7)))
+    def test_large_values_never_raise(self, source, chunk_size):
+        transcript = run_session(ScriptedGenerator(source, chunk_size), "q")
+        outcome = evaluate(parse_program(source))
+        reward = total_reward(source, self.GOLD)
+        total_reward(transcript.generated_source, self.GOLD)
+        kinds = set(EVAL_ERROR_KINDS) | {"budget-exhausted"}
+        for result in (transcript.outcome, outcome):
+            assert (result.answer is None) != (result.error is None)
+            if result.error is not None:
+                assert result.error.kind in kinds
+        if len(source) < SessionBudget().max_chars:
+            assert transcript.outcome.answer == outcome.answer
+            assert reward.diagnostics.y_gen == outcome.answer
+
+    @pytest.mark.parametrize("chunk_size", [0, 1, 5])
+    def test_fourteen_squarings_stop_at_the_bound(self, chunk_size):
+        lines = ["var1 = [find](side length) # 10"]
+        lines += [f"var{i} = [multiply](var{i - 1}, var{i - 1})" for i in range(2, 16)]
+        source = "\n".join(lines + ["[return](var15)"])
+        transcript = run_session(ScriptedGenerator(source, chunk_size), "q")
+        error = transcript.outcome.error
+        assert (error.kind, error.statement_index) == ("value-overflow", 11)
+        assert transcript.halted_count == 10
+        assert transcript.emitted_lines[-1].text == "var12 = [multiply](var11, var11)"
 
 
 class TestSessionErrors:

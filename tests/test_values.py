@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flsolve import UNKNOWN, Unknown, format_number, is_terminating_decimal, parse_number
+from flsolve import (
+    MAX_VALUE_BITS,
+    UNKNOWN,
+    Unknown,
+    format_number,
+    is_terminating_decimal,
+    parse_number,
+)
 
 
 class TestParseNumber:
@@ -71,6 +78,25 @@ class TestFormatNumber:
     @given(st.fractions())
     def test_round_trip(self, value):
         assert parse_number(format_number(value)) == value
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            # p / 2**k renders as p * 5**k: the longest terminating decimal.
+            Fraction(2**MAX_VALUE_BITS - 1, 2 ** (MAX_VALUE_BITS - 1)),
+            Fraction(-(2**MAX_VALUE_BITS - 1), 2 ** (MAX_VALUE_BITS - 1)),
+            Fraction(1, 2 ** (MAX_VALUE_BITS - 1)),
+            Fraction(3**2584, 2 ** (MAX_VALUE_BITS - 1)),
+            Fraction(1, 5**1764),
+            Fraction(2**MAX_VALUE_BITS - 1),
+            Fraction(2**MAX_VALUE_BITS - 1, 3**2584),
+        ],
+    )
+    def test_renders_every_value_at_the_bound(self, value):
+        assert max(value.numerator.bit_length(), value.denominator.bit_length()) <= MAX_VALUE_BITS
+        text = format_number(value)
+        assert len(text) < 4300
+        assert parse_number(text) == value
 
 
 def test_unknown_is_a_singleton():
