@@ -59,7 +59,6 @@ from .parser import (
     ParseError,
     parse_line,
     parse_program,
-    tokenize,
 )
 from .ppo import (
     PpoConfig,
@@ -69,7 +68,6 @@ from .ppo import (
     adaptive_kl_update,
     compute_gae,
     kl_divergence,
-    policy_logprob_and_grad,
     ppo_objective,
     softmax,
     value_loss,
@@ -134,7 +132,6 @@ from .values import (
     MAX_VALUE_BITS,
     NUMBER_PATTERN,
     UNKNOWN,
-    NumericValue,
     Unknown,
     format_number,
     is_terminating_decimal,

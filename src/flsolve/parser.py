@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 
 from .program import (
     OPERATOR_ARITY,
@@ -28,7 +27,7 @@ from .program import (
     Statement,
     VarRef,
 )
-from .values import NUMBER_PATTERN, _literal_value, parse_number
+from .values import NUMBER_PATTERN, _literal_value
 
 PARSE_ERROR_KINDS = (
     "malformed-line",
@@ -50,44 +49,34 @@ class ParseError:
         return f"line {self.line_number}: {self.kind}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | op | number | punct | description | comment | error
-    text: str
-    line: int = 1
-    value: object = None
-
-
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 # A leading minus is part of the literal only in argument position; nothing
 # else in statement bodies uses '-'.
 _NUMBER_BODY = r"-?(?:\d+\.\d+|\d+(?:/\d+)?)"
-_BRACKET_OP_RE = re.compile(rf"\[({_IDENT})\]")
-_IDENT_RE = re.compile(_IDENT)
-_NUMBER_BODY_RE = re.compile(_NUMBER_BODY)
 
 # Whole-body shapes of well-formed statements, for parse_line's fast path.
-# A [find] description runs to the last ')' on the body, as in
-# _capture_description; a call takes one or two arguments, each an
-# identifier (odd groups) or a number literal (even groups).
+# A [find] description runs to the last ')' on the body, as in _TOKEN_RE; a
+# call takes one or two arguments, each an identifier (odd groups) or a
+# number literal (even groups).
 _FIND_BODY_RE = re.compile(rf"\s*({_IDENT})\s*=\s*\[find\]\s*\((.*)\)\s*", re.DOTALL)
 _ARG = rf"(?:({_IDENT})|({_NUMBER_BODY}))"
 _CALL_BODY_RE = re.compile(
     rf"\s*(?:({_IDENT})\s*=\s*)?\[({_IDENT})\]\s*\(\s*{_ARG}(?:\s*,\s*{_ARG})?\s*\)\s*"
+)
+# One token of a body off the fast path, after optional whitespace: a
+# [find] and its argument (a description up to the last ')' on the body, or
+# to its end when no ')' follows), another bracketed operator, punctuation,
+# a number literal, an identifier, or a stray character.
+_TOKEN_RE = re.compile(
+    rf"\s*(?:\[(find)\]\s*(?:\((?:(.*)\)|(.*)))?|\[({_IDENT})\]|([(),=])"
+    rf"|({_NUMBER_BODY})|({_IDENT})|(.))",
+    re.DOTALL,
 )
 # VarRefs are immutable, so the fast path shares one per recent name.
 _var_ref = lru_cache(maxsize=1024)(VarRef)
 # A comment's declared value: the whole comment, or the text after its last
 # '=', is one number literal.
 _COMMENT_VALUE_RE = re.compile(rf"(?:.*=)?\s*({NUMBER_PATTERN})\s*", re.DOTALL)
-
-
-def tokenize(source: str) -> list[Token]:
-    """Tokenize every line of ``source``; empty input yields no tokens."""
-    tokens: list[Token] = []
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        tokens.extend(tokenize_line(raw, line_no))
-    return tokens
 
 
 def _split_line(raw: str) -> tuple[str, str, str]:
@@ -101,77 +90,6 @@ def _split_line(raw: str) -> tuple[str, str, str]:
     if line.endswith(","):
         line = line[:-1].rstrip()
     return line.partition("#")
-
-
-def tokenize_line(raw: str, line_no: int = 1) -> list[Token]:
-    body, hash_mark, comment = _split_line(raw)
-    tokens = _scan_body(body, line_no)
-    if hash_mark:
-        tokens.append(Token("comment", comment.strip(), line_no))
-    return tokens
-
-
-def _scan_body(body: str, line_no: int) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    n = len(body)
-    while i < n:
-        ch = body[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "[":
-            match = _BRACKET_OP_RE.match(body, i)
-            if match is None:
-                tokens.append(Token("error", ch, line_no))
-                i += 1
-                continue
-            name = match.group(1)
-            op = OPERATOR_BY_NAME.get(name)
-            tokens.append(Token("op", name, line_no, op))
-            i = match.end()
-            if op is Operator.FIND:
-                i = _capture_description(body, i, line_no, tokens)
-            continue
-        if ch in "(),=":
-            tokens.append(Token("punct", ch, line_no))
-            i += 1
-            continue
-        match = _NUMBER_BODY_RE.match(body, i)
-        if match is not None:
-            text = match.group()
-            tokens.append(Token("number", text, line_no, parse_number(text)))
-            i = match.end()
-            continue
-        match = _IDENT_RE.match(body, i)
-        if match is not None:
-            tokens.append(Token("ident", match.group(), line_no))
-            i = match.end()
-            continue
-        tokens.append(Token("error", ch, line_no))
-        i += 1
-    return tokens
-
-
-def _capture_description(body: str, i: int, line_no: int, tokens: list[Token]) -> int:
-    """Capture a [find] argument as one free-text token.
-
-    Descriptions may contain spaces and inner parentheses, so the argument
-    runs from the opening parenthesis to the last ')' on the line body.
-    """
-    n = len(body)
-    while i < n and body[i].isspace():
-        i += 1
-    if i >= n or body[i] != "(":
-        return i
-    tokens.append(Token("punct", "(", line_no))
-    close = body.rfind(")")
-    if close <= i:
-        tokens.append(Token("description", body[i + 1 :].strip(), line_no))
-        return n
-    tokens.append(Token("description", body[i + 1 : close].strip(), line_no))
-    tokens.append(Token("punct", ")", line_no))
-    return close + 1
 
 
 def parse_comment_value(comment: str) -> CommentAnnotation:
@@ -195,15 +113,15 @@ def parse_line(raw: str, line_no: int = 1) -> Statement | ParseError | None:
     """Parse one line; None for blank lines.
 
     A well-formed line matches one of two anchored patterns and becomes a
-    Statement directly. Any other line goes to the token walk, which finds
-    its error.
+    Statement directly. Any other line goes to _classify, which finds its
+    error.
     """
     body, hash_mark, comment = _split_line(raw)
     if not body.strip():
         return None
     shape = _match_body(body)
     if shape is None:
-        return _walk_tokens(raw, line_no)
+        return _classify(raw, line_no)
     annotation = parse_comment_value(comment) if hash_mark else None
     op, args, target = shape
     return Statement(op, args, target, annotation)
@@ -212,7 +130,7 @@ def parse_line(raw: str, line_no: int = 1) -> Statement | ParseError | None:
 def _match_body(body: str) -> tuple[Operator, tuple, str | None] | None:
     """``(op, args, target)`` of a well-formed statement body, else None.
 
-    None means only "not on the fast path": the token walk decides. One
+    None means only "not on the fast path": _classify decides. One
     pattern is tried per body: without the literal ``[find]`` the find shape
     cannot match, and with it a call shape could only name ``find``.
     """
@@ -245,36 +163,55 @@ def _match_body(body: str) -> tuple[Operator, tuple, str | None] | None:
     return op, tuple(args), target
 
 
-def _walk_tokens(raw: str, line_no: int) -> Statement | ParseError | None:
-    """parse_line by tokens: the reference behaviour and the error classifier."""
-    tokens = tokenize_line(raw, line_no)
-    annotation = None
-    if tokens and tokens[-1].kind == "comment":
-        annotation = parse_comment_value(tokens[-1].text)
-        tokens = tokens[:-1]
-    if not tokens:
-        return None
+def _classify(raw: str, line_no: int) -> Statement | ParseError:
+    """parse_line for a non-blank line off the fast path: the line's first
+    fault, in the order and the words of the token walk that the tests keep
+    as the reference (``reference_parse_line`` in ``tests/oracles.py``)."""
+    body, hash_mark, comment = _split_line(raw)
 
     def err(kind: str, message: str) -> ParseError:
         return ParseError(line_no, kind, message)
 
-    for tok in tokens:
-        if tok.kind == "error":
-            return err("malformed-line", f"unexpected character {tok.text!r}")
+    # (kind, text, value) per token. A [find] gives an op token, then "(",
+    # the description and ")" as far as the body has them.
+    tokens: list[tuple[str, str, object]] = []
+    pos, end = 0, len(body.rstrip())
+    while pos < end:
+        match = _TOKEN_RE.match(body, pos, end)
+        pos = match.end()
+        find, closed, unclosed, name, punct, number, ident, stray = match.groups()
+        if stray is not None:
+            return err("malformed-line", f"unexpected character {stray!r}")
+        if find is not None:
+            tokens.append(("op", find, Operator.FIND))
+            description = closed if closed is not None else unclosed
+            if description is not None:
+                tokens += [("punct", "(", None), ("description", description.strip(), None)]
+            if closed is not None:
+                tokens.append(("punct", ")", None))
+        elif name is not None:
+            tokens.append(("op", name, OPERATOR_BY_NAME.get(name)))
+        elif punct is not None:
+            tokens.append(("punct", punct, None))
+        elif number is not None:
+            tokens.append(("number", number, _literal_value(number)))
+        else:
+            tokens.append(("ident", ident, None))
+    kinds = [kind for kind, _, _ in tokens]
+    texts = [text for _, text, _ in tokens]
 
     target: str | None = None
     pos = 0
-    if tokens[0].kind == "ident":
-        if len(tokens) < 2 or tokens[1].text != "=":
+    if kinds[0] == "ident":
+        if len(tokens) < 2 or texts[1] != "=":
             return err("malformed-line", "expected '=' after the target variable")
-        target = tokens[0].text
+        target = texts[0]
         pos = 2
-    if pos >= len(tokens) or tokens[pos].kind != "op":
+    if pos >= len(tokens) or kinds[pos] != "op":
         return err("malformed-line", "expected a bracketed operator")
-    op_token = tokens[pos]
-    if op_token.value is None:
-        return err("unknown-operator", f"unknown operator [{op_token.text}]")
-    op: Operator = op_token.value
+    _, name, op = tokens[pos]
+    if op is None:
+        return err("unknown-operator", f"unknown operator [{name}]")
     pos += 1
 
     if op is Operator.RETURN and target is not None:
@@ -282,44 +219,44 @@ def _walk_tokens(raw: str, line_no: int) -> Statement | ParseError | None:
     if op is not Operator.RETURN and target is None:
         return err("malformed-line", f"[{op.value}] requires a target variable")
 
-    if pos >= len(tokens) or tokens[pos].text != "(":
+    if pos >= len(tokens) or texts[pos] != "(":
         return err("malformed-line", "expected '(' after the operator")
     pos += 1
 
     args: list = []
     if op is Operator.FIND:
-        if pos < len(tokens) and tokens[pos].kind == "description" and tokens[pos].text:
-            args.append(tokens[pos].text)
+        if pos < len(tokens) and kinds[pos] == "description" and texts[pos]:
+            args.append(texts[pos])
             pos += 1
         else:
             return err("malformed-line", "[find] requires a quantity description")
     else:
         expect_arg = True
-        while pos < len(tokens) and tokens[pos].text != ")":
-            tok = tokens[pos]
+        while pos < len(tokens) and texts[pos] != ")":
+            kind, text, value = tokens[pos]
             if expect_arg:
-                if tok.kind == "ident":
-                    args.append(VarRef(tok.text))
-                elif tok.kind == "number":
-                    if tok.value is None:
-                        return err("malformed-line", f"invalid numeric literal {tok.text!r}")
-                    args.append(tok.value)
+                if kind == "ident":
+                    args.append(VarRef(text))
+                elif kind == "number":
+                    if value is None:
+                        return err("malformed-line", f"invalid numeric literal {text!r}")
+                    args.append(value)
                 else:
-                    return err("malformed-line", f"unexpected token {tok.text!r} in argument list")
+                    return err("malformed-line", f"unexpected token {text!r} in argument list")
                 expect_arg = False
             else:
-                if tok.text != ",":
-                    return err("malformed-line", f"expected ',' before {tok.text!r}")
+                if text != ",":
+                    return err("malformed-line", f"expected ',' before {text!r}")
                 expect_arg = True
             pos += 1
         if expect_arg and args:
             return err("malformed-line", "dangling ',' in argument list")
 
-    if pos >= len(tokens) or tokens[pos].text != ")":
+    if pos >= len(tokens) or texts[pos] != ")":
         return err("malformed-line", "expected ')' to close the argument list")
     pos += 1
     if pos < len(tokens):
-        extra = " ".join(t.text for t in tokens[pos:])
+        extra = " ".join(texts[pos:])
         return err("trailing-garbage", f"unexpected text after ')': {extra!r}")
 
     arity = OPERATOR_ARITY[op]
@@ -331,6 +268,7 @@ def _walk_tokens(raw: str, line_no: int) -> Statement | ParseError | None:
     if op is Operator.RETURN and not isinstance(args[0], VarRef):
         return err("malformed-line", "[return] takes a variable reference")
 
+    annotation = parse_comment_value(comment) if hash_mark else None
     return Statement(op, tuple(args), target=target, annotation=annotation)
 
 

@@ -313,21 +313,3 @@ class ToyPolicy:
         with np.load(path) as data:
             return cls(data["weights"], data["value_weights"])
 
-
-def policy_logprob_and_grad(
-    policy: ToyPolicy, state_features: np.ndarray, action: int
-) -> tuple[float, np.ndarray]:
-    """Log-probability of ``action`` and its exact gradient in the weights.
-
-    For logits W @ phi the gradient of log softmax(W @ phi)[a] is
-    (onehot(a) - softmax(W @ phi)) outer phi.
-    """
-    phi = np.asarray(state_features, dtype=np.float64)
-    if phi.shape != (policy.n_features,):
-        raise ValueError(f"expected {policy.n_features} features, got shape {phi.shape}")
-    if not 0 <= action < policy.n_actions:
-        raise ValueError(f"action {action} out of range")
-    probs = policy.action_probs(phi)
-    onehot = np.zeros(policy.n_actions)
-    onehot[action] = 1.0
-    return float(np.log(probs[action])), np.outer(onehot - probs, phi)

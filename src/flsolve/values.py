@@ -9,8 +9,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-NumericValue = Fraction
-
 
 class Unknown:
     """Sentinel for a quantity declared without a value (a ``# ?`` comment)."""
@@ -29,8 +27,8 @@ class Unknown:
 UNKNOWN = Unknown()
 
 # The solver refuses a value whose numerator or denominator has more bits
-# (EvalError "value-overflow"). Then format_number stays under CPython's
-# 4300-digit int-to-str limit: its longest rendering, a terminating decimal
+# (EvalError "value-overflow"). Its values then render under CPython's
+# 4300-digit int-to-str limit: the longest rendering, a terminating decimal
 # p/2**k shown as p*5**k, has about 0.30*bits(p) + 0.70*k <= 4096 digits.
 MAX_VALUE_BITS = 4096
 
@@ -74,11 +72,29 @@ def is_terminating_decimal(value: Fraction) -> bool:
     return den == 1
 
 
+def _int_text(n: int) -> str:
+    """``str(n)``, also past CPython's int-to-str digit limit, where the
+    digits of the two halves of ``n`` split at a power of ten are joined."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_text(-n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10**k)
+    return _int_text(high) + _int_text(low).rjust(k, "0")
+
+
 def format_number(value: Fraction) -> str:
-    """Shortest exact rendering: a decimal when terminating, else ``p/q``."""
+    """Shortest exact rendering: a decimal when terminating, else ``p/q``.
+
+    Total on every Fraction: gold answers and rewards, unlike solver values,
+    are not bounded by MAX_VALUE_BITS.
+    """
     num, den = value.numerator, value.denominator
     if den == 1:
-        return str(num)
+        return _int_text(num)
     twos = fives = 0
     d = den
     while d % 2 == 0:
@@ -88,10 +104,10 @@ def format_number(value: Fraction) -> str:
         fives += 1
         d //= 5
     if d != 1:
-        return f"{num}/{den}"
+        return f"{_int_text(num)}/{_int_text(den)}"
     digits = max(twos, fives)
     scaled = abs(num) * 10**digits // den
-    text = str(scaled).rjust(digits + 1, "0")
+    text = _int_text(scaled).rjust(digits + 1, "0")
     whole, frac = text[:-digits], text[-digits:].rstrip("0")
     sign = "-" if num < 0 else ""
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"

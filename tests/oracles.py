@@ -12,7 +12,7 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,10 +31,19 @@ from flsolve import (
 )
 from flsolve import toy
 from flsolve.interpreter import EvalError
-from flsolve.program import CommentAnnotation
+from flsolve.parser import ParseError, _split_line, parse_comment_value
+from flsolve.program import (
+    OPERATOR_ARITY,
+    OPERATOR_BY_NAME,
+    CommentAnnotation,
+    Operator,
+    Statement,
+    VarRef,
+)
 from flsolve.runtime import _SessionFeed
-from flsolve.values import NUMBER_PATTERN
+from flsolve.values import NUMBER_PATTERN, parse_number
 from flsolve.ppo import (
+    PpoConfig,
     Trajectory,
     adaptive_kl_update,
     compute_gae,
@@ -149,24 +158,6 @@ def gae_direct(rewards, values, gamma: float, lam: float) -> list[float]:
     ]
 
 
-def central_fd_logprob_grad(
-    policy: ToyPolicy, phi: np.ndarray, action: int, h: float = 1e-6
-) -> np.ndarray:
-    """Central finite differences of log pi(action | phi) in the weights."""
-    grad = np.zeros_like(policy.weights)
-    for i in range(policy.weights.shape[0]):
-        for j in range(policy.weights.shape[1]):
-            up = policy.weights.copy()
-            up[i, j] += h
-            down = policy.weights.copy()
-            down[i, j] -= h
-            grad[i, j] = (
-                ToyPolicy(up, policy.value_weights).logprob(phi, action)
-                - ToyPolicy(down, policy.value_weights).logprob(phi, action)
-            ) / (2 * h)
-    return grad
-
-
 def central_fd(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of the scalar ``f`` at the array ``x``."""
     grad = np.zeros_like(x)
@@ -177,6 +168,56 @@ def central_fd(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         down[index] -= h
         grad[index] = (f(up) - f(down)) / (2 * h)
     return grad
+
+
+def random_ppo_case(rng: np.random.Generator, anchor: str) -> tuple:
+    """Random ``ppo_gradients`` arguments: a batch, its advantages and
+    returns, a linear-softmax policy, the reference's action distributions
+    and a config. Perturbations are sized so that a third of the ratios and
+    half of the value predictions fall outside their clip bands."""
+    n, n_actions, n_features = int(rng.integers(1, 12)), 5, 6
+    policy = ToyPolicy(rng.normal(size=(n_actions, n_features)), rng.normal(size=n_features))
+    phi = rng.normal(size=(n, n_features))
+    tokens = rng.integers(n_actions, size=n)
+    rows = np.arange(n)
+
+    def logprobs_under(weights):
+        return np.log(softmax(phi @ weights.T)[rows, tokens])
+
+    old = policy.weights + rng.normal(scale=0.1, size=policy.weights.shape)
+    ref = policy.weights + rng.normal(scale=0.1, size=policy.weights.shape)
+    old_values = phi @ policy.value_weights + rng.normal(scale=0.3, size=n)
+    batch = Trajectory(
+        tokens=tokens,
+        state_features=phi,
+        logprobs_policy=logprobs_under(old),
+        logprobs_ref=logprobs_under(ref),
+        rewards=rng.normal(size=n),
+        values=np.append(old_values, 0.0),
+    )
+    cfg = PpoConfig(beta=float(rng.uniform(0.05, 1.0)), ratio_anchor=anchor)
+    advantages = rng.normal(size=n)
+    returns = old_values + rng.normal(scale=0.5, size=n)
+    return batch, advantages, returns, policy, softmax(phi @ ref.T), cfg
+
+
+def central_fd_ppo_gradients(batch, advantages, returns, policy, ref_probs, cfg) -> tuple:
+    """``ppo_gradients`` by central differences of the losses it
+    differentiates: ``-policy_loss`` in the policy weights, ``value_loss``
+    in the value weights."""
+    phi, rows = batch.state_features, np.arange(batch.steps)
+
+    def objective(weights):
+        probs = softmax(phi @ weights.T)
+        new_logprobs = np.log(probs[rows, batch.tokens])
+        return -ppo_objective(
+            batch, advantages, new_logprobs, cfg, ref_dists=ref_probs, new_dists=probs
+        ).policy_loss
+
+    def vloss(value_weights):
+        return value_loss(batch, returns, phi @ value_weights, cfg)
+
+    return central_fd(objective, policy.weights), central_fd(vloss, policy.value_weights)
 
 
 _NUMBER_RE = re.compile(rf"^{NUMBER_PATTERN}$")
@@ -211,6 +252,196 @@ def reference_parse_comment_value(comment: str) -> CommentAnnotation:
         if value is not None:
             return CommentAnnotation(text, value, False)
     return CommentAnnotation(text, None, False)
+
+
+# The parser's former tokenizer and token walk. parse_line must equal
+# reference_parse_line on every line: kind, line number, message and
+# annotation.
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # ident | op | number | punct | description | comment | error
+    text: str
+    line: int = 1
+    value: object = None
+
+
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# A leading minus is part of the literal only in argument position; nothing
+# else in statement bodies uses '-'.
+_NUMBER_BODY = r"-?(?:\d+\.\d+|\d+(?:/\d+)?)"
+_BRACKET_OP_RE = re.compile(rf"\[({_IDENT})\]")
+_IDENT_RE = re.compile(_IDENT)
+_NUMBER_BODY_RE = re.compile(_NUMBER_BODY)
+
+
+def tokenize(source: str) -> list[Token]:
+    """Tokenize every line of ``source``; empty input yields no tokens."""
+    tokens: list[Token] = []
+    for line_no, raw in enumerate(source.splitlines(), start=1):
+        tokens.extend(tokenize_line(raw, line_no))
+    return tokens
+
+
+def tokenize_line(raw: str, line_no: int = 1) -> list[Token]:
+    body, hash_mark, comment = _split_line(raw)
+    tokens = _scan_body(body, line_no)
+    if hash_mark:
+        tokens.append(Token("comment", comment.strip(), line_no))
+    return tokens
+
+
+def _scan_body(body: str, line_no: int) -> list[Token]:
+    tokens: list[Token] = []
+    i = 0
+    n = len(body)
+    while i < n:
+        ch = body[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "[":
+            match = _BRACKET_OP_RE.match(body, i)
+            if match is None:
+                tokens.append(Token("error", ch, line_no))
+                i += 1
+                continue
+            name = match.group(1)
+            op = OPERATOR_BY_NAME.get(name)
+            tokens.append(Token("op", name, line_no, op))
+            i = match.end()
+            if op is Operator.FIND:
+                i = _capture_description(body, i, line_no, tokens)
+            continue
+        if ch in "(),=":
+            tokens.append(Token("punct", ch, line_no))
+            i += 1
+            continue
+        match = _NUMBER_BODY_RE.match(body, i)
+        if match is not None:
+            text = match.group()
+            tokens.append(Token("number", text, line_no, parse_number(text)))
+            i = match.end()
+            continue
+        match = _IDENT_RE.match(body, i)
+        if match is not None:
+            tokens.append(Token("ident", match.group(), line_no))
+            i = match.end()
+            continue
+        tokens.append(Token("error", ch, line_no))
+        i += 1
+    return tokens
+
+
+def _capture_description(body: str, i: int, line_no: int, tokens: list[Token]) -> int:
+    """Capture a [find] argument as one free-text token.
+
+    Descriptions may contain spaces and inner parentheses, so the argument
+    runs from the opening parenthesis to the last ')' on the line body.
+    """
+    n = len(body)
+    while i < n and body[i].isspace():
+        i += 1
+    if i >= n or body[i] != "(":
+        return i
+    tokens.append(Token("punct", "(", line_no))
+    close = body.rfind(")")
+    if close <= i:
+        tokens.append(Token("description", body[i + 1 :].strip(), line_no))
+        return n
+    tokens.append(Token("description", body[i + 1 : close].strip(), line_no))
+    tokens.append(Token("punct", ")", line_no))
+    return close + 1
+
+
+def reference_parse_line(raw: str, line_no: int = 1) -> Statement | ParseError | None:
+    """parse_line by tokens: the token walk that classified every line
+    before the scanning regex, kept unedited as the reference."""
+    tokens = tokenize_line(raw, line_no)
+    annotation = None
+    if tokens and tokens[-1].kind == "comment":
+        annotation = parse_comment_value(tokens[-1].text)
+        tokens = tokens[:-1]
+    if not tokens:
+        return None
+
+    def err(kind: str, message: str) -> ParseError:
+        return ParseError(line_no, kind, message)
+
+    for tok in tokens:
+        if tok.kind == "error":
+            return err("malformed-line", f"unexpected character {tok.text!r}")
+
+    target: str | None = None
+    pos = 0
+    if tokens[0].kind == "ident":
+        if len(tokens) < 2 or tokens[1].text != "=":
+            return err("malformed-line", "expected '=' after the target variable")
+        target = tokens[0].text
+        pos = 2
+    if pos >= len(tokens) or tokens[pos].kind != "op":
+        return err("malformed-line", "expected a bracketed operator")
+    op_token = tokens[pos]
+    if op_token.value is None:
+        return err("unknown-operator", f"unknown operator [{op_token.text}]")
+    op: Operator = op_token.value
+    pos += 1
+
+    if op is Operator.RETURN and target is not None:
+        return err("malformed-line", "[return] does not take a target variable")
+    if op is not Operator.RETURN and target is None:
+        return err("malformed-line", f"[{op.value}] requires a target variable")
+
+    if pos >= len(tokens) or tokens[pos].text != "(":
+        return err("malformed-line", "expected '(' after the operator")
+    pos += 1
+
+    args: list = []
+    if op is Operator.FIND:
+        if pos < len(tokens) and tokens[pos].kind == "description" and tokens[pos].text:
+            args.append(tokens[pos].text)
+            pos += 1
+        else:
+            return err("malformed-line", "[find] requires a quantity description")
+    else:
+        expect_arg = True
+        while pos < len(tokens) and tokens[pos].text != ")":
+            tok = tokens[pos]
+            if expect_arg:
+                if tok.kind == "ident":
+                    args.append(VarRef(tok.text))
+                elif tok.kind == "number":
+                    if tok.value is None:
+                        return err("malformed-line", f"invalid numeric literal {tok.text!r}")
+                    args.append(tok.value)
+                else:
+                    return err("malformed-line", f"unexpected token {tok.text!r} in argument list")
+                expect_arg = False
+            else:
+                if tok.text != ",":
+                    return err("malformed-line", f"expected ',' before {tok.text!r}")
+                expect_arg = True
+            pos += 1
+        if expect_arg and args:
+            return err("malformed-line", "dangling ',' in argument list")
+
+    if pos >= len(tokens) or tokens[pos].text != ")":
+        return err("malformed-line", "expected ')' to close the argument list")
+    pos += 1
+    if pos < len(tokens):
+        extra = " ".join(t.text for t in tokens[pos:])
+        return err("trailing-garbage", f"unexpected text after ')': {extra!r}")
+
+    arity = OPERATOR_ARITY[op]
+    if len(args) != arity:
+        return err(
+            "bad-arity",
+            f"[{op.value}] takes {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
+        )
+    if op is Operator.RETURN and not isinstance(args[0], VarRef):
+        return err("malformed-line", "[return] takes a variable reference")
+
+    return Statement(op, tuple(args), target=target, annotation=annotation)
 
 
 class ReferenceSessionFeed(_SessionFeed):

@@ -34,7 +34,6 @@ from flsolve import (
     operator_stats,
     ordered_stats,
     parse_program,
-    policy_logprob_and_grad,
     run_session,
     strip_computed_comments,
     total_reward,
@@ -42,7 +41,7 @@ from flsolve import (
     validate_dataset,
 )
 from flsolve.parser import PARSE_ERROR_KINDS, parse_line
-from flsolve.ppo import Trajectory
+from flsolve.ppo import Trajectory, ppo_gradients
 from flsolve.program import Statement
 from flsolve.toy import ACTION_NAMES, N_FEATURES, demo_config
 
@@ -208,16 +207,15 @@ def test_criterion_4_gae_against_direct_summation():
 
 
 def test_criterion_5_gradients_and_probabilities(demo_run):
+    # The training step's exact gradients, policy and value, against central
+    # differences of the clipped, KL-penalized losses, under both anchors.
     rng = np.random.default_rng(1999)
     worst_rel = 0.0
-    for _ in range(100):
-        policy = ToyPolicy(rng.normal(size=(5, 8)), np.zeros(8))
-        phi = rng.normal(size=8)
-        action = int(rng.integers(5))
-        _, grad = policy_logprob_and_grad(policy, phi, action)
-        fd = oracles.central_fd_logprob_grad(policy, phi, action)
-        scale = max(1.0, float(np.abs(fd).max()))
-        worst_rel = max(worst_rel, float(np.abs(grad - fd).max()) / scale)
+    for anchor in ("old", "ref") * 50:
+        case = oracles.random_ppo_case(rng, anchor)
+        for step, fd in zip(ppo_gradients(*case), oracles.central_fd_ppo_gradients(*case)):
+            scale = max(1.0, float(np.abs(fd).max()))
+            worst_rel = max(worst_rel, float(np.abs(step - fd).max()) / scale)
 
     history, _, _ = demo_run
     prob_sum_err = max(s.prob_sum_err for s in history)

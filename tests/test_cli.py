@@ -162,6 +162,26 @@ class TestScoreCommand:
         assert code == 0
         assert json_lines(out)[0]["id"] == record.id
 
+    def test_values_past_the_digit_limit_render(self, tmp_path, capsys):
+        # r4 compares the answer 1/3**2500 with a 4201-digit gold answer; its
+        # exact value has more than 4300 digits.
+        gold = tmp_path / "big.jsonl"
+        record = {
+            "id": "big",
+            "question": "q",
+            "program": "var1 = [find](a) # 1\n[return](var1)",
+            "answer": "1" + "0" * 4200,
+        }
+        gold.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        gen = tmp_path / "gen.txt"
+        gen.write_text(f"var1 = [find](a) # 1/{3**2500}\n[return](var1)\n", encoding="utf-8")
+        code, out, _ = run_cli(["score", "--gen", str(gen), "--gold", str(gold)], capsys)
+        assert code == 0
+        payload = json_lines(out)[0]
+        assert payload["id"] == "big"
+        assert payload["diagnostics"]["y_gen"] == f"1/{3**2500}"
+        assert "/" in payload["r4"] and len(payload["r4"]) > 4300
+
     def test_ambiguous_dataset_requires_id(self, tmp_path, capsys, fixture_path):
         gen = tmp_path / "gen.txt"
         gen.write_text(GOOD_PROGRAM, encoding="utf-8")

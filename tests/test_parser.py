@@ -1,4 +1,4 @@
-"""Parser behavior: tokens, line classification, and whole-program checks."""
+"""Parser behavior: line classification and whole-program checks."""
 
 import pickle
 import random
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from flsolve import (
     PARSE_ERROR_KINDS,
+    CommentAnnotation,
     Operator,
     ParseError,
     Program,
@@ -24,7 +25,7 @@ from flsolve import (
     render_program,
     reward_r1,
 )
-from flsolve.parser import _walk_tokens, parse_comment_value, tokenize, tokenize_line
+from flsolve.parser import parse_comment_value
 from flsolve.values import NUMBER_PATTERN, parse_number
 
 import oracles
@@ -48,56 +49,47 @@ def shape(stmt: Statement) -> tuple:
 
 
 class TestTokenize:
+    """The former tokenizer's cases, restated on parse_line and parse_program."""
+
     def test_arithmetic_line_token_kinds(self):
-        tokens = tokenize_line("var4 = [subtract](var1, var3) # 7 - 10 = -3")
-        kinds = [t.kind for t in tokens]
-        assert kinds == [
-            "ident",
-            "punct",
-            "op",
-            "punct",
-            "ident",
-            "punct",
-            "ident",
-            "punct",
-            "comment",
-        ]
-        assert tokens[2].value is Operator.SUBTRACT
-        assert tokens[-1].text == "7 - 10 = -3"
+        assert parse_line("var4 = [subtract](var1, var3) # 7 - 10 = -3") == Statement(
+            Operator.SUBTRACT,
+            (VarRef("var1"), VarRef("var3")),
+            target="var4",
+            annotation=CommentAnnotation("7 - 10 = -3", Fraction(-3)),
+        )
 
     def test_find_description_is_one_token(self):
-        tokens = tokenize_line("var1 = [find](cost (in dollars) of one pen) # 5")
-        descriptions = [t for t in tokens if t.kind == "description"]
-        assert len(descriptions) == 1
-        assert descriptions[0].text == "cost (in dollars) of one pen"
+        stmt = parse_line("var1 = [find](cost (in dollars) of one pen) # 5")
+        assert stmt.args == ("cost (in dollars) of one pen",)
 
     def test_numeric_literals_carry_values(self):
-        tokens = tokenize_line("var2 = [add](var1, 7/2)")
-        numbers = [t for t in tokens if t.kind == "number"]
-        assert [t.value for t in numbers] == [Fraction(7, 2)]
+        stmt = parse_line("var2 = [add](var1, 7/2)")
+        assert stmt.args == (VarRef("var1"), Fraction(7, 2))
 
     def test_negative_literal(self):
-        tokens = tokenize_line("var2 = [multiply](var1, -3)")
-        numbers = [t for t in tokens if t.kind == "number"]
-        assert [t.value for t in numbers] == [Fraction(-3)]
+        stmt = parse_line("var2 = [multiply](var1, -3)")
+        assert stmt.args == (VarRef("var1"), Fraction(-3))
 
     def test_trailing_comma_is_dropped(self):
-        with_comma = tokenize_line("var4 = [subtract](var1, var3),")
-        without = tokenize_line("var4 = [subtract](var1, var3)")
-        assert [(t.kind, t.text) for t in with_comma] == [
-            (t.kind, t.text) for t in without
-        ]
+        with_comma = parse_line("var4 = [subtract](var1, var3),")
+        assert with_comma == parse_line("var4 = [subtract](var1, var3)")
+        assert isinstance(with_comma, Statement)
 
     def test_multiline_source_line_numbers(self):
-        tokens = tokenize("var1 = [find](a) # 1\n\n[return](var1) # 1")
-        assert {t.line for t in tokens} == {1, 3}
+        errors = parse_program("var1 = [find]() # 1\n\n[return](var1) junk")
+        assert [(e.line_number, e.kind) for e in errors] == [
+            (1, "malformed-line"),
+            (3, "trailing-garbage"),
+        ]
 
     def test_empty_source(self):
-        assert tokenize("") == []
+        assert parse_program("") == Program(())
 
     def test_stray_character_becomes_error_token(self):
-        tokens = tokenize_line("var1 = [add](var2; var3)")
-        assert any(t.kind == "error" and t.text == ";" for t in tokens)
+        assert parse_line("var1 = [add](var2; var3)", 4) == ParseError(
+            4, "malformed-line", "unexpected character ';'"
+        )
 
 
 class TestParseCommentValue:
@@ -435,8 +427,8 @@ def test_parse_program_never_raises(text):
         assert all(e.kind in PARSE_ERROR_KINDS for e in result)
 
 
-# parse_line against the token walk it replaces on well-formed lines: equal
-# results (kind, line number and message included) on every input.
+# parse_line against the former token walk, oracles.reference_parse_line:
+# equal results (kind, line number, message and annotation) on every input.
 
 # Characters at the edges of the fast path's patterns: comment and argument
 # punctuation, \r, \x0b and \x1c (whitespace to str.isspace and to regex \s),
@@ -479,16 +471,16 @@ class TestFastPathMatchesTokenWalk:
     @settings(max_examples=500, deadline=None)
     @given(st.text(max_size=80), st.integers(1, 64))
     def test_arbitrary_text(self, raw, line_no):
-        assert parse_line(raw, line_no) == _walk_tokens(raw, line_no)
+        assert parse_line(raw, line_no) == oracles.reference_parse_line(raw, line_no)
 
     @settings(max_examples=600, deadline=None)
     @given(edited_lines(), st.integers(1, 64))
     def test_edited_statement_lines(self, raw, line_no):
-        assert parse_line(raw, line_no) == _walk_tokens(raw, line_no)
+        assert parse_line(raw, line_no) == oracles.reference_parse_line(raw, line_no)
 
     @pytest.mark.parametrize("raw", LINE_PIECES)
     def test_statement_lines(self, raw):
-        assert parse_line(raw, 3) == _walk_tokens(raw, 3)
+        assert parse_line(raw, 3) == oracles.reference_parse_line(raw, 3)
 
     def test_gold_and_random_programs(self):
         rng = random.Random(3)
@@ -497,8 +489,31 @@ class TestFastPathMatchesTokenWalk:
         for source in sources:
             for line_no, raw in enumerate(source.splitlines(), start=1):
                 result = parse_line(raw, line_no)
-                assert result == _walk_tokens(raw, line_no)
+                assert result == oracles.reference_parse_line(raw, line_no)
                 assert result is None or isinstance(result, Statement)
+
+    def test_deterministic_lines(self):
+        # Long and unclosed lines, which the text strategies above rarely draw:
+        # criterion 8's random bytes, then statement lines edited with an
+        # unclosed [find], a 5000-digit literal and a 4400-digit denominator.
+        rng = random.Random(0xF422)
+        lines: list[str] = []
+        while len(lines) < 20_000:
+            blob = rng.randbytes(rng.randint(0, 64))
+            lines += blob.decode("utf-8", errors="replace").splitlines()
+        pieces = EDIT_PIECES + ("[find](", "7" * 5000, "1/" + "3" * 4400)
+        rng = random.Random(0xED17)
+        for _ in range(20_000):
+            line = rng.choice(LINE_PIECES)
+            for _ in range(rng.randint(1, 4)):
+                at = rng.randint(0, len(line))
+                if rng.random() < 0.5:
+                    line = line[:at] + rng.choice(pieces) + line[at:]
+                else:
+                    line = line[:at] + line[at + 1 :]
+            lines.append(line)
+        for line_no, raw in enumerate(lines, start=1):
+            assert parse_line(raw, line_no) == oracles.reference_parse_line(raw, line_no)
 
     def test_regex_whitespace_is_str_isspace(self):
         # The walk skips str.isspace characters; the patterns skip \s.

@@ -12,7 +12,6 @@ from flsolve import (
     adaptive_kl_update,
     compute_gae,
     kl_divergence,
-    policy_logprob_and_grad,
     ppo_objective,
     softmax,
     value_loss,
@@ -362,91 +361,13 @@ class TestToyPolicy:
             ToyPolicy(np.zeros((3, 4)), np.zeros(3))
 
 
-class TestPolicyGradient:
-    def test_matches_central_differences(self):
-        rng = np.random.default_rng(31)
-        worst = 0.0
-        for _ in range(100):
-            policy = ToyPolicy(rng.normal(size=(5, 8)), np.zeros(8))
-            phi = rng.normal(size=8)
-            action = int(rng.integers(5))
-            logprob, grad = policy_logprob_and_grad(policy, phi, action)
-            assert logprob == pytest.approx(policy.logprob(phi, action))
-            fd = oracles.central_fd_logprob_grad(policy, phi, action)
-            scale = max(1.0, float(np.abs(fd).max()))
-            worst = max(worst, float(np.abs(grad - fd).max()) / scale)
-        assert worst <= 1e-5
-
-    def test_gradient_columns_sum_to_zero(self):
-        rng = np.random.default_rng(8)
-        policy = ToyPolicy(rng.normal(size=(6, 5)), np.zeros(5))
-        phi = rng.normal(size=5)
-        _, grad = policy_logprob_and_grad(policy, phi, 2)
-        assert grad.sum(axis=0) == pytest.approx(np.zeros(5), abs=1e-12)
-
-    def test_input_validation(self):
-        policy = ToyPolicy.zeros(3, 4)
-        with pytest.raises(ValueError):
-            policy_logprob_and_grad(policy, np.zeros(5), 0)
-        with pytest.raises(ValueError):
-            policy_logprob_and_grad(policy, np.zeros(4), 3)
-
-
 class TestPpoGradients:
     """``ppo_gradients`` is the step training applies; the losses are the spec."""
-
-    @staticmethod
-    def random_case(rng, anchor):
-        n, n_actions, n_features = int(rng.integers(1, 12)), 5, 6
-        policy = ToyPolicy(rng.normal(size=(n_actions, n_features)), rng.normal(size=n_features))
-        phi = rng.normal(size=(n, n_features))
-        tokens = rng.integers(n_actions, size=n)
-        rows = np.arange(n)
-
-        def logprobs_under(weights):
-            return np.log(softmax(phi @ weights.T)[rows, tokens])
-
-        # Perturbations sized so that a third of the ratios and half of the
-        # value predictions fall outside their clip bands.
-        old = policy.weights + rng.normal(scale=0.1, size=policy.weights.shape)
-        ref = policy.weights + rng.normal(scale=0.1, size=policy.weights.shape)
-        old_values = phi @ policy.value_weights + rng.normal(scale=0.3, size=n)
-        batch = Trajectory(
-            tokens=tokens,
-            state_features=phi,
-            logprobs_policy=logprobs_under(old),
-            logprobs_ref=logprobs_under(ref),
-            rewards=rng.normal(size=n),
-            values=np.append(old_values, 0.0),
-        )
-        cfg = PpoConfig(beta=float(rng.uniform(0.05, 1.0)), ratio_anchor=anchor)
-        advantages = rng.normal(size=n)
-        returns = old_values + rng.normal(scale=0.5, size=n)
-        return policy, batch, advantages, returns, softmax(phi @ ref.T), cfg
 
     @pytest.mark.parametrize("anchor", ["old", "ref"])
     def test_matches_central_differences_of_the_losses(self, anchor):
         rng = np.random.default_rng(2024 if anchor == "old" else 2025)
         for _ in range(100):
-            policy, batch, advantages, returns, ref_probs, cfg = self.random_case(rng, anchor)
-            phi, rows = batch.state_features, np.arange(batch.steps)
-
-            def objective(weights):
-                probs = softmax(phi @ weights.T)
-                new_logprobs = np.log(probs[rows, batch.tokens])
-                loss = ppo_objective(
-                    batch, advantages, new_logprobs, cfg, ref_dists=ref_probs, new_dists=probs
-                ).policy_loss
-                return -loss
-
-            def vloss(value_weights):
-                return value_loss(batch, returns, phi @ value_weights, cfg)
-
-            weights_step, value_step = ppo_gradients(
-                batch, advantages, returns, policy, ref_probs, cfg
-            )
-            for step, fd in (
-                (weights_step, oracles.central_fd(objective, policy.weights)),
-                (value_step, oracles.central_fd(vloss, policy.value_weights)),
-            ):
+            case = oracles.random_ppo_case(rng, anchor)
+            for step, fd in zip(ppo_gradients(*case), oracles.central_fd_ppo_gradients(*case)):
                 np.testing.assert_allclose(step, fd, rtol=0, atol=1e-6 * np.abs(fd).max())

@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flsolve import (
@@ -10,8 +11,11 @@ from flsolve import (
     Unknown,
     format_number,
     is_terminating_decimal,
+    parse_line,
     parse_number,
+    render_statement,
 )
+from flsolve.values import _int_text
 
 
 class TestParseNumber:
@@ -97,6 +101,41 @@ class TestFormatNumber:
         text = format_number(value)
         assert len(text) < 4300
         assert parse_number(text) == value
+
+
+    def test_renders_a_parsed_literal_past_the_digit_limit(self):
+        # 2**14000 has 4215 digits, so the literal parses; its decimal
+        # rendering 0.<5**14000 padded to 14000 digits> is past the limit.
+        stmt = parse_line(f"var2 = [add](var1, 1/{2**14000})")
+        assert stmt.args[1] == Fraction(1, 2**14000)
+        text = render_statement(stmt)
+        assert text.startswith("var2 = [add](var1, 0.0000")
+        assert text.endswith("5)")
+        assert len(text) == len("var2 = [add](var1, 0.)") + 14000
+
+
+class TestIntText:
+    """format_number's integer digits equal str() on both sides of
+    CPython's int-to-str digit limit."""
+
+    @given(st.integers(-(10**4300) + 1, 10**4300 - 1))
+    @example(10**4300 - 1)
+    def test_under_the_limit(self, n):
+        assert _int_text(n) == str(n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(10**4300, 10**14000), st.booleans())
+    @example(10**4300, False)
+    @example(10**9000 + 7, True)
+    def test_past_the_limit(self, n, negative):
+        n = -n if negative else n
+        text = _int_text(n)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert text == str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_unknown_is_a_singleton():
