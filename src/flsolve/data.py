@@ -22,7 +22,7 @@ from .program import (
     Program,
     operation_counts,
 )
-from .values import format_number, parse_number
+from .values import _parse_literal, _text_int, format_number
 
 # Column order for frequency tables.
 STATS_ORDER = (
@@ -95,7 +95,9 @@ def _record_from_json(obj: object, where: str) -> ProblemRecord:
     for key in ("id", "question", "program"):
         if not isinstance(obj[key], str):
             raise DatasetError(f"{where}: field '{key}' must be a string")
-    answer = parse_number(str(obj["answer"]))
+    # Any literal reads back, also one past CPython's digit limit, as
+    # write_dataset renders it.
+    answer = _parse_literal(str(obj["answer"]), _text_int)
     if answer is None:
         raise DatasetError(f"{where}: field 'answer' is not a number: {obj['answer']!r}")
     return ProblemRecord(obj["id"], obj["question"], obj["program"], answer)

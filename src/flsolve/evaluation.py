@@ -6,6 +6,7 @@ evaluation parallelizes across processes when asked.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -94,7 +95,9 @@ class EvalReport:
     """Aggregates over one corpus run; rates are percentages.
 
     ``error_rate_by_steps`` buckets problems by the reference program's
-    statement count and reports (wrong answers, problems) per bucket.
+    statement count and reports (wrong answers, problems) per bucket. The
+    JSON's ``error_kinds`` counts problems by session error kind; it is
+    counted when the JSON is built, so ``evaluate_corpus`` does no extra work.
     """
 
     total: int
@@ -113,12 +116,14 @@ class EvalReport:
                 "total": total,
                 "rate": 100.0 * errors / total,
             }
+        kinds = Counter(p.error_kind for p in self.per_problem if p.error_kind is not None)
         return {
             "total": self.total,
             "correct": self.correct,
             "accuracy": self.accuracy,
             "syntax_error_rate": self.syntax_error_rate,
             "error_rate_by_steps": by_steps,
+            "error_kinds": dict(sorted(kinds.items())),
             "per_problem": [p.to_json() for p in self.per_problem],
         }
 

@@ -9,6 +9,7 @@ signal a language model would.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -308,24 +309,33 @@ class _StepRow:
                  "ref_logprobs")
 
     def __init__(self, phi: np.ndarray, probs: np.ndarray, value: float, ref_logprobs=None):
-        total = float(probs.sum())
-        self.phi = phi
-        self.probs = probs
-        self.value = value
-        self.prob_sum_err = abs(total - 1.0)
-        self.argmax = int(np.argmax(probs))
-        if np.isnan(total):
-            self.p_error = "Probabilities contain NaN"
-        elif (probs < 0).any():
-            self.p_error = "Probabilities are not non-negative"
-        elif abs(total - 1.0) > _P_SUM_ATOL:
-            self.p_error = "Probabilities do not sum to 1"
-        else:
-            self.p_error = None
-        self.cdf = probs.cumsum()
-        self.cdf /= self.cdf[-1]
-        self.logprobs: dict[int, tuple[float, float]] = {}
-        self.ref_logprobs = {} if ref_logprobs is None else ref_logprobs
+        self.batch([phi], probs[None], [value], [ref_logprobs], rows=[self])
+
+    @classmethod
+    def batch(cls, phis, probs: np.ndarray, values, ref_logprobs, rows=None) -> list[_StepRow]:
+        """One row per row of ``probs``, an (n, actions) block, in ``rows``
+        if given. Each row's sum, minimum, argmax, cumsum and division are
+        those of the row on its own, bit for bit; only the calls are shared."""
+        rows = [cls.__new__(cls) for _ in phis] if rows is None else rows
+        cdfs = probs.cumsum(axis=1)
+        cdfs = cdfs / cdfs[:, -1:]
+        for row, phi, p, value, total, least, argmax, cdf, ref in zip(
+            rows, phis, probs, values, probs.sum(axis=1).tolist(), probs.min(axis=1).tolist(),
+            probs.argmax(axis=1).tolist(), cdfs, ref_logprobs,
+        ):
+            row.phi, row.probs, row.value, row.argmax, row.cdf = phi, p, value, argmax, cdf
+            row.prob_sum_err = abs(total - 1.0)
+            if math.isnan(total):
+                row.p_error = "Probabilities contain NaN"
+            elif least < 0:
+                row.p_error = "Probabilities are not non-negative"
+            elif row.prob_sum_err > _P_SUM_ATOL:
+                row.p_error = "Probabilities do not sum to 1"
+            else:
+                row.p_error = None
+            row.logprobs = {}
+            row.ref_logprobs = {} if ref is None else ref
+        return rows
 
     def draw(self, rng: np.random.Generator) -> int:
         if self.p_error is not None:
@@ -337,31 +347,48 @@ class _StepTable:
     """Rows of policy output by state, for weights that do not change.
 
     A state's features depend only on (cue index, ``min(lines, 5)``, finds,
-    ops), so every episode that reaches a state reads the same row. Rows and
-    their per-action log-probs are filled on first use. The table keeps no
-    copy of the weights: build a new one after an update.
+    ops), so every episode that reaches a state reads the same row. The
+    states in ``fill`` are built in one batch up front, any other state
+    alone on its first read; ``_rows`` holds the rows read so far, in the
+    order first read. Per-action log-probs are filled on first use. The
+    table keeps no copy of the weights: build a new one after an update.
 
     ``ref_logprobs`` maps a state to its reference log-probs by action.
     Tables on the same unchanged ``ref`` may share it, so that each is
     computed once for all of them.
     """
 
-    def __init__(self, policy: ToyPolicy, ref: ToyPolicy, ref_logprobs: dict | None = None):
+    def __init__(
+        self, policy: ToyPolicy, ref: ToyPolicy, ref_logprobs: dict | None = None,
+        fill: Sequence[tuple] = (),
+    ):
         self.policy = policy
         self.ref = ref
         self.ref_logprobs = {} if ref_logprobs is None else ref_logprobs
         self._rows: dict[tuple, _StepRow] = {}
+        self._filled = dict(zip(fill, self._build(fill))) if fill else {}
 
     def row(self, cue: int | None, lines: int, finds: int, ops: int) -> _StepRow:
         key = (cue, min(lines, 5), finds, ops)
         row = self._rows.get(key)
         if row is None:
-            phi = _features(cue, lines, finds, ops)
-            row = self._rows[key] = _StepRow(
-                phi, self.policy.action_probs(phi), self.policy.value(phi),
-                self.ref_logprobs.setdefault(key, {}),
-            )
+            row = self._filled.pop(key, None)
+            if row is None:
+                (row,) = self._build([key])
+            self._rows[key] = row
         return row
+
+    def _build(self, keys: Sequence[tuple]) -> list[_StepRow]:
+        """Rows for ``keys``, with one ``W @ phi`` and ``V @ phi`` per row as in
+        ``ToyPolicy``: one matrix product for all would change some bits."""
+        phis = [_features(*key) for key in keys]
+        W, V = self.policy.weights, self.policy.value_weights
+        return _StepRow.batch(
+            phis,
+            softmax(np.array([W @ phi for phi in phis])),
+            [float(V @ phi) for phi in phis],
+            [self.ref_logprobs.setdefault(key, {}) for key in keys],
+        )
 
     def logprobs(self, row: _StepRow, action: int) -> tuple[float, float]:
         """log pi(action) and log pi_ref(action) at ``row``'s state."""
@@ -663,6 +690,7 @@ def train_ppo_demo(
     cues = [_cue_index(tasks[i].question) for i in range(len(tasks))]
     ref_logprobs: dict = {}
     memo: dict = {}
+    table = None
     for iteration in range(iterations):
         if batch_size is None:
             batch = list(tasks)
@@ -670,7 +698,8 @@ def train_ppo_demo(
         else:
             positions = rng.permutation(len(tasks))[:batch_size].tolist()
             batch = [tasks[i] for i in positions]
-        table = _StepTable(policy, ref, ref_logprobs)
+        # The states the last iteration read are filled in one batch.
+        table = _StepTable(policy, ref, ref_logprobs, [] if table is None else list(table._rows))
         episodes = [
             _play(memo, table, position, cues[position], rec, reward_cfg, rng)
             for position, rec in zip(positions, batch)

@@ -39,26 +39,31 @@ _NUMBER_RE = re.compile(rf"^{NUMBER_PATTERN}$")
 
 def parse_number(text: str) -> Fraction | None:
     """Parse an integer, decimal, or ``p/q`` literal; None if it is not one."""
+    return _parse_literal(text, int)
+
+
+def _parse_literal(text: str, to_int) -> Fraction | None:
     text = text.strip()
     if not _NUMBER_RE.match(text):
         return None
-    return _literal_value(text)
+    return _literal_value(text, to_int)
 
 
-def _literal_value(text: str) -> Fraction | None:
+def _literal_value(text: str, to_int=int) -> Fraction | None:
     """``Fraction(text)`` for text matching NUMBER_PATTERN whole, without its
-    string parsing. Each part goes through int() on its own, as there, so a
-    zero denominator or a part past CPython's digit limit gives None."""
+    string parsing. Each part goes through ``to_int`` on its own, so with
+    int(), as there, a zero denominator or a part past CPython's digit limit
+    gives None."""
     try:
         if "/" in text:
             num, _, den = text.partition("/")
-            return Fraction(int(num), int(den))
+            return Fraction(to_int(num), to_int(den))
         if "." in text:
             whole, _, decimal = text.partition(".")
             scale = 10 ** len(decimal)
-            value = int(whole.lstrip("+-") or "0") * scale + int(decimal)
+            value = to_int(whole.lstrip("+-") or "0") * scale + to_int(decimal)
             return Fraction(-value if whole.startswith("-") else value, scale)
-        return Fraction(int(text))
+        return Fraction(to_int(text))
     except (ValueError, ZeroDivisionError):
         return None
 
@@ -84,6 +89,22 @@ def _int_text(n: int) -> str:
     k = n.bit_length() * 3 // 20  # about half of n's digits
     high, low = divmod(n, 10**k)
     return _int_text(high) + _int_text(low).rjust(k, "0")
+
+
+def _text_int(text: str) -> int:
+    """``int(text)`` for a digit run of NUMBER_PATTERN with its sign, also
+    past CPython's int-to-str digit limit, where the values of the text's two
+    halves are joined at a power of ten: the inverse of ``_int_text``."""
+    try:
+        return int(text)
+    except ValueError:
+        if len(text) < 2:
+            raise
+    if text[0] in "+-":
+        value = _text_int(text[1:])
+        return -value if text[0] == "-" else value
+    k = len(text) // 2
+    return _text_int(text[:-k]) * 10**k + _text_int(text[-k:])
 
 
 def format_number(value: Fraction) -> str:

@@ -496,6 +496,28 @@ class ReferencePolicySession(PolicySession):
         return self._emit(action)
 
 
+def reference_step_row(probs: np.ndarray) -> dict:
+    """A step row's fields from one state's probabilities, computed alone:
+    the policy step as it was before rows were built in batches."""
+    total = float(probs.sum())
+    if np.isnan(total):
+        p_error = "Probabilities contain NaN"
+    elif (probs < 0).any():
+        p_error = "Probabilities are not non-negative"
+    elif abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        p_error = "Probabilities do not sum to 1"
+    else:
+        p_error = None
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return {
+        "prob_sum_err": abs(total - 1.0),
+        "argmax": int(np.argmax(probs)),
+        "cdf": cdf,
+        "p_error": p_error,
+    }
+
+
 def _reference_r2(v_gen: int, v_gold: int, cfg: RewardConfig) -> Fraction:
     if v_gold < 1:
         raise ValueError("gold program declares no [find] variables")

@@ -14,6 +14,7 @@ import flsolve
 from flsolve import (
     CONFIG_ENV_VAR,
     PpoConfig,
+    ProblemRecord,
     RewardConfig,
     ToolkitConfig,
     ToyPolicy,
@@ -467,6 +468,24 @@ class TestEvalCommand:
         )
         assert code == 0
         assert json_lines(out)[0]["accuracy"] == 100.0
+
+    def test_error_kinds_histogram(self, tmp_path, capsys):
+        unknown = ProblemRecord("unknown", "How many?", "var1 = [find](a) # ?\n[return](var1)", 0)
+        by_zero = [
+            ProblemRecord(f"by-zero-{i}", "Split it.",
+                          "var1 = [find](a) # 4\nvar2 = [divide](var1, 0)\n[return](var2)", 0)
+            for i in range(2)
+        ]
+        path = tmp_path / "mixed.jsonl"
+        write_dataset([unknown, *bundled_examples().records, *by_zero], path)
+        code, out, _ = run_cli(["eval", "--dataset", str(path)], capsys)
+        assert code == 0
+        payload = json_lines(out)[0]
+        # Sorted by kind; the five problems with no error are not counted.
+        assert list(payload["error_kinds"].items()) == [
+            ("division-by-zero", 2), ("return-of-unknown", 1)
+        ]
+        assert [p["error"] for p in payload["per_problem"]].count(None) == 5
 
     def test_unknown_generator(self, capsys, fixture_path):
         code, _, err = run_cli(

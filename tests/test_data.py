@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flsolve import (
     DatasetError,
@@ -107,6 +109,22 @@ class TestWriteDataset:
         path = tmp_path / "copy.jsonl"
         write_dataset(original, path)
         assert load_dataset(path).records == original
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(-(10**14000), 10**14000),
+        st.integers(1, 10**14000)
+        | st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 20000), st.integers(0, 20000)),
+    )
+    @example(1, 3**9200)  # 4389 digits below the line
+    @example(-(10**13999) - 1, 2**20000)  # a decimal with 20000 places
+    def test_round_trip_past_the_digit_limit(self, tmp_path_factory, num, den):
+        # Answers render past CPython's int-to-str digit limit, so they must
+        # also load past it.
+        record = ProblemRecord("big", "How many?", "[return](1)", Fraction(num, den))
+        path = tmp_path_factory.mktemp("data") / "big.jsonl"
+        write_dataset([record], path)
+        assert load_dataset(path).records == (record,)
 
     def test_answers_written_in_decimal_form(self, tmp_path):
         path = tmp_path / "copy.jsonl"
