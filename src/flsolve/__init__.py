@@ -42,7 +42,6 @@ from .evaluation import (
 from .fixtures import bundled_examples, bundled_examples_path
 from .interpreter import (
     EVAL_ERROR_KINDS,
-    AnnotationMismatch,
     Environment,
     EvalError,
     EvalOutcome,
@@ -52,7 +51,6 @@ from .interpreter import (
     evaluate,
     evaluate_statement,
     resolve_operands,
-    verify_annotations,
 )
 from .parser import (
     PARSE_ERROR_KINDS,

@@ -53,6 +53,12 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj))
 
 
+def _check_at_least(value: int, low: int, flag: str) -> None:
+    """Bad settings fail before any work, by the flag's name."""
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}")
+
+
 def cmd_parse(args: argparse.Namespace) -> int:
     result = parse_program(_read_source(args.file))
     if isinstance(result, Program):
@@ -108,6 +114,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    _check_at_least(args.workers, 1, "--workers")
     report = validate_dataset(load_dataset(args.dataset), workers=args.workers)
     _emit(report.to_json())
     print(f"{report.passed}/{report.total} records pass", file=sys.stderr)
@@ -136,10 +143,8 @@ def cmd_ppo_demo(args: argparse.Namespace) -> int:
     ppo_cfg, reward_cfg = toolkit.ppo, toolkit.reward
     if args.learning_rate is not None:
         ppo_cfg = replace(ppo_cfg, learning_rate=args.learning_rate)
-    if args.iterations < 1:
-        raise ValueError("--iterations must be at least 1")
-    if args.heldout < 1:
-        raise ValueError("--heldout must be at least 1")
+    _check_at_least(args.iterations, 1, "--iterations")
+    _check_at_least(args.heldout, 1, "--heldout")
 
     tasks = generate_toy_tasks(args.seed, args.tasks, SINGLE_OP_TEMPLATES)
     heldout = generate_toy_tasks(args.seed + 1, args.heldout, SINGLE_OP_TEMPLATES)
@@ -178,6 +183,8 @@ def cmd_ppo_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _check_at_least(args.workers, 1, "--workers")
+    _check_at_least(args.chunk_size, 0, "--chunk-size")
     ds = load_dataset(args.dataset)
     name = args.generator
     if name == "gold-replay":

@@ -86,6 +86,10 @@ def ordered_stats(counts: dict) -> dict:
     return {op.value: int(counts.get(op, 0)) for op in STATS_ORDER}
 
 
+class _JsonNumber(str):
+    """A bare JSON number, kept as the text the file wrote."""
+
+
 def _record_from_json(obj: object, where: str) -> ProblemRecord:
     if not isinstance(obj, dict):
         raise DatasetError(f"{where}: record must be a JSON object")
@@ -93,13 +97,15 @@ def _record_from_json(obj: object, where: str) -> ProblemRecord:
         if key not in obj:
             raise DatasetError(f"{where}: missing field '{key}'")
     for key in ("id", "question", "program"):
-        if not isinstance(obj[key], str):
+        if type(obj[key]) is not str:
             raise DatasetError(f"{where}: field '{key}' must be a string")
-    # Any literal reads back, also one past CPython's digit limit, as
-    # write_dataset renders it.
-    answer = _parse_literal(str(obj["answer"]), _text_int)
+    # A string or a bare number is read from its text, exactly and also past
+    # CPython's digit limit, as write_dataset renders it. Exponent forms are
+    # rejected: a short text can stand for 10**(10**9).
+    text = obj["answer"]
+    answer = _parse_literal(text, _text_int) if isinstance(text, str) else None
     if answer is None:
-        raise DatasetError(f"{where}: field 'answer' is not a number: {obj['answer']!r}")
+        raise DatasetError(f"{where}: field 'answer' is not a number: {text!r}")
     return ProblemRecord(obj["id"], obj["question"], obj["program"], answer)
 
 
@@ -113,7 +119,7 @@ def load_dataset(path: str | Path) -> DatasetFile:
                 continue
             where = f"{path}:{line_no}"
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, parse_int=_JsonNumber, parse_float=_JsonNumber)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{where}: invalid JSON: {exc.msg}") from exc
             record = _record_from_json(obj, where)

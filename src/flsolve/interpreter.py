@@ -95,13 +95,6 @@ class EvalOutcome:
     error: EvalError | None
 
 
-@dataclass(frozen=True)
-class AnnotationMismatch:
-    statement_index: int
-    declared: Fraction
-    computed: Fraction
-
-
 def _check_bound(value: Fraction, what: str) -> Fraction:
     """``value``, or value-overflow past MAX_VALUE_BITS. Literal operands and
     bound values are checked, so no operation builds much past the bound."""
@@ -226,30 +219,6 @@ def evaluate(program: Program, *, strict_annotations: bool = False) -> EvalOutco
     return EvalOutcome(
         None, env, EvalError("missing-return", "program ended without a [return] statement")
     )
-
-
-def verify_annotations(program: Program) -> list[AnnotationMismatch]:
-    """Compare computed values against declared comments, in order.
-
-    [find] comments are the values' source and have nothing to verify;
-    arithmetic and [return] comments are checked. Evaluation errors
-    propagate with the statement index reached.
-    """
-    mismatches: list[AnnotationMismatch] = []
-    env = Environment()
-    for index, stmt in enumerate(program.statements):
-        try:
-            value, env = evaluate_statement(stmt, env)
-        except EvalError as err:
-            if err.statement_index is None:
-                err.statement_index = index
-            raise
-        if stmt.is_find:
-            continue
-        ann = stmt.annotation
-        if ann is not None and ann.declared_value is not None and ann.declared_value != value:
-            mismatches.append(AnnotationMismatch(index, ann.declared_value, value))
-    return mismatches
 
 
 def _operand_text(value: Fraction) -> str:

@@ -10,7 +10,7 @@ sequences, not language-model token streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np

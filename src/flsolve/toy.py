@@ -17,14 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .interpreter import (
-    Environment,
-    annotation_text,
-    answers_match,
-    apply_operator,
-    evaluate_statement,
-    resolve_operands,
-)
+from .interpreter import answers_match
 from .ppo import (
     PpoConfig,
     ToyPolicy,
@@ -37,15 +30,7 @@ from .ppo import (
     softmax,
     value_loss,
 )
-from .program import (
-    CommentAnnotation,
-    Operator,
-    Program,
-    ProblemRecord,
-    Statement,
-    VarRef,
-    render_program,
-)
+from .program import Operator, ProblemRecord
 from .rewards import (
     DEFAULT_REWARD_CONFIG,
     RewardBreakdown,
@@ -53,7 +38,7 @@ from .rewards import (
     _score_transcript,
     score_program,
 )
-from .runtime import SessionBudget, SessionTranscript, run_session
+from .runtime import ScriptedGenerator, SessionBudget, SessionTranscript, run_session
 from .values import format_number
 
 ACTION_NAMES = (
@@ -228,40 +213,26 @@ def _sample_values(template: TaskTemplate, rng: random.Random) -> tuple[int, ...
     return tuple(rng.randint(2, 12) for _ in template.descriptions)
 
 
-def _gold_program(template: TaskTemplate, values: Sequence[int]) -> tuple[Program, Fraction]:
-    statements: list[Statement] = []
-    env = Environment()
-    for i, (desc, val) in enumerate(zip(template.descriptions, values), start=1):
-        quantity = Fraction(val)
-        stmt = Statement(
-            Operator.FIND,
-            (desc,),
-            target=f"var{i}",
-            annotation=CommentAnnotation(format_number(quantity), quantity),
-        )
-        _, env = evaluate_statement(stmt, env)
-        statements.append(stmt)
-    left = VarRef("var1")
-    result = Fraction(0)
+def _gold_program(
+    template: TaskTemplate, values: Sequence[int], question: str
+) -> tuple[str, Fraction]:
+    """Gold text and answer: the template's [find] and operator lines, run
+    through the session runtime, which writes the computed comments."""
+    lines = [
+        f"var{i} = [find]({desc}) # {val}"
+        for i, (desc, val) in enumerate(zip(template.descriptions, values), start=1)
+    ]
+    left = "var1"
     for j, op in enumerate(template.ops):
         target = f"var{len(template.descriptions) + j + 1}"
-        stmt = Statement(op, (left, VarRef(f"var{j + 2}")), target=target)
-        operands = resolve_operands(stmt, env)
-        result = apply_operator(op, operands)
-        env = env.bind(target, result)
-        stmt = replace(
-            stmt, annotation=CommentAnnotation(annotation_text(stmt, operands, result), result)
-        )
-        statements.append(stmt)
-        left = VarRef(target)
-    statements.append(
-        Statement(
-            Operator.RETURN,
-            (left,),
-            annotation=CommentAnnotation(format_number(result), result),
-        )
-    )
-    return Program(tuple(statements)), result
+        lines.append(f"{target} = [{op.value}]({left}, var{j + 2})")
+        left = target
+    lines.append(f"[return]({left})")
+    transcript = run_session(ScriptedGenerator("\n".join(lines)), question)
+    outcome = transcript.outcome
+    if outcome.error is not None:
+        raise ValueError(f"template '{template.name}' does not run: {outcome.error}")
+    return f"{transcript.generated_source} # {format_number(outcome.answer)}", outcome.answer
 
 
 def generate_toy_tasks(
@@ -277,15 +248,9 @@ def generate_toy_tasks(
     for i in range(count):
         template = templates[i % len(templates)]
         values = _sample_values(template, rng)
-        program, answer = _gold_program(template, values)
-        records.append(
-            ProblemRecord(
-                id=f"toy-{seed}-{i:04d}",
-                question=template.question.format(*values),
-                gold_program=render_program(program),
-                gold_answer=answer,
-            )
-        )
+        question = template.question.format(*values)
+        gold, answer = _gold_program(template, values, question)
+        records.append(ProblemRecord(f"toy-{seed}-{i:04d}", question, gold, answer))
     return records
 
 

@@ -230,6 +230,14 @@ class TestValidateCommand:
         assert code == 0
         assert json_lines(out)[0]["passed"] == 5
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected_before_loading(self, tmp_path, capsys, workers):
+        # The dataset does not exist: the flag is checked before it is read.
+        missing = str(tmp_path / "missing.jsonl")
+        code, out, err = run_cli(["validate", "--workers", workers, missing], capsys)
+        assert (code, out) == (1, "")
+        assert "--workers must be at least 1" in err
+
 
 class TestStatsCommand:
     def test_table(self, capsys, fixture_path):
@@ -493,6 +501,20 @@ class TestEvalCommand:
         )
         assert code == 1
         assert "unknown generator" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "-2"], "--workers must be at least 1"),
+            (["--workers", "0"], "--workers must be at least 1"),
+            (["--chunk-size", "-4"], "--chunk-size must be at least 0"),
+        ],
+    )
+    def test_bad_counts_rejected_before_loading(self, tmp_path, capsys, flags, message):
+        missing = str(tmp_path / "missing.jsonl")
+        code, out, err = run_cli(["eval", "--dataset", missing, *flags], capsys)
+        assert (code, out) == (1, "")
+        assert message in err
 
 
 class TestTopLevel:

@@ -15,6 +15,7 @@ from flsolve import (
     Program,
     bundled_examples,
     bundled_examples_path,
+    format_number,
     load_dataset,
     operator_stats,
     ordered_stats,
@@ -95,6 +96,41 @@ class TestLoadDataset:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="not a number"):
             load_dataset(path)
+
+    @staticmethod
+    def load_line(path, fields: str):
+        """Load a one-record file whose JSON object ends with ``fields``."""
+        path.write_text('{"question": "q", "program": "p", ' + fields + "}\n", encoding="utf-8")
+        return load_dataset(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(-(10**14000), 10**14000)
+        | st.tuples(st.integers(-(10**60), 10**60), st.integers(1, 40))
+    )
+    @example(7 * (10**5000 - 1) // 9)  # 5000 digits, past CPython's digit limit
+    @example((3141592653589793238, 18))  # more places than a float holds
+    def test_bare_json_numbers_load_exactly(self, tmp_path_factory, number):
+        m, places = number if isinstance(number, tuple) else (number, 0)
+        digits = format_number(Fraction(abs(m))).rjust(places + 1, "0")
+        text = "-" * (m < 0) + (f"{digits[:-places]}.{digits[-places:]}" if places else digits)
+        path = tmp_path_factory.mktemp("data") / "bare.jsonl"
+        (record,) = self.load_line(path, f'"id": "a", "answer": {text}').records
+        assert record.gold_answer == Fraction(m, 10**places)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"id": 5, "answer": "1"', "field 'id' must be a string"),
+            ('"id": "a", "answer": true', "field 'answer' is not a number: True"),
+            ('"id": "a", "answer": 1e16', "field 'answer' is not a number: '1e16'"),
+        ],
+    )
+    def test_bad_bare_values_report_line(self, tmp_path, fields, message):
+        path = tmp_path / "ds.jsonl"
+        with pytest.raises(DatasetError) as raised:
+            self.load_line(path, fields)
+        assert str(raised.value) == f"{path}:1: {message}"
 
     def test_non_object_line(self, tmp_path):
         path = tmp_path / "ds.jsonl"

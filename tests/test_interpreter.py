@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from flsolve import (
     MAX_VALUE_BITS,
-    AnnotationMismatch,
     Environment,
     EvalError,
     EVAL_ERROR_KINDS,
@@ -26,7 +25,6 @@ from flsolve import (
     evaluate,
     evaluate_statement,
     parse_program,
-    verify_annotations,
 )
 
 import oracles
@@ -264,35 +262,41 @@ class TestValueBound:
 
 
 class TestAnnotations:
+    """``evaluate(..., strict_annotations=True)`` is the annotation check."""
+
+    @staticmethod
+    def mismatch(program: Program) -> tuple[int, str] | None:
+        """The first mismatch's statement index and message, None without one."""
+        error = evaluate(program, strict_annotations=True).error
+        if error is None:
+            return None
+        assert error.kind == "annotation-mismatch"
+        return error.statement_index, error.message
+
     def test_return_comment_mismatch_is_detected(self):
         record = {r.id: r for r in bundled_examples().records}["action-figures"]
         tampered = record.gold_program.replace("[return](var6) # 11", "[return](var6) # 12")
         assert tampered != record.gold_program
         program = parsed(tampered)
 
-        mismatches = verify_annotations(program)
-        assert mismatches == [
-            AnnotationMismatch(
-                statement_index=len(program.statements) - 1,
-                declared=Fraction(12),
-                computed=Fraction(11),
-            )
-        ]
-
+        assert self.mismatch(program) == (
+            len(program.statements) - 1,
+            "comment declares 12, computed 11",
+        )
         lenient = evaluate(program)
         assert lenient.answer == 11 and lenient.error is None
-        strict = evaluate(program, strict_annotations=True)
-        assert strict.error is not None
-        assert strict.error.kind == "annotation-mismatch"
 
     def test_gold_programs_have_no_mismatches(self):
         for record in bundled_examples().records:
-            assert verify_annotations(parsed(record.gold_program)) == []
+            strict = evaluate(parsed(record.gold_program), strict_annotations=True)
+            assert strict.error is None, record.id
+            assert strict.answer == record.gold_answer, record.id
 
     def test_find_comments_are_source_not_claims(self):
         # A find comment cannot mismatch: it IS the value.
         program = parsed("var1 = [find](a) # 41\n[return](var1) # 41")
-        assert verify_annotations(program) == []
+        assert self.mismatch(program) is None
+        assert evaluate(program, strict_annotations=True).answer == 41
 
     def test_wrong_arithmetic_comment_reported(self):
         program = parsed(
@@ -301,10 +305,7 @@ class TestAnnotations:
             "var3 = [multiply](var1, var2) # 2 * 3 = 7\n"
             "[return](var3) # 6"
         )
-        mismatches = verify_annotations(program)
-        assert [(m.statement_index, m.declared, m.computed) for m in mismatches] == [
-            (2, Fraction(7), Fraction(6))
-        ]
+        assert self.mismatch(program) == (2, "comment declares 7, computed 6")
 
 
 class TestFormatAnnotation:

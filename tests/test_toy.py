@@ -1,5 +1,7 @@
 """Toy environment: task generation, the action protocol, demo training."""
 
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,12 +19,12 @@ from flsolve import (
     ToyPolicy,
     demo_config,
     evaluate,
+    format_number,
     generate_toy_tasks,
     greedy_accuracy,
     parse_program,
     rollout,
     train_ppo_demo,
-    verify_annotations,
 )
 from flsolve import toy
 from flsolve.ppo import softmax
@@ -73,10 +75,47 @@ class TestTaskGeneration:
         for task in generate_toy_tasks(11, 20):
             program = parse_program(task.gold_program)
             assert isinstance(program, Program), task.id
-            outcome = evaluate(program)
+            outcome = evaluate(program, strict_annotations=True)
             assert outcome.error is None, task.id
             assert outcome.answer == task.gold_answer, task.id
-            assert verify_annotations(program) == [], task.id
+
+    @pytest.mark.parametrize(
+        "seed, templates, digest",
+        [
+            (0, "DEFAULT", "c80a441545f10e9584dfad14d106a037aa26db908db8698cdcc5885128199cbc"),
+            (0, "SINGLE_OP", "24add3e3182ef3e5748b3ff2114be6a39591209ed72d4c90e4b5a770f54a3737"),
+            (7, "DEFAULT", "3329cf23130a4a0ead9b1ca3c486e1972949c21763b954bb9454f6e1ff7145fb"),
+            (7, "SINGLE_OP", "a596b216bebeb582a630a66a110f5ebd63d3d69c7dc6c04eff0839a8ec1137a3"),
+            (41, "DEFAULT", "bd509a8aa14843354df4567129f060ac7aaf399090960e9c2ac02f32c733cfd2"),
+            (41, "SINGLE_OP", "a5134d4f126182eb500cb6d65a0b1d31911768f34e34206684873c5bef740522"),
+        ],
+    )
+    def test_task_bytes_are_pinned(self, seed, templates, digest):
+        tasks = generate_toy_tasks(seed, 60, getattr(toy, f"{templates}_TEMPLATES"))
+        rows = [[t.id, t.question, t.gold_program, format_number(t.gold_answer)] for t in tasks]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+    def test_gold_program_carries_solver_comments(self):
+        (task,) = generate_toy_tasks(0, 1, toy.CHAIN_TEMPLATES)
+        assert task.gold_program == (
+            "var1 = [find](the number of marbles Tom started with) # 17\n"
+            "var2 = [find](the number of marbles Tom won) # 15\n"
+            "var3 = [find](the number of marbles Tom gave away) # 2\n"
+            "var4 = [add](var1, var2) # 17 + 15 = 32\n"
+            "var5 = [subtract](var4, var3) # 32 - 2 = 30\n"
+            "[return](var5) # 30"
+        )
+        assert task.gold_answer == 30
+
+    def test_template_that_does_not_run_is_named(self):
+        rounding = toy.TaskTemplate(
+            name="rounding",
+            question="Round {0} and {1}.",
+            descriptions=("the first number", "the second number"),
+            ops=(Operator.ROUND,),
+        )
+        with pytest.raises(ValueError, match="template 'rounding' does not run: parse-error"):
+            generate_toy_tasks(0, 1, [rounding])
 
     def test_division_tasks_come_out_whole(self):
         quotient = [t for t in SINGLE_OP_TEMPLATES if t.ops == (Operator.DIVIDE,)]
@@ -584,6 +623,8 @@ class TestEpisodeMemo:
         real = toy.run_session
 
         def spy(gen, question, *args, **kwargs):
+            if not isinstance(gen, PolicySession):  # writing a task's gold program
+                return real(gen, question, *args, **kwargs)
             chunks = []
 
             class Recorder:
