@@ -29,7 +29,6 @@ from .data import (
     operator_stats,
     ordered_stats,
     reasoning_step_count,
-    shuffled,
     validate_dataset,
     write_dataset,
 )
@@ -81,22 +80,16 @@ from .program import (
     Program,
     Statement,
     VarRef,
-    basic_operation_counts,
-    count_finds,
-    has_return,
     operation_counts,
     render_program,
     render_statement,
+    tally,
 )
 from .rewards import (
     DEFAULT_REWARD_CONFIG,
     RewardBreakdown,
     RewardConfig,
     RewardDiagnostics,
-    reward_r1,
-    reward_r2,
-    reward_r3,
-    reward_r4,
     score_program,
     total_reward,
 )

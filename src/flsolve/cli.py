@@ -19,7 +19,7 @@ from .evaluation import GeneratorSpec, evaluate_corpus
 from .interpreter import evaluate
 from .parser import parse_program
 from .ppo import ToyPolicy
-from .program import Program, count_finds, has_return
+from .program import Program, tally
 from .rewards import DEFAULT_REWARD_CONFIG, total_reward
 from .runtime import DEFAULT_INSTRUCTIONS, assemble_prompt
 from .toy import (
@@ -62,13 +62,9 @@ def _check_at_least(value: int, low: int, flag: str) -> None:
 def cmd_parse(args: argparse.Namespace) -> int:
     result = parse_program(_read_source(args.file))
     if isinstance(result, Program):
+        finds, returns, _ = tally(result)
         _emit(
-            {
-                "ok": True,
-                "statements": len(result.statements),
-                "finds": count_finds(result),
-                "has_return": has_return(result),
-            }
+            {"ok": True, "statements": len(result.statements), "finds": finds, "has_return": returns}
         )
         return 0
     for err in result:
@@ -143,6 +139,8 @@ def cmd_ppo_demo(args: argparse.Namespace) -> int:
     ppo_cfg, reward_cfg = toolkit.ppo, toolkit.reward
     if args.learning_rate is not None:
         ppo_cfg = replace(ppo_cfg, learning_rate=args.learning_rate)
+    _check_at_least(args.seed, 0, "--seed")
+    _check_at_least(args.tasks, 1, "--tasks")
     _check_at_least(args.iterations, 1, "--iterations")
     _check_at_least(args.heldout, 1, "--heldout")
 
@@ -190,7 +188,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if name == "gold-replay":
         spec = GeneratorSpec("gold-replay", chunk_size=args.chunk_size)
     elif name == "empty":
-        spec = GeneratorSpec("empty")
+        spec = GeneratorSpec("scripted")
     elif name.startswith("scripted:"):
         spec = GeneratorSpec(
             "scripted", _read_source(name.split(":", 1)[1]), args.chunk_size

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -204,10 +203,3 @@ def operator_stats(ds: DatasetFile) -> dict:
 def reasoning_step_count(program: Program) -> int:
     """Number of statements excluding [return]."""
     return sum(1 for stmt in program.statements if not stmt.is_return)
-
-
-def shuffled(records: Sequence[ProblemRecord], seed: int) -> list[ProblemRecord]:
-    """Seeded order shuffle; the input is left untouched."""
-    out = list(records)
-    random.Random(seed).shuffle(out)
-    return out

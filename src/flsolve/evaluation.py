@@ -25,7 +25,7 @@ from .runtime import (
 )
 from .values import format_number
 
-GENERATOR_KINDS = ("gold-replay", "scripted", "empty")
+GENERATOR_KINDS = ("gold-replay", "scripted")
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class GeneratorSpec:
 
     ``gold-replay`` feeds each record's own program with computed comments
     removed, so correctness measures the solver round trip. ``scripted``
-    feeds the same fixed text to every problem; ``empty`` produces nothing.
+    feeds the same fixed text to every problem, by default nothing.
     """
 
     kind: str
@@ -48,9 +48,7 @@ class GeneratorSpec:
     def build(self, record: ProblemRecord) -> GeneratorInterface:
         if self.kind == "gold-replay":
             return ScriptedGenerator(_replay_text(record), self.chunk_size)
-        if self.kind == "scripted":
-            return ScriptedGenerator(self.text, self.chunk_size)
-        return ScriptedGenerator("")
+        return ScriptedGenerator(self.text, self.chunk_size)
 
 
 def _replay_text(record: ProblemRecord) -> str:
@@ -62,8 +60,9 @@ def _replay_text(record: ProblemRecord) -> str:
     statements = iter(record.parsed_gold().statements)
     out: list[str] = []
     for raw in record.gold_program.splitlines():
-        if _split_line(raw)[0].strip() and not next(statements).is_find and "#" in raw:
-            raw = raw.split("#", 1)[0].rstrip()
+        body, hash_mark, _ = _split_line(raw)
+        if body.strip() and not next(statements).is_find and hash_mark:
+            raw = body.rstrip()
         out.append(raw)
     return "\n".join(out)
 

@@ -236,11 +236,14 @@ def annotation_text(stmt: Statement, operands: list[Fraction], result: Fraction)
     return f"{stmt.op.value}({joined}) = {format_number(result)}"
 
 
-def answers_match(candidate: Fraction | None, gold: Fraction, rel_tol: Fraction = Fraction(1, 10**6)) -> bool:
+ANSWER_REL_TOL = Fraction(1, 10**6)
+
+
+def answers_match(candidate: Fraction | None, gold: Fraction) -> bool:
     """Answer comparison rule.
 
     Exact when the gold value is a terminating decimal (anything written in
-    ordinary decimal notation); otherwise within ``rel_tol`` relative error.
+    ordinary decimal notation); otherwise within ``ANSWER_REL_TOL`` relative error.
     """
     if candidate is None:
         return False
@@ -248,4 +251,4 @@ def answers_match(candidate: Fraction | None, gold: Fraction, rel_tol: Fraction 
         return True
     if is_terminating_decimal(gold):
         return False
-    return abs(candidate - gold) <= rel_tol * abs(gold)
+    return abs(candidate - gold) <= ANSWER_REL_TOL * abs(gold)

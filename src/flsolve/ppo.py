@@ -286,10 +286,6 @@ class ToyPolicy:
     def n_actions(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[1]
-
     def logits(self, features: np.ndarray) -> np.ndarray:
         return self.weights @ np.asarray(features, dtype=np.float64)
 

@@ -184,21 +184,26 @@ def render_program(program: Program) -> str:
     return "\n".join(render_statement(s) for s in program.statements)
 
 
-def count_finds(program: Program) -> int:
-    return sum(1 for s in program.statements if s.is_find)
+def tally(program: Program) -> tuple[int, bool, dict]:
+    """[find] count, whether there is a [return], and basic-operator counts.
 
-
-def has_return(program: Program) -> bool:
-    return any(s.is_return for s in program.statements)
+    One pass over the statements, in ints. The counts dict holds only the
+    four basic operators that occur, in order of first occurrence.
+    """
+    finds = 0
+    returns = False
+    counts: dict = {}
+    for statement in program.statements:
+        op = statement.op
+        if op is Operator.FIND:
+            finds += 1
+        elif op is Operator.RETURN:
+            returns = True
+        elif op in BASIC_SYMBOLS:
+            counts[op] = counts.get(op, 0) + 1
+    return finds, returns, counts
 
 
 def operation_counts(program: Program) -> Counter:
     """Occurrences of each computing operator, excluding find and return."""
     return Counter(s.op for s in program.statements if s.is_arithmetic)
-
-
-def basic_operation_counts(program: Program) -> Counter:
-    """Multiset of add/subtract/multiply/divide occurrences."""
-    return Counter(
-        s.op for s in program.statements if s.op in BASIC_SYMBOLS
-    )

@@ -17,6 +17,9 @@ Components are exact rationals so golden tests compare with ``==``. With
 clamping enabled (the default) r2 and r4 are floored at ``clamp_floor`` and
 r3 at ``-r_max * G`` where G is the gold four-operator count; disabling
 clamping reproduces the raw formulas.
+
+``total_reward`` scores text and ``score_program`` an already parsed
+program; the breakdown either returns carries r1-r4 and their total.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 from .interpreter import EvalOutcome, evaluate
 from .parser import parse_program
-from .program import BASIC_OPERATORS, BASIC_SYMBOLS, Operator, ProblemRecord, Program
+from .program import BASIC_OPERATORS, BASIC_SYMBOLS, ProblemRecord, Program, tally
 from .runtime import SessionTranscript
 from .values import format_number
 
@@ -92,48 +95,19 @@ class RewardBreakdown:
         }
 
 
-def reward_r1(gen: Program | None, cfg: RewardConfig = DEFAULT_REWARD_CONFIG) -> Fraction:
-    """Compilation reward: r_max iff ``gen`` parsed and declares an answer.
-
-    ``gen=None`` means it failed to parse or to pass the static checks.
-    """
-    return cfg.r_max if gen is not None and _tally(gen)[1] else Fraction(0)
-
-
-def _tally(program: Program) -> tuple[int, bool, dict]:
-    """[find] count, whether there is a [return], and basic-operator counts.
-
-    One pass over the statements, in ints. The counts dict holds only the
-    operators that occur, in order of first occurrence, as
-    ``basic_operation_counts`` does.
-    """
-    finds = 0
-    returns = False
-    counts: dict = {}
-    for statement in program.statements:
-        op = statement.op
-        if op is Operator.FIND:
-            finds += 1
-        elif op is Operator.RETURN:
-            returns = True
-        elif op in BASIC_SYMBOLS:
-            counts[op] = counts.get(op, 0) + 1
-    return finds, returns, counts
-
-
 _GOLD_TALLY = "_gold_tally"
 
 
 def _gold_tally(gold: ProblemRecord) -> tuple[int, bool, dict]:
-    """``_tally`` of the parsed gold, cached on the record beside it.
+    """``tally`` of the parsed gold, cached on the record beside it.
 
     Like the parsed gold, the cache sits outside the dataclass fields, so
     equality, hashing and pickling ignore it.
     """
-    tally = gold.__dict__.get(_GOLD_TALLY)
-    if tally is None:
-        tally = gold.__dict__[_GOLD_TALLY] = _tally(gold.parsed_gold())
-    return tally
+    counts = gold.__dict__.get(_GOLD_TALLY)
+    if counts is None:
+        counts = gold.__dict__[_GOLD_TALLY] = tally(gold.parsed_gold())
+    return counts
 
 
 def _r2(v_gen: int, v_gold: int, cfg: RewardConfig) -> Fraction:
@@ -164,34 +138,15 @@ def _r3(gen_counts: dict, gold_counts: dict, cfg: RewardConfig) -> Fraction:
     return score
 
 
-def reward_r2(
-    gen: Program | None, gold: Program, cfg: RewardConfig = DEFAULT_REWARD_CONFIG
-) -> Fraction:
-    """Declared-variable count reward; ``gen=None`` means it failed to parse."""
-    return _r2(0 if gen is None else _tally(gen)[0], _tally(gold)[0], cfg)
-
-
-def reward_r3(
-    gen: Program | None, gold: Program, cfg: RewardConfig = DEFAULT_REWARD_CONFIG
-) -> Fraction:
-    """Operator-multiset reward over the four basic operators."""
-    return _r3({} if gen is None else _tally(gen)[2], _tally(gold)[2], cfg)
-
-
-def reward_r4(
-    gen_outcome: EvalOutcome | None,
-    y_gold: Fraction,
-    cfg: RewardConfig = DEFAULT_REWARD_CONFIG,
-) -> Fraction:
+def _r4(y_gen: Fraction | None, y_gold: Fraction, cfg: RewardConfig) -> Fraction:
     """Answer-closeness reward; a generation with no answer scores 0.
 
     "No answer" (parse failure or runtime error) is distinct from a wrong
     answer, which is scored by distance and can go negative down to the
     clamp floor.
     """
-    if gen_outcome is None or gen_outcome.answer is None:
+    if y_gen is None:
         return Fraction(0)
-    y_gen = gen_outcome.answer
     if y_gold == 0:
         return cfg.r_max if y_gen == 0 else cfg.floor
     # r_max * (1 - |y_gen - y_gold| / |y_gold|) with y_gen = p/q, y_gold = r/s
@@ -251,12 +206,13 @@ def _score(
     if gen is None:
         v_gen, compiled, gen_counts = 0, False, {}
     else:
-        v_gen, compiled, gen_counts = _tally(gen)
+        v_gen, compiled, gen_counts = tally(gen)
 
     r1 = cfg.r_max if compiled else Fraction(0)
     r2 = _r2(v_gen, v_gold, cfg)
     r3 = _r3(gen_counts, gold_counts, cfg)
-    r4 = reward_r4(outcome, gold.gold_answer, cfg)
+    y_gen = None if outcome is None else outcome.answer
+    r4 = _r4(y_gen, gold.gold_answer, cfg)
 
     diagnostics = RewardDiagnostics(
         compiled=compiled,
@@ -264,6 +220,6 @@ def _score(
         v_gold=v_gold,
         op_counts_gen=gen_counts,
         op_counts_gold=dict(gold_counts),
-        y_gen=None if outcome is None else outcome.answer,
+        y_gen=y_gen,
     )
     return RewardBreakdown(r1, r2, r3, r4, r1 + r2 + r3 + r4, diagnostics)

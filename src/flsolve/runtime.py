@@ -35,6 +35,7 @@ from .interpreter import (
 )
 from .parser import (
     ParseError,
+    _split_line,
     _static_check,
     parse_line,
     parse_program,
@@ -84,11 +85,6 @@ class ScriptedGenerator:
             chunk = self.text[self._pos : self._pos + self.chunk_size]
         self._pos += len(chunk)
         return chunk
-
-    @classmethod
-    def from_file(cls, path: str, chunk_size: int = 0) -> "ScriptedGenerator":
-        with open(path, encoding="utf-8") as fh:
-            return cls(fh.read(), chunk_size)
 
 
 @dataclass(frozen=True)
@@ -189,8 +185,9 @@ def strip_computed_comments(source: str) -> str:
     out: list[str] = []
     for raw in source.splitlines():
         stmt = parse_line(raw)
-        if isinstance(stmt, Statement) and not stmt.is_find and "#" in raw:
-            raw = raw.split("#", 1)[0].rstrip()
+        body, hash_mark, _ = _split_line(raw)
+        if hash_mark and isinstance(stmt, Statement) and not stmt.is_find:
+            raw = body.rstrip()
         out.append(raw)
     return "\n".join(out)
 
@@ -243,9 +240,9 @@ class _SessionFeed:
 
 
 def _arithmetic_prefix(line: str) -> Statement | None:
-    """The arithmetic statement that ends at the line's first ')', if any."""
-    close = line.find(")")
-    if close == -1 or "#" in line[:close]:
+    """The arithmetic statement that ends at the first ')' before any comment."""
+    close = _split_line(line)[0].find(")")
+    if close == -1:
         return None
     parsed = parse_line(line[: close + 1])
     if isinstance(parsed, Statement) and parsed.is_arithmetic:
@@ -259,8 +256,6 @@ def run_session(
     instructions: str = DEFAULT_INSTRUCTIONS,
     *,
     budget: SessionBudget = SessionBudget(),
-    exemplars: Sequence[ProblemRecord] = (),
-    k: int = 0,
 ) -> SessionTranscript:
     """Drive one generation session to completion.
 
@@ -269,7 +264,7 @@ def run_session(
     transcript's ``halted_count`` equals the number of solver-injected
     comments, which equals the arithmetic statements evaluated.
     """
-    prompt = assemble_prompt(question, instructions, exemplars, k)
+    prompt = assemble_prompt(question, instructions)
     context = prompt
     env = Environment()
     emitted: list[EmittedLine] = []

@@ -36,7 +36,6 @@ from .rewards import (
     RewardBreakdown,
     RewardConfig,
     _score_transcript,
-    score_program,
 )
 from .runtime import ScriptedGenerator, SessionBudget, SessionTranscript, run_session
 from .values import format_number
@@ -183,10 +182,6 @@ def _cue_index(question: str) -> int | None:
     return None if cue is None else CUE_OPERATORS.index(cue)
 
 
-def state_feature_vector(question: str, lines: int, finds: int, ops: int) -> np.ndarray:
-    return _features(_cue_index(question), lines, finds, ops)
-
-
 def _features(cue: int | None, lines: int, finds: int, ops: int) -> np.ndarray:
     phi = np.zeros(N_FEATURES)
     if cue is not None:
@@ -273,15 +268,12 @@ class _StepRow:
     __slots__ = ("phi", "probs", "value", "prob_sum_err", "argmax", "cdf", "p_error", "logprobs",
                  "ref_logprobs")
 
-    def __init__(self, phi: np.ndarray, probs: np.ndarray, value: float, ref_logprobs=None):
-        self.batch([phi], probs[None], [value], [ref_logprobs], rows=[self])
-
     @classmethod
-    def batch(cls, phis, probs: np.ndarray, values, ref_logprobs, rows=None) -> list[_StepRow]:
-        """One row per row of ``probs``, an (n, actions) block, in ``rows``
-        if given. Each row's sum, minimum, argmax, cumsum and division are
-        those of the row on its own, bit for bit; only the calls are shared."""
-        rows = [cls.__new__(cls) for _ in phis] if rows is None else rows
+    def batch(cls, phis, probs: np.ndarray, values, ref_logprobs) -> list[_StepRow]:
+        """One row per row of ``probs``, an (n, actions) block. Each row's
+        sum, minimum, argmax, cumsum and division are those of the row on its
+        own, bit for bit; only the calls are shared."""
+        rows = [cls() for _ in phis]
         cdfs = probs.cumsum(axis=1)
         cdfs = cdfs / cdfs[:, -1:]
         for row, phi, p, value, total, least, argmax, cdf, ref in zip(
@@ -518,7 +510,7 @@ def _rollout(
 ) -> RolloutResult:
     session = PolicySession(table.policy, table.ref, record, rng, table=table)
     transcript = run_session(session, record.question, budget=budget)
-    breakdown = score_program(transcript.program, record, reward_cfg)
+    breakdown = _score_transcript(transcript, record, reward_cfg)
     trajectory = _trajectory([(session, float(breakdown.total))])
     return RolloutResult(trajectory, breakdown, session, transcript)
 

@@ -24,10 +24,7 @@ from flsolve import (
     RewardConfig,
     RewardDiagnostics,
     ToyPolicy,
-    basic_operation_counts,
-    count_finds,
     evaluate,
-    has_return,
 )
 from flsolve import toy
 from flsolve.interpreter import EvalError
@@ -53,7 +50,7 @@ from flsolve.ppo import (
     softmax,
     value_loss,
 )
-from flsolve.toy import VALUE_LR_SCALE, IterationStats, PolicySession, state_feature_vector
+from flsolve.toy import VALUE_LR_SCALE, IterationStats, PolicySession, _cue_index, _features
 
 
 def norm_pair(n: int, d: int) -> tuple[int, int]:
@@ -479,8 +476,8 @@ class ReferencePolicySession(PolicySession):
         if self._done:
             return ""
         policy, ref = self.table.policy, self.table.ref
-        phi = state_feature_vector(
-            self.record.question, len(self.actions), self._finds, self._ops
+        phi = _features(
+            _cue_index(self.record.question), len(self.actions), self._finds, self._ops
         )
         probs = policy.action_probs(phi)
         self.prob_sum_err = max(self.prob_sum_err, abs(float(probs.sum()) - 1.0))
@@ -550,12 +547,14 @@ def _reference_r4(answer, y_gold: Fraction, cfg: RewardConfig) -> Fraction:
 
 def reference_score_program(gen, gold, cfg: RewardConfig = DEFAULT_REWARD_CONFIG):
     """``score_program`` in Fraction arithmetic over ``Counter``s, gold recounted per call."""
-    gold_program = gold.parsed_gold()
-    compiled = gen is not None and has_return(gen)
-    v_gen = 0 if gen is None else count_finds(gen)
-    v_gold = count_finds(gold_program)
-    gen_counts = Counter() if gen is None else basic_operation_counts(gen)
-    gold_counts = basic_operation_counts(gold_program)
+    gold_ops = Counter(s.op for s in gold.parsed_gold().statements)
+    gen_ops = Counter() if gen is None else Counter(s.op for s in gen.statements)
+    compiled = gen_ops[Operator.RETURN] > 0
+    v_gen = gen_ops[Operator.FIND]
+    v_gold = gold_ops[Operator.FIND]
+    # Counters keep first-occurrence order, which reaches the JSON.
+    gen_counts = Counter({op: n for op, n in gen_ops.items() if op in BASIC_OPERATORS})
+    gold_counts = Counter({op: n for op, n in gold_ops.items() if op in BASIC_OPERATORS})
 
     r1 = cfg.r_max if compiled else Fraction(0)
     r2 = _reference_r2(v_gen, v_gold, cfg)

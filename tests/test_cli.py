@@ -383,6 +383,20 @@ class TestPpoDemoCommand:
         assert "--heldout must be at least 1" in err
 
     @pytest.mark.parametrize(
+        "flag, value, low", [("--tasks", "-1", 1), ("--tasks", "0", 1), ("--seed", "-1", 0)]
+    )
+    def test_bad_tasks_or_seed_rejected_by_flag_before_any_work(
+        self, capsys, monkeypatch, flag, value, low
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("tasks generated before the flags were checked")
+
+        monkeypatch.setattr(flsolve.cli, "generate_toy_tasks", no_work)
+        code, out, err = run_cli(self.DEMO_ARGS + [flag, value], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} must be at least {low}\n"
+
+    @pytest.mark.parametrize(
         "rate, message",
         [
             ("nan", "learning_rate must be finite, got nan"),

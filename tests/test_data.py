@@ -21,7 +21,6 @@ from flsolve import (
     ordered_stats,
     parse_program,
     reasoning_step_count,
-    shuffled,
     validate_dataset,
     write_dataset,
 )
@@ -295,18 +294,3 @@ class TestReasoningStepCount:
             "rope-skipping": 3,
             "road-repair": 2,
         }
-
-
-class TestShuffled:
-    def test_deterministic_and_non_destructive(self):
-        records = bundled_examples().records
-        ordered_before = list(records)
-        first = shuffled(records, 3)
-        second = shuffled(records, 3)
-        assert first == second
-        assert sorted(r.id for r in first) == sorted(r.id for r in records)
-        assert list(records) == ordered_before
-
-    def test_some_seed_moves_things(self):
-        records = bundled_examples().records
-        assert any(shuffled(records, seed) != list(records) for seed in range(5))

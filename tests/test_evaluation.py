@@ -87,7 +87,7 @@ class TestGeneratorSpec:
         assert texts == {"var1 = [find](a) # 1\n[return](var1)"}
 
     def test_empty_produces_nothing(self, fixture_ds):
-        gen = GeneratorSpec("empty").build(fixture_ds.records[0])
+        gen = GeneratorSpec("scripted").build(fixture_ds.records[0])
         assert gen.next_chunk("anything") == ""
 
 
@@ -119,7 +119,7 @@ class TestGoldReplayEvaluation:
 
 class TestDegenerateGenerators:
     def test_empty_generator_is_all_syntax_errors(self, fixture_ds):
-        report = evaluate_corpus(fixture_ds, GeneratorSpec("empty"))
+        report = evaluate_corpus(fixture_ds, GeneratorSpec("scripted"))
         assert report.accuracy == 0.0
         assert report.syntax_error_rate == 100.0
         assert all(r.error_kind == "generator-stalled" for r in report.per_problem)
@@ -149,7 +149,7 @@ class TestReportShape:
         assert first["reward"]["total"] == "5"
 
     def test_empty_dataset(self):
-        report = evaluate_corpus(DatasetFile((), "inline"), GeneratorSpec("empty"))
+        report = evaluate_corpus(DatasetFile((), "inline"), GeneratorSpec("scripted"))
         assert isinstance(report, EvalReport)
         assert report.total == 0
         assert report.accuracy == 0.0

@@ -21,12 +21,11 @@ from flsolve import (
     bundled_examples,
     evaluate_corpus,
     generate_toy_tasks,
-    has_return,
     parse_program,
-    reward_r1,
     rollout,
     run_session,
     score_program,
+    tally,
     total_reward,
 )
 from flsolve import parser, rewards, runtime
@@ -84,8 +83,8 @@ class TestTranscriptProgram:
         source = t.generated_source
         assert t.program == reparsed(source)
         assert score_program(t.program, GOLD) == total_reward(source, GOLD)
-        compiled = t.program is not None and has_return(t.program)
-        assert reward_r1(reparsed(source)) == (1 if compiled else 0)
+        compiled = t.program is not None and tally(t.program)[1]
+        assert score_program(reparsed(source), GOLD).r1 == (1 if compiled else 0)
         assert total_reward(source, GOLD).diagnostics.compiled == compiled
 
     @settings(max_examples=400, deadline=None)

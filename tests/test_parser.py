@@ -15,15 +15,16 @@ from flsolve import (
     CommentAnnotation,
     Operator,
     ParseError,
+    ProblemRecord,
     Program,
     Statement,
     VarRef,
     bundled_examples,
-    has_return,
     parse_line,
     parse_program,
     render_program,
-    reward_r1,
+    score_program,
+    tally,
 )
 from flsolve.parser import parse_comment_value
 from flsolve.values import NUMBER_PATTERN, parse_number
@@ -296,7 +297,7 @@ class TestParseProgram:
         for record in bundled_examples().records:
             program = parse_program(record.gold_program)
             assert isinstance(program, Program), record.id
-            assert has_return(program), record.id
+            assert tally(program)[1], record.id
 
     def test_listing_style_source(self):
         program = parse_program(LISTING_STYLE_SOURCE)
@@ -385,13 +386,15 @@ class TestParseProgram:
 
 
 class TestProgramCompiles:
-    """The compile gate is ``reward_r1`` on the parsed program: it parses,
-    passes the static checks, and declares an answer."""
+    """The compile gate is r1 of ``score_program`` on the parsed program: it
+    parses, passes the static checks, and declares an answer."""
 
-    @staticmethod
-    def compiles(source: str) -> bool:
+    GOLD = ProblemRecord("g", "?", "var1 = [find](a) # 3\n[return](var1)", Fraction(3))
+
+    @classmethod
+    def compiles(cls, source: str) -> bool:
         parsed = parse_program(source)
-        return reward_r1(parsed if isinstance(parsed, Program) else None) == 1
+        return score_program(parsed if isinstance(parsed, Program) else None, cls.GOLD).r1 == 1
 
     def test_bundled_examples_compile(self):
         for record in bundled_examples().records:

@@ -12,8 +12,6 @@ from flsolve import (
     BASIC_OPERATORS,
     CommentAnnotation,
     DEFAULT_REWARD_CONFIG,
-    Environment,
-    EvalOutcome,
     Operator,
     ProblemRecord,
     Program,
@@ -23,10 +21,6 @@ from flsolve import (
     VarRef,
     bundled_examples,
     parse_program,
-    reward_r1,
-    reward_r2,
-    reward_r3,
-    reward_r4,
     render_program,
     score_program,
     total_reward,
@@ -180,36 +174,60 @@ def parsed(source: str) -> Program | None:
     return result if isinstance(result, Program) else None
 
 
+def record_of(source: str, answer: Fraction = Fraction(1)) -> ProblemRecord:
+    return ProblemRecord("g", "?", source, answer)
+
+
+def finds_source(k: int) -> str:
+    """``k`` [find] lines, then the return of the first."""
+    lines = [f"var{i} = [find](q{i}) # {i}" for i in range(1, k + 1)]
+    return "\n".join(lines + ["[return](var1)"])
+
+
+def ops_source(*ops: Operator) -> str:
+    """Two [find] lines, one line per operator in ``ops``, then the return."""
+    lines = ["var1 = [find](a) # 2", "var2 = [find](b) # 1"]
+    lines += [f"var{i} = [{op.value}](var1, var2)" for i, op in enumerate(ops, start=3)]
+    return "\n".join(lines + [f"[return](var{len(lines)})"])
+
+
+def ops_program(*ops: Operator) -> Program:
+    return Program(
+        tuple(Statement(op, (VarRef("a"), VarRef("b")), target=f"v{i}") for i, op in enumerate(ops))
+    )
+
+
+def answering(value) -> Program:
+    """A program that declares ``value`` and returns it."""
+    return parsed(f"var1 = [find](a) # {value}\n[return](var1)")
+
+
 class TestComponentRules:
+    """Each component's rule, read off ``score_program``'s breakdown."""
+
     def test_r1_is_the_compile_gate(self):
-        assert reward_r1(parsed("var1 = [find](a) # 2\n[return](var1)")) == 1
-        assert reward_r1(parsed("var1 = [find](a) # 2")) == 0
+        gold = record_of(finds_source(1))
+        assert score_program(parsed("var1 = [find](a) # 2\n[return](var1)"), gold).r1 == 1
+        assert score_program(parsed("var1 = [find](a) # 2"), gold).r1 == 0
         assert parsed("nonsense") is None
-        assert reward_r1(None) == 0
+        assert score_program(None, gold).r1 == 0
 
     def test_r1_scales_with_r_max(self):
         cfg = RewardConfig(r_max=Fraction(3))
-        assert reward_r1(parsed("var1 = [find](a) # 2\n[return](var1)"), cfg) == 3
+        gen = parsed("var1 = [find](a) # 2\n[return](var1)")
+        assert score_program(gen, record_of(finds_source(1)), cfg).r1 == 3
 
     def test_r2_requires_gold_finds(self):
         gen = parse_program("var1 = [find](a) # 1\n[return](var1)")
-        gold_without_finds = Program((Statement(Operator.RETURN, (VarRef("var1"),)),))
-        with pytest.raises(ValueError):
-            reward_r2(gen, gold_without_finds)
+        gold_without_finds = record_of("var1 = [add](1, 2)\n[return](var1)", Fraction(3))
+        with pytest.raises(ValueError, match=r"declares no \[find\]"):
+            score_program(gen, gold_without_finds)
 
     def test_r2_unclamped_is_monotone_in_count_distance(self):
         cfg = RewardConfig(clamp_components=False)
-
-        def with_finds(k: int) -> Program:
-            lines = [f"var{i} = [find](q{i}) # {i}" for i in range(1, k + 1)]
-            lines.append("[return](var1)")
-            program = parse_program("\n".join(lines))
-            assert isinstance(program, Program)
-            return program
-
-        gold = with_finds(4)
-        scores = {k: reward_r2(with_finds(k), gold, cfg) for k in range(1, 13)}
-        scores[0] = reward_r2(None, gold, cfg)
+        gold = record_of(finds_source(4))
+        scores = {k: score_program(parsed(finds_source(k)), gold, cfg).r2 for k in range(1, 13)}
+        scores[0] = score_program(None, gold, cfg).r2
         assert scores[4] == 1
         for k in sorted(scores):
             if k == 4:
@@ -219,52 +237,34 @@ class TestComponentRules:
 
     def test_r2_equidistant_counts_score_equal(self):
         cfg = RewardConfig(clamp_components=False)
-        gold = parse_program(
-            "\n".join([f"var{i} = [find](q{i}) # 1" for i in range(1, 5)] + ["[return](var1)"])
-        )
-        low = parse_program("var1 = [find](a) # 1\n[return](var1)")
-        high = parse_program(
-            "\n".join([f"var{i} = [find](q{i}) # 1" for i in range(1, 8)] + ["[return](var1)"])
-        )
-        assert reward_r2(low, gold, cfg) == reward_r2(high, gold, cfg) == Fraction(1, 4)
+        gold = record_of(finds_source(4))
+        low = score_program(parsed(finds_source(1)), gold, cfg).r2
+        high = score_program(parsed(finds_source(7)), gold, cfg).r2
+        assert low == high == Fraction(1, 4)
 
     def test_r2_clamp_floor(self):
-        gold = parse_program(
-            "var1 = [find](a) # 1\n[return](var1)"
-        )
-        crowded = parse_program(
-            "\n".join([f"var{i} = [find](q{i}) # 1" for i in range(1, 9)] + ["[return](var1)"])
-        )
-        assert reward_r2(crowded, gold) == -1
-        assert reward_r2(crowded, gold, RewardConfig(clamp_components=False)) == -6
-        assert reward_r2(crowded, gold, RewardConfig(clamp_floor=Fraction(-2))) == -2
+        gold = record_of(finds_source(1))
+        crowded = parsed(finds_source(8))
+        assert score_program(crowded, gold).r2 == -1
+        assert score_program(crowded, gold, RewardConfig(clamp_components=False)).r2 == -6
+        assert score_program(crowded, gold, RewardConfig(clamp_floor=Fraction(-2))).r2 == -2
 
     def test_r3_unique_maximum_at_gold_multiset(self):
-        def ops_program(counts: dict) -> Program:
-            statements = []
-            for op, n in counts.items():
-                statements.extend(
-                    Statement(op, (VarRef("a"), VarRef("b")), target=f"v{len(statements)}")
-                    for _ in range(n)
-                )
-            return Program(tuple(statements))
-
-        gold_counts = {Operator.SUBTRACT: 2}
-        gold = ops_program(gold_counts)
-        best = reward_r3(ops_program(gold_counts), gold)
+        gold = record_of(ops_source(Operator.SUBTRACT, Operator.SUBTRACT))
+        best = score_program(ops_program(Operator.SUBTRACT, Operator.SUBTRACT), gold).r3
         assert best == 2
         seen_best = 0
         for a in range(3):
             for s in range(4):
                 for m in range(3):
                     for d in range(3):
-                        counts = {
-                            Operator.ADD: a,
-                            Operator.SUBTRACT: s,
-                            Operator.MULTIPLY: m,
-                            Operator.DIVIDE: d,
-                        }
-                        score = reward_r3(ops_program(counts), gold)
+                        ops = (
+                            [Operator.ADD] * a
+                            + [Operator.SUBTRACT] * s
+                            + [Operator.MULTIPLY] * m
+                            + [Operator.DIVIDE] * d
+                        )
+                        score = score_program(ops_program(*ops), gold).r3
                         if score == best:
                             seen_best += 1
                             assert (a, s, m, d) == (0, 2, 0, 0)
@@ -273,64 +273,47 @@ class TestComponentRules:
         assert seen_best == 1
 
     def test_r3_matched_missing_extra_arithmetic(self):
-        def ops_program(*ops: Operator) -> Program:
-            return Program(
-                tuple(
-                    Statement(op, (VarRef("a"), VarRef("b")), target=f"v{i}")
-                    for i, op in enumerate(ops)
-                )
-            )
-
-        gold = ops_program(Operator.ADD, Operator.MULTIPLY)
+        gold = record_of(ops_source(Operator.ADD, Operator.MULTIPLY))
         # one matched (+1), one missing (-1), one extra (-1/2)
         gen = ops_program(Operator.ADD, Operator.DIVIDE)
-        assert reward_r3(gen, gold) == Fraction(-1, 2)
+        assert score_program(gen, gold).r3 == Fraction(-1, 2)
 
     def test_r3_clamp_at_gold_count(self):
-        def ops_program(*ops: Operator) -> Program:
-            return Program(
-                tuple(
-                    Statement(op, (VarRef("a"), VarRef("b")), target=f"v{i}")
-                    for i, op in enumerate(ops)
-                )
-            )
-
-        gold = ops_program(Operator.ADD, Operator.SUBTRACT)
+        gold = record_of(ops_source(Operator.ADD, Operator.SUBTRACT))
         flood = ops_program(*([Operator.DIVIDE] * 10))
-        assert reward_r3(flood, gold) == -2
-        assert reward_r3(flood, gold, RewardConfig(clamp_components=False)) == Fraction(-7)
+        assert score_program(flood, gold).r3 == -2
+        assert score_program(flood, gold, RewardConfig(clamp_components=False)).r3 == -7
 
     def test_r4_scoring(self):
-        env = Environment()
-        gold = Fraction(40)
-        assert reward_r4(EvalOutcome(Fraction(40), env, None), gold) == 1
-        assert reward_r4(EvalOutcome(Fraction(30), env, None), gold) == Fraction(3, 4)
-        assert reward_r4(EvalOutcome(Fraction(50), env, None), gold) == Fraction(3, 4)
-        assert reward_r4(None, gold) == 0
-        assert reward_r4(EvalOutcome(None, env, None), gold) == 0
+        gold = record_of(finds_source(1), Fraction(40))
+        assert score_program(answering(40), gold).r4 == 1
+        assert score_program(answering(30), gold).r4 == Fraction(3, 4)
+        assert score_program(answering(50), gold).r4 == Fraction(3, 4)
+        assert score_program(None, gold).r4 == 0
+        # no [return], and a runtime error: neither has an answer
+        assert score_program(parsed("var1 = [find](a) # 40"), gold).r4 == 0
+        divide_by_zero = parsed("var1 = [find](a) # 40\nvar2 = [divide](var1, 0)\n[return](var2)")
+        assert score_program(divide_by_zero, gold).r4 == 0
 
     def test_r4_negative_gold_uses_absolute_distance(self):
-        env = Environment()
-        assert reward_r4(EvalOutcome(Fraction(-3), env, None), Fraction(-4)) == Fraction(3, 4)
+        gold = record_of(finds_source(1), Fraction(-4))
+        assert score_program(answering(-3), gold).r4 == Fraction(3, 4)
 
     def test_r4_zero_gold(self):
-        env = Environment()
-        assert reward_r4(EvalOutcome(Fraction(0), env, None), Fraction(0)) == 1
-        assert reward_r4(EvalOutcome(Fraction(5), env, None), Fraction(0)) == -1
+        gold = record_of(finds_source(1), Fraction(0))
+        assert score_program(answering(0), gold).r4 == 1
+        assert score_program(answering(5), gold).r4 == -1
 
     def test_r4_clamp(self):
-        env = Environment()
-        wild = EvalOutcome(Fraction(10**6), env, None)
-        assert reward_r4(wild, Fraction(1)) == -1
-        assert reward_r4(wild, Fraction(1), RewardConfig(clamp_components=False)) == 1 - Fraction(
-            10**6 - 1, 1
-        )
+        gold = record_of(finds_source(1))
+        wild = answering(10**6)
+        assert score_program(wild, gold).r4 == -1
+        unclamped = score_program(wild, gold, RewardConfig(clamp_components=False)).r4
+        assert unclamped == 1 - Fraction(10**6 - 1, 1)
 
     def test_no_answer_beats_a_wild_answer(self):
-        env = Environment()
-        assert reward_r4(None, Fraction(10)) > reward_r4(
-            EvalOutcome(Fraction(-1000), env, None), Fraction(10)
-        )
+        gold = record_of(finds_source(1), Fraction(10))
+        assert score_program(None, gold).r4 > score_program(answering(-1000), gold).r4
 
     def test_r_max_validation(self):
         with pytest.raises(ValueError):
@@ -456,9 +439,6 @@ class TestScoreProgramAgainstReference:
                 getattr(expected.diagnostics, name).items()
             )
         assert json.dumps(breakdown.to_json()) == json.dumps(expected.to_json())
-        gold_program = gold.parsed_gold()
-        assert reward_r2(gen, gold_program, cfg) == breakdown.r2
-        assert reward_r3(gen, gold_program, cfg) == breakdown.r3
 
     def test_cached_counts_are_not_shared_with_results(self):
         gold = ProblemRecord("g", "?", GOLD_SUM, Fraction(7))

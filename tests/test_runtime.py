@@ -546,11 +546,3 @@ class TestStripComputedComments:
         ]:
             once = strip_computed_comments(record_source)
             assert strip_computed_comments(once) == once
-
-
-def test_scripted_generator_from_file(tmp_path):
-    path = tmp_path / "gen.txt"
-    path.write_text("var1 = [find](a) # 2\n[return](var1)", encoding="utf-8")
-    gen = ScriptedGenerator.from_file(str(path), chunk_size=4)
-    transcript = run_session(gen, "q")
-    assert transcript.outcome.answer == 2

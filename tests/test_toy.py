@@ -35,8 +35,9 @@ from flsolve.toy import (
     PolicySession,
     _StepRow,
     _StepTable,
+    _cue_index,
+    _features,
     question_cue,
-    state_feature_vector,
 )
 
 import oracles
@@ -154,7 +155,7 @@ class TestCuesAndFeatures:
         assert question_cue("What is seven plus three?") is None
 
     def test_feature_vector_layout(self):
-        phi = state_feature_vector("How many apples altogether?", lines=2, finds=2, ops=0)
+        phi = _features(_cue_index("How many apples altogether?"), lines=2, finds=2, ops=0)
         assert phi.shape == (N_FEATURES,)
         assert phi[CUE_OPERATORS.index(Operator.ADD)] == 1.0
         assert phi[1:4].sum() == 0.0  # only one cue slot set
@@ -164,7 +165,7 @@ class TestCuesAndFeatures:
         assert phi[12] == 1.0
 
     def test_step_one_hot_saturates(self):
-        phi = state_feature_vector("no cue here", lines=40, finds=0, ops=0)
+        phi = _features(_cue_index("no cue here"), lines=40, finds=0, ops=0)
         assert phi[4 + 5] == 1.0
         assert phi[:4].sum() == 0.0
 
@@ -333,6 +334,12 @@ class TestTraining:
         assert demo_config(learning_rate=0.25).learning_rate == 0.25
 
 
+def one_row(probs: np.ndarray) -> _StepRow:
+    """The step row of one state with these probabilities, built as a 1-row batch."""
+    (row,) = _StepRow.batch([np.zeros(N_FEATURES)], probs[None], [0.0], [None])
+    return row
+
+
 def random_distribution(rng: np.random.Generator, trial: int) -> np.ndarray:
     """Probabilities of one of four shapes, two of them near-degenerate."""
     n = int(rng.integers(1, 12))
@@ -359,7 +366,7 @@ class TestStepTable:
         shapes = np.random.default_rng(2024)
         for trial in range(4000):
             probs = random_distribution(shapes, trial)
-            row = _StepRow(np.zeros(N_FEATURES), probs, 0.0)
+            row = one_row(probs)
             ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
             for _ in range(3):
                 assert row.draw(ours) == int(theirs.choice(len(probs), p=probs)), (trial, probs)
@@ -377,7 +384,7 @@ class TestStepTable:
                 probs = np.array([0.0, u / 2, u / 2, 0.0, 1.0 - u, 0.0])
             else:
                 probs = np.array([u, 1.0 - u]) * (1.0 - 1e-9)  # inside choice's tolerance
-            row = _StepRow(np.zeros(N_FEATURES), probs, 0.0)
+            row = one_row(probs)
             ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
             assert row.draw(ours) == int(theirs.choice(len(probs), p=probs)), (trial, probs)
             assert ours.bit_generator.state == theirs.bit_generator.state, trial
@@ -407,7 +414,7 @@ class TestStepTable:
     )
     def test_draw_checks_probabilities_like_choice(self, probs):
         probs = np.array(probs)
-        row = _StepRow(np.zeros(N_FEATURES), probs, 0.0)
+        row = one_row(probs)
         ours, theirs = np.random.default_rng(1), np.random.default_rng(1)
         with pytest.raises(ValueError) as expected:
             theirs.choice(len(probs), p=probs)
@@ -465,7 +472,10 @@ class TestStepTable:
 
         stats, policy, accuracy = run(train_ppo_demo)
         monkeypatch.setattr(toy, "PolicySession", oracles.ReferencePolicySession)
-        monkeypatch.setattr(toy, "score_program", oracles.reference_score_program)
+        monkeypatch.setattr(
+            toy, "_score_transcript",
+            lambda t, rec, cfg: oracles.reference_score_program(t.program, rec, cfg),
+        )
         ref_stats, ref_policy, ref_accuracy = run(oracles.reference_train_ppo_demo)
         assert stats == ref_stats
         assert np.array_equal(policy.weights, ref_policy.weights)
@@ -493,7 +503,10 @@ class TestStepTable:
 
         ours = run(train_ppo_demo)
         monkeypatch.setattr(toy, "PolicySession", oracles.ReferencePolicySession)
-        monkeypatch.setattr(toy, "score_program", oracles.reference_score_program)
+        monkeypatch.setattr(
+            toy, "_score_transcript",
+            lambda t, rec, cfg: oracles.reference_score_program(t.program, rec, cfg),
+        )
         for (stats, weights, values), (ref_stats, ref_weights, ref_values) in zip(
             ours, run(oracles.reference_train_ppo_demo)
         ):
