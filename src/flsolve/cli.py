@@ -143,6 +143,8 @@ def cmd_ppo_demo(args: argparse.Namespace) -> int:
     _check_at_least(args.tasks, 1, "--tasks")
     _check_at_least(args.iterations, 1, "--iterations")
     _check_at_least(args.heldout, 1, "--heldout")
+    if args.batch_size is not None:
+        _check_at_least(args.batch_size, 1, "--batch-size")
 
     tasks = generate_toy_tasks(args.seed, args.tasks, SINGLE_OP_TEMPLATES)
     heldout = generate_toy_tasks(args.seed + 1, args.heldout, SINGLE_OP_TEMPLATES)

@@ -50,6 +50,10 @@ class EvalError(Exception):
         where = "" if self.statement_index is None else f" (statement {self.statement_index})"
         return f"{self.kind}: {self.message}{where}"
 
+    def __reduce__(self):
+        # BaseException's own reduce would call EvalError(message), without the kind.
+        return type(self), (self.kind, self.message, self.statement_index)
+
 
 class Environment:
     """Immutable variable store; ``bind`` returns a new snapshot."""

@@ -19,7 +19,11 @@ r3 at ``-r_max * G`` where G is the gold four-operator count; disabling
 clamping reproduces the raw formulas.
 
 ``total_reward`` scores text and ``score_program`` an already parsed
-program; the breakdown either returns carries r1-r4 and their total.
+program; the breakdown either returns carries r1-r4 and their total. A
+session's own ``generated_source`` is scored through its transcript, so
+``total_reward(t.generated_source, gold)`` costs what
+``score_program(t.program, gold)`` does; file text and text derived from that
+source are parsed.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from fractions import Fraction
 from .interpreter import EvalOutcome, evaluate
 from .parser import parse_program
 from .program import BASIC_OPERATORS, BASIC_SYMBOLS, ProblemRecord, Program, tally
-from .runtime import SessionTranscript
+from .runtime import SessionTranscript, _SessionSource
 from .values import format_number
 
 
@@ -167,7 +171,12 @@ def total_reward(
     """Score a generated source against a gold record.
 
     The gold program must be valid; the generation may be arbitrary text.
+    A session's own ``generated_source`` is scored through its transcript,
+    as ``score_program(t.program, gold)``, without parsing it again; any
+    other text, file text or text derived from that source, is parsed.
     """
+    if type(gen_source) is _SessionSource:
+        return _score_transcript(gen_source.transcript, gold, cfg)
     parsed = parse_program(gen_source)
     return score_program(parsed if isinstance(parsed, Program) else None, gold, cfg)
 

@@ -124,6 +124,11 @@ class SessionTranscript:
 
     @property
     def generated_source(self) -> str:
+        """The emitted lines joined by newlines, a string that ``total_reward``
+        scores through this transcript; text derived from it is a plain str."""
+        return _SessionSource(self._text(), self)
+
+    def _text(self) -> str:
         return "\n".join(line.text for line in self.emitted_lines)
 
     @property
@@ -142,7 +147,7 @@ class SessionTranscript:
         foreign line break can differ: ``var1 = [find](a) # 3\r[return](var1)``
         stalls the session, yet parses to a program that answers 3.
         """
-        source = self.generated_source
+        source = self._text()
         # Checked before the parse-error shortcut: split at such a break, a
         # line the session could not parse may parse.
         if self.entries is None or _FOREIGN_LINE_BREAK.search(source):
@@ -152,6 +157,23 @@ class SessionTranscript:
         if (error is not None and error.kind == "parse-error") or _static_check(self.entries):
             return None, True
         return Program(tuple(stmt for _, stmt in self.entries)), True
+
+
+class _SessionSource(str):
+    """A transcript's ``generated_source``, holding the transcript.
+
+    Slices, ``+``, ``strip`` and ``str()`` of it are plain ``str``, and it
+    pickles and copies as one, so only the string a session returned carries
+    its transcript.
+    """
+
+    def __new__(cls, text: str, transcript: SessionTranscript) -> _SessionSource:
+        source = super().__new__(cls, text)
+        source.transcript = transcript
+        return source
+
+    def __reduce__(self):
+        return str, (str(self),)
 
 
 def assemble_prompt(

@@ -369,11 +369,14 @@ class TestPpoDemoCommand:
         assert "--iterations" in err
 
     @pytest.mark.parametrize("batch_size", ["0", "-3"])
-    def test_batch_size_below_one_rejected(self, capsys, batch_size):
+    def test_batch_size_below_one_rejected(self, capsys, monkeypatch, batch_size):
+        def no_work(*args, **kwargs):
+            raise AssertionError("tasks generated before the flags were checked")
+
+        monkeypatch.setattr(flsolve.cli, "generate_toy_tasks", no_work)
         code, out, err = run_cli(self.DEMO_ARGS + ["--batch-size", batch_size], capsys)
-        assert code == 1
-        assert out == ""
-        assert "batch_size must be at least 1" in err
+        assert (code, out) == (1, "")
+        assert err == "error: --batch-size must be at least 1\n"
 
     @pytest.mark.parametrize("heldout", ["0", "-2"])
     def test_heldout_below_one_rejected_before_training(self, capsys, heldout):

@@ -1,6 +1,8 @@
 """Evaluator semantics: exact arithmetic, error taxonomy, annotations."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -198,6 +200,30 @@ class TestEvaluate:
         )
         assert outcome.error is None
         assert outcome.answer == 5
+
+
+class TestEvalErrorRoundTrip:
+    @pytest.mark.parametrize("index", [None, 0, 3])
+    @pytest.mark.parametrize(
+        "copier", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy]
+    )
+    def test_keeps_its_fields(self, copier, index):
+        err = EvalError("division-by-zero", "division by zero", index)
+        again = copier(err)
+        assert type(again) is EvalError
+        assert (again.kind, again.message, again.statement_index) == (
+            "division-by-zero", "division by zero", index
+        )
+        assert str(again) == str(err)
+
+    def test_keeps_an_index_set_after_raising(self):
+        with pytest.raises(EvalError) as excinfo:
+            apply_operator(Operator.DIVIDE, [Fraction(1), Fraction(0)])
+        err = excinfo.value
+        err.statement_index = 2
+        assert str(pickle.loads(pickle.dumps(err))) == str(err) == (
+            "division-by-zero: division by zero (statement 2)"
+        )
 
 
 class TestValueBound:

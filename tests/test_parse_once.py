@@ -1,5 +1,6 @@
 """Parse once per pipeline: sessions keep their parsed program, records their gold."""
 
+import copy
 import pickle
 import sys
 from dataclasses import replace
@@ -80,7 +81,7 @@ class TestTranscriptProgram:
     @example("var1 = [find](a) # 3\n# note\n[return](var1)", 5)
     def test_matches_reparsing_the_generated_source(self, text, chunk_size):
         t = run_session(ScriptedGenerator(text, chunk_size), GOLD.question)
-        source = t.generated_source
+        source = str(t.generated_source)  # plain text, so total_reward parses it
         assert t.program == reparsed(source)
         assert score_program(t.program, GOLD) == total_reward(source, GOLD)
         compiled = t.program is not None and tally(t.program)[1]
@@ -94,7 +95,8 @@ class TestTranscriptProgram:
     def test_scoring_the_transcript_matches_the_text(self, text, chunk_size):
         t = run_session(ScriptedGenerator(text, chunk_size), GOLD.question)
         scored = rewards._score_transcript(t, GOLD, DEFAULT_REWARD_CONFIG)
-        assert scored == total_reward(t.generated_source, GOLD)
+        assert scored == total_reward(str(t.generated_source), GOLD)
+        assert total_reward(t.generated_source, GOLD) == scored
 
     def test_a_reparse_at_a_foreign_line_break_is_scored_on_its_own(self):
         # The session stalls on one line; split at \r, the text answers 3.
@@ -131,6 +133,55 @@ class TestTranscriptProgram:
             if c != "\n":
                 splits = len(f"a{c}b".splitlines()) == 2
                 assert splits == (pattern.search(c) is not None), repr(c)
+
+
+# Sessions that answer, fail to evaluate, fail to parse and stall.
+SESSION_TEXTS = (
+    GOLD.gold_program,
+    "var1 = [find](a) # 3\nvar2 = [divide](var1, 0)\n[return](var2)",
+    "var1 = [find](a) # 3\nvar2 = [frob](var1)\n",
+    "var1 = [find](a) # 3\n",
+)
+DERIVED = {
+    "plus empty": lambda s: s + "",
+    "strip": str.strip,
+    "str": str,
+    "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestSessionSource:
+    """A session's generated_source is scored through its transcript."""
+
+    @pytest.mark.parametrize("text", SESSION_TEXTS)
+    def test_scoring_it_parses_and_evaluates_nothing(self, monkeypatch, text):
+        t = run_session(ScriptedGenerator(text, 2), GOLD.question)
+        expected = total_reward(str(t.generated_source), GOLD)
+        monkeypatch.setattr(rewards, "parse_program", None)  # parsing would fail
+        monkeypatch.setattr(rewards, "evaluate", None)  # evaluating would fail
+        assert total_reward(t.generated_source, GOLD) == expected
+
+    @pytest.mark.parametrize("derive", DERIVED.values(), ids=DERIVED.keys())
+    @pytest.mark.parametrize("text", SESSION_TEXTS)
+    def test_derived_text_is_a_plain_str(self, text, derive):
+        t = run_session(ScriptedGenerator(text, 2), GOLD.question)
+        plain = "\n".join(line.text for line in t.emitted_lines)
+        derived = derive(t.generated_source)
+        assert type(derived) is str
+        assert derived == derive(plain)
+
+    @pytest.mark.parametrize("text", SESSION_TEXTS[1:])
+    def test_a_transcript_ending_in_an_error_pickles(self, text):
+        t = run_session(ScriptedGenerator(text, 2), GOLD.question)
+        again = pickle.loads(pickle.dumps(t))
+        for copied in (again, copy.deepcopy(t)):
+            assert copied.emitted_lines == t.emitted_lines
+            assert str(copied.outcome.error) == str(t.outcome.error)
+            assert copied.program == t.program
+            assert total_reward(copied.generated_source, GOLD) == total_reward(
+                t.generated_source, GOLD
+            )
 
 
 class TestParsedGold:
