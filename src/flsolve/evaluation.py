@@ -13,7 +13,7 @@ from functools import partial
 
 from .data import DatasetFile, _fan_out, reasoning_step_count
 from .interpreter import answers_match
-from .parser import _split_line
+from .parser import _lines, _split_line
 from .program import ProblemRecord
 from .rewards import DEFAULT_REWARD_CONFIG, RewardBreakdown, RewardConfig, _score_transcript
 from .runtime import (
@@ -59,7 +59,7 @@ def _replay_text(record: ProblemRecord) -> str:
     """
     statements = iter(record.parsed_gold().statements)
     out: list[str] = []
-    for raw in record.gold_program.splitlines():
+    for raw in _lines(record.gold_program):
         body, hash_mark, _ = _split_line(raw)
         if body.strip() and not next(statements).is_find and hash_mark:
             raw = body.rstrip()

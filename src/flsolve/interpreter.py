@@ -40,6 +40,9 @@ EVAL_ERROR_KINDS = (
 
 
 class EvalError(Exception):
+    """An evaluation failure as data: equal to another with the same kind,
+    message and statement index."""
+
     def __init__(self, kind: str, message: str, statement_index: int | None = None):
         super().__init__(message)
         self.kind = kind
@@ -50,13 +53,25 @@ class EvalError(Exception):
         where = "" if self.statement_index is None else f" (statement {self.statement_index})"
         return f"{self.kind}: {self.message}{where}"
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EvalError):
+            return NotImplemented
+        return (self.kind, self.message, self.statement_index) == (
+            other.kind, other.message, other.statement_index
+        )
+
+    def __hash__(self) -> int:
+        # statement_index is left out: the session sets it after raising.
+        return hash((self.kind, self.message))
+
     def __reduce__(self):
         # BaseException's own reduce would call EvalError(message), without the kind.
         return type(self), (self.kind, self.message, self.statement_index)
 
 
 class Environment:
-    """Immutable variable store; ``bind`` returns a new snapshot."""
+    """Immutable variable store; ``bind`` returns a new snapshot. Snapshots
+    with the same bindings are equal."""
 
     __slots__ = ("_bindings",)
 
@@ -86,6 +101,14 @@ class Environment:
 
     def items(self) -> Iterator[tuple[str, Value]]:
         return iter(self._bindings.items())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Environment):
+            return NotImplemented
+        return self._bindings == other._bindings
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._bindings.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self._bindings.items())

@@ -5,6 +5,11 @@ The grammar is one statement per line::
     <var> = [<operator>](<args>) # <comment>
     [return](<var>) # <comment>
 
+A line ends at ``\n``, and a ``\r`` just before it is dropped; ``\r``,
+``\x0c``, ``\u2028`` and the other breaks of ``str.splitlines`` are ordinary
+characters anywhere else in a line. The session runtime reads lines the same
+way, so a text gets one answer from either.
+
 Bracketed operator symbols such as ``[subtract]`` are atomic tokens, a ``#``
 starts a comment running to end of line, whitespace is insignificant, and a
 single trailing comma at line end is tolerated (some listings format programs
@@ -77,6 +82,17 @@ _var_ref = lru_cache(maxsize=1024)(VarRef)
 # A comment's declared value: the whole comment, or the text after its last
 # '=', is one number literal.
 _COMMENT_VALUE_RE = re.compile(rf"(?:.*=)?\s*({NUMBER_PATTERN})\s*", re.DOTALL)
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, split as the session reads them: at ``\n``, with
+    one ``\r`` before it dropped and no empty last line. Equal to
+    ``text.splitlines()`` when every break in ``text`` is ``\n`` or ``\r\n``.
+    """
+    lines = text.replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def _split_line(raw: str) -> tuple[str, str, str]:
@@ -311,7 +327,7 @@ def parse_program(source: str) -> Program | list[ParseError]:
     """
     entries: list[tuple[int, Statement]] = []
     errors: list[ParseError] = []
-    for line_no, raw in enumerate(source.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(source), start=1):
         result = parse_line(raw, line_no)
         if result is None:
             continue

@@ -138,6 +138,7 @@ class PpoObjective:
     policy_loss: float
     kl_penalty: float
     clip_fraction: float
+    mean_kl: float  # the mean KL behind kl_penalty, before beta scales it
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -179,10 +180,11 @@ def ppo_objective(
     )
     surrogate = float(np.minimum(unclipped, clipped).mean())
     clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range))
-    kl_penalty = 0.0
+    mean_kl = kl_penalty = 0.0
     if ref_dists is not None and new_dists is not None:
-        kl_penalty = cfg.beta * float(np.mean(kl_divergence(ref_dists, new_dists)))
-    return PpoObjective(-(surrogate - kl_penalty), kl_penalty, clip_fraction)
+        mean_kl = float(np.mean(kl_divergence(ref_dists, new_dists)))
+        kl_penalty = cfg.beta * mean_kl
+    return PpoObjective(-(surrogate - kl_penalty), kl_penalty, clip_fraction, mean_kl)
 
 
 def _value_errors(traj: Trajectory, returns, new_values, cfg: PpoConfig) -> tuple:

@@ -199,12 +199,10 @@ def _score_transcript(
     transcript: SessionTranscript, gold: ProblemRecord, cfg: RewardConfig
 ) -> RewardBreakdown:
     """``score_program(transcript.program, gold, cfg)``, with r4 read off the
-    session's own outcome when the program holds the statements it ran.
+    session's own outcome, whose answer is the program's.
     """
-    gen, ran = transcript._program()
-    if gen is None or not ran:
-        return score_program(gen, gold, cfg)
-    return _score(gen, transcript.outcome, gold, cfg)
+    gen = transcript.program
+    return _score(gen, None if gen is None else transcript.outcome, gold, cfg)
 
 
 def _score(

@@ -19,7 +19,6 @@ raised, so a syntactically broken generation is data, not a crash.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol, Sequence
@@ -33,13 +32,7 @@ from .interpreter import (
     evaluate_statement,
     resolve_operands,
 )
-from .parser import (
-    ParseError,
-    _split_line,
-    _static_check,
-    parse_line,
-    parse_program,
-)
+from .parser import ParseError, _lines, _split_line, _static_check, parse_line
 from .program import CommentAnnotation, ProblemRecord, Program, Statement
 
 # Default instruction block for prompting a language-model generator. The
@@ -99,37 +92,27 @@ class EmittedLine:
     text: str
 
 
-# Line boundaries of str.splitlines other than "\n". The session splits lines
-# on "\n" only, so an emitted line holding one of these is several lines to
-# parse_program.
-_FOREIGN_LINE_BREAK = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
-
-
 @dataclass(frozen=True)
 class SessionTranscript:
     """What a session emitted and how it ended.
 
     ``entries`` holds the statement the session parsed for each emitted line
-    that parsed, keyed by its line number in ``generated_source``; ``None``
-    means unknown, and ``program`` then parses the text again.
+    that parsed, keyed by its line number in ``generated_source``. The parser
+    splits that text into exactly the emitted lines, so ``program`` is built
+    from ``entries``, and a program's answer is ``outcome.answer``.
     """
 
     prompt: str
     emitted_lines: tuple[EmittedLine, ...]
     outcome: EvalOutcome
     halted_count: int
-    entries: tuple[tuple[int, Statement], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
+    entries: tuple[tuple[int, Statement], ...] = field(compare=False, repr=False)
 
     @property
     def generated_source(self) -> str:
         """The emitted lines joined by newlines, a string that ``total_reward``
         scores through this transcript; text derived from it is a plain str."""
-        return _SessionSource(self._text(), self)
-
-    def _text(self) -> str:
-        return "\n".join(line.text for line in self.emitted_lines)
+        return _SessionSource("\n".join(line.text for line in self.emitted_lines), self)
 
     @property
     def program(self) -> Program | None:
@@ -138,25 +121,10 @@ class SessionTranscript:
         Built from the statements the session already parsed, so the text is
         not parsed twice.
         """
-        return self._program()[0]
-
-    def _program(self) -> tuple[Program | None, bool]:
-        """``program``, and whether it holds the statements the session ran.
-
-        Only then is ``outcome`` its evaluation. Text parsed again at a
-        foreign line break can differ: ``var1 = [find](a) # 3\r[return](var1)``
-        stalls the session, yet parses to a program that answers 3.
-        """
-        source = self._text()
-        # Checked before the parse-error shortcut: split at such a break, a
-        # line the session could not parse may parse.
-        if self.entries is None or _FOREIGN_LINE_BREAK.search(source):
-            parsed = parse_program(source)
-            return (parsed if isinstance(parsed, Program) else None), False
         error = self.outcome.error
         if (error is not None and error.kind == "parse-error") or _static_check(self.entries):
-            return None, True
-        return Program(tuple(stmt for _, stmt in self.entries)), True
+            return None
+        return Program(tuple(stmt for _, stmt in self.entries))
 
 
 class _SessionSource(str):
@@ -205,7 +173,7 @@ def assemble_prompt(
 def strip_computed_comments(source: str) -> str:
     """Drop comments from arithmetic and [return] lines, keeping [find] values."""
     out: list[str] = []
-    for raw in source.splitlines():
+    for raw in _lines(source):
         stmt = parse_line(raw)
         body, hash_mark, _ = _split_line(raw)
         if hash_mark and isinstance(stmt, Statement) and not stmt.is_find:

@@ -24,7 +24,6 @@ from .ppo import (
     Trajectory,
     _gae,
     adaptive_kl_update,
-    kl_divergence,
     ppo_gradients,
     ppo_objective,
     softmax,
@@ -685,13 +684,12 @@ def train_ppo_demo(
             flat, advantages, new_logprobs, iter_cfg, ref_dists=ref_probs, new_dists=probs
         )
         vloss = value_loss(flat, returns, phi @ policy.value_weights, iter_cfg)
-        observed_kl = float(np.mean(kl_divergence(ref_probs, probs)))
-        beta = adaptive_kl_update(beta, observed_kl, ppo_cfg, len(episodes))
+        beta = adaptive_kl_update(beta, objective.mean_kl, ppo_cfg, len(episodes))
         history.append(
             IterationStats(
                 iteration=iteration,
                 mean_total_reward=float(np.mean([total for _, total in episodes])),
-                mean_kl=observed_kl,
+                mean_kl=objective.mean_kl,
                 clip_fraction=objective.clip_fraction,
                 beta=beta,
                 policy_loss=objective.policy_loss,

@@ -512,6 +512,29 @@ class TestEvalCommand:
         ]
         assert [p["error"] for p in payload["per_problem"]].count(None) == 5
 
+    @pytest.mark.parametrize(
+        "text, answer",
+        [
+            ("var1 = [find](a) # 3\u2028[return](var1)\n", None),
+            ("var1 = [find](a\u2028b) # 3\n[return](var1)\n", "3"),
+        ],
+        ids=["between-statements", "in-a-description"],
+    )
+    def test_run_and_a_scripted_eval_agree(self, tmp_path, capsys, text, answer):
+        # \u2028 is a character in its line to `run` and to the session alike.
+        program = tmp_path / "p.txt"
+        program.write_text(text, encoding="utf-8")
+        dataset = tmp_path / "one.jsonl"
+        write_dataset([ProblemRecord("three", "q", "var1 = [find](a) # 3\n[return](var1)", 3)],
+                      dataset)
+        code, out, _ = run_cli(["run", str(program)], capsys)
+        assert (code, out) == ((0, "3\n") if answer else (3, ""))
+        code, out, _ = run_cli(
+            ["eval", "--dataset", str(dataset), "--generator", f"scripted:{program}"], capsys
+        )
+        assert code == 0
+        assert json_lines(out)[0]["per_problem"][0]["answer"] == answer
+
     def test_unknown_generator(self, capsys, fixture_path):
         code, _, err = run_cli(
             ["eval", "--dataset", fixture_path, "--generator", "oracle"], capsys

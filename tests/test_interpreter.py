@@ -215,15 +215,45 @@ class TestEvalErrorRoundTrip:
             "division-by-zero", "division by zero", index
         )
         assert str(again) == str(err)
+        assert again == err and hash(again) == hash(err)
 
     def test_keeps_an_index_set_after_raising(self):
         with pytest.raises(EvalError) as excinfo:
             apply_operator(Operator.DIVIDE, [Fraction(1), Fraction(0)])
         err = excinfo.value
+        before = hash(err)
         err.statement_index = 2
+        assert hash(err) == before
+        assert pickle.loads(pickle.dumps(err)) == err
         assert str(pickle.loads(pickle.dumps(err))) == str(err) == (
             "division-by-zero: division by zero (statement 2)"
         )
+
+
+class TestValueEquality:
+    """Solver results are equal when they are the same."""
+
+    def test_outcomes_of_one_program_are_equal(self):
+        for record in bundled_examples().records:
+            program = parse_program(record.gold_program)
+            first, second = evaluate(program), evaluate(program)
+            assert first == second and hash(first) == hash(second)
+
+    def test_environments_compare_their_bindings(self):
+        env = Environment().bind("a", Fraction(1)).bind("b", UNKNOWN)
+        assert env == Environment([("b", UNKNOWN), ("a", Fraction(1))])
+        assert hash(env) == hash(Environment([("b", UNKNOWN), ("a", Fraction(1))]))
+        assert env != Environment().bind("a", Fraction(1))
+        assert env != Environment().bind("a", Fraction(2)).bind("b", UNKNOWN)
+        assert env != dict(env.items())
+
+    def test_errors_compare_kind_message_and_index(self):
+        err = EvalError("division-by-zero", "division by zero", 1)
+        assert err == EvalError("division-by-zero", "division by zero", 1)
+        assert err != EvalError("division-by-zero", "division by zero", 2)
+        assert err != EvalError("division-by-zero", "other", 1)
+        assert err != EvalError("unknown-operand", "division by zero", 1)
+        assert err != ValueError("division by zero")
 
 
 class TestValueBound:

@@ -26,7 +26,7 @@ from flsolve import (
     score_program,
     tally,
 )
-from flsolve.parser import parse_comment_value
+from flsolve.parser import _lines, parse_comment_value
 from flsolve.values import NUMBER_PATTERN, parse_number
 
 import oracles
@@ -383,6 +383,62 @@ class TestParseProgram:
             again = parse_program(render_program(program))
             assert isinstance(again, Program)
             assert again.statements == program.statements
+
+
+# The line boundaries of str.splitlines. Only "\n" ends a line of a program.
+SPLITLINES_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+line_text = st.text(st.characters(blacklist_characters=SPLITLINES_BREAKS), max_size=12)
+# Lines ended by "\n" or "\r\n", then an unended last line, perhaps empty.
+newline_text = st.tuples(
+    st.lists(st.tuples(line_text, st.sampled_from(("\n", "\r\n")))), line_text
+).map(lambda parts: "".join(map("".join, parts[0])) + parts[1])
+
+
+def split_at_newlines(text: str) -> list[str]:
+    """The line rule spelled out: split at "\n", drop one "\r" before each
+    "\n", and give no empty last line."""
+    *ended, last = text.split("\n")
+    lines = [line.removesuffix("\r") for line in ended]
+    return lines + [last] if last else lines
+
+
+class TestLines:
+    """``parser._lines`` is the one place that decides where a line ends."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(newline_text)
+    def test_equals_splitlines_for_newline_and_crlf_breaks(self, text):
+        assert _lines(text) == text.splitlines()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("ab\n\r\x0c\u2028"), max_size=20) | st.text(max_size=20))
+    def test_splits_at_newlines_only(self, text):
+        assert _lines(text) == split_at_newlines(text)
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("", []),
+            ("a", ["a"]),
+            ("a\n", ["a"]),
+            ("a\n\n", ["a", ""]),
+            ("a\r\nb", ["a", "b"]),
+            ("a\r\r\nb", ["a\r", "b"]),
+            ("a\rb\r", ["a\rb\r"]),
+            ("a\x0cb\u2028c", ["a\x0cb\u2028c"]),
+        ],
+    )
+    def test_cases(self, text, lines):
+        assert _lines(text) == lines
+
+    @pytest.mark.parametrize("brk", ["\r", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_other_breaks_are_characters_in_a_line(self, brk):
+        text = f"var1 = [find](a{brk}b) # 3\n[return](var1)"
+        program = parse_program(text)
+        assert isinstance(program, Program)
+        assert program.statements[0].args == (f"a{brk}b",)
+        program = parse_program(f"var1 = [find](a) # 3{brk}[return](var1)\nvar2 = [add](var1, 1)")
+        assert isinstance(program, Program) and len(program.statements) == 2
 
 
 class TestProgramCompiles:

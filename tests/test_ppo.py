@@ -205,6 +205,7 @@ class TestPpoObjective:
         obj = ppo_objective(traj, adv, traj.logprobs_policy, PpoConfig())
         assert obj.policy_loss == pytest.approx(-adv.mean())
         assert obj.kl_penalty == 0.0
+        assert obj.mean_kl == 0.0
         assert obj.clip_fraction == 0.0
 
     def test_positive_advantage_is_clipped(self):
@@ -247,6 +248,9 @@ class TestPpoObjective:
         expected_kl = 0.5 * float(np.mean(kl_divergence(ref_dists, new_dists)))
         assert with_kl.kl_penalty == pytest.approx(expected_kl)
         assert with_kl.policy_loss == pytest.approx(plain.policy_loss + expected_kl)
+        # The mean KL behind the penalty, bit for bit.
+        assert with_kl.mean_kl == float(np.mean(kl_divergence(ref_dists, new_dists)))
+        assert with_kl.kl_penalty == cfg.beta * with_kl.mean_kl
 
     def test_non_finite_logprobs_rejected(self):
         traj = make_traj(rewards=[0.0], values=[0.0, 0.0])
