@@ -43,9 +43,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_source(path: str) -> str:
+    """The text of a file, or of stdin for ``-``, with its line ends as they
+    are: the parser decides where a line ends, for both alike."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
 

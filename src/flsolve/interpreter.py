@@ -9,6 +9,7 @@ so evaluation of distinct programs can run concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -146,12 +147,12 @@ def resolve_operands(stmt: Statement, env: Environment) -> list[Fraction]:
     return operands
 
 
-def _require_integers(op: Operator, operands: list[Fraction]) -> list[int]:
+def _require_integers(name: str, *operands: Fraction) -> list[int]:
     for v in operands:
         if v.denominator != 1:
             raise EvalError(
                 "non-integer-operand",
-                f"[{op.value}] requires integers, got {format_number(v)}",
+                f"[{name}] requires integers, got {format_number(v)}",
             )
     return [int(v) for v in operands]
 
@@ -162,34 +163,39 @@ def _round_half_away(x: Fraction) -> Fraction:
     return Fraction(math.floor(x + Fraction(1, 2)))
 
 
+def _divide(a: Fraction, b: Fraction) -> Fraction:
+    if b == 0:
+        raise EvalError("division-by-zero", "division by zero")
+    return a / b
+
+
+def _mod(a: Fraction, b: Fraction) -> Fraction:
+    a, b = _require_integers("mod", a, b)
+    if b == 0:
+        raise EvalError("division-by-zero", "modulo by zero")
+    return Fraction(a % b)
+
+
+# One kernel per computing operator, called with the operands in order.
+_KERNELS = {
+    Operator.ADD: operator.add,
+    Operator.SUBTRACT: operator.sub,
+    Operator.MULTIPLY: operator.mul,
+    Operator.DIVIDE: _divide,
+    Operator.MOD: _mod,
+    Operator.LCM: lambda a, b: Fraction(math.lcm(*_require_integers("lcm", a, b))),
+    Operator.GCD: lambda a, b: Fraction(math.gcd(*_require_integers("gcd", a, b))),
+    Operator.ROUND: _round_half_away,
+    Operator.FLOOR: lambda x: Fraction(math.floor(x)),
+}
+
+
 def apply_operator(op: Operator, operands: list[Fraction]) -> Fraction:
     """Exact arithmetic kernel for the nine computing operators."""
-    if op is Operator.ADD:
-        return operands[0] + operands[1]
-    if op is Operator.SUBTRACT:
-        return operands[0] - operands[1]
-    if op is Operator.MULTIPLY:
-        return operands[0] * operands[1]
-    if op is Operator.DIVIDE:
-        if operands[1] == 0:
-            raise EvalError("division-by-zero", "division by zero")
-        return operands[0] / operands[1]
-    if op is Operator.MOD:
-        a, b = _require_integers(op, operands)
-        if b == 0:
-            raise EvalError("division-by-zero", "modulo by zero")
-        return Fraction(a % b)
-    if op is Operator.LCM:
-        a, b = _require_integers(op, operands)
-        return Fraction(math.lcm(a, b))
-    if op is Operator.GCD:
-        a, b = _require_integers(op, operands)
-        return Fraction(math.gcd(a, b))
-    if op is Operator.ROUND:
-        return _round_half_away(operands[0])
-    if op is Operator.FLOOR:
-        return Fraction(math.floor(operands[0]))
-    raise EvalError("unknown-operand", f"[{op.value}] is not a computing operator")
+    kernel = _KERNELS.get(op)
+    if kernel is None:
+        raise EvalError("unknown-operand", f"[{op.value}] is not a computing operator")
+    return kernel(*operands)
 
 
 def evaluate_statement(stmt: Statement, env: Environment) -> tuple[Value, Environment]:
@@ -248,19 +254,28 @@ def evaluate(program: Program, *, strict_annotations: bool = False) -> EvalOutco
     )
 
 
-def _operand_text(value: Fraction) -> str:
-    text = format_number(value)
+def _operand_text(value: Fraction, text: str | None = None) -> str:
+    """``value`` as a comment operand, in parentheses when negative; ``text``
+    is its ``format_number`` rendering when that is already made."""
+    if text is None:
+        text = format_number(value)
     return f"({text})" if value.numerator < 0 else text
+
+
+def _annotation(op: Operator, operand_texts: list[str], result_text: str) -> str:
+    """The one rendering rule for a computed comment, from rendered parts:
+    each operand as ``_operand_text`` gives it and the result as
+    ``format_number`` does."""
+    symbol = BASIC_SYMBOLS.get(op)
+    if symbol is not None:
+        a, b = operand_texts
+        return f"{a} {symbol} {b} = {result_text}"
+    return f"{op.value}({', '.join(operand_texts)}) = {result_text}"
 
 
 def annotation_text(stmt: Statement, operands: list[Fraction], result: Fraction) -> str:
     """Comment body for a computed statement, without the leading ``#``."""
-    symbol = BASIC_SYMBOLS.get(stmt.op)
-    if symbol is not None:
-        a, b = operands
-        return f"{_operand_text(a)} {symbol} {_operand_text(b)} = {format_number(result)}"
-    joined = ", ".join(_operand_text(v) for v in operands)
-    return f"{stmt.op.value}({joined}) = {format_number(result)}"
+    return _annotation(stmt.op, [_operand_text(v) for v in operands], format_number(result))
 
 
 ANSWER_REL_TOL = Fraction(1, 10**6)

@@ -24,8 +24,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .program import (
+    FIND,
     OPERATOR_ARITY,
     OPERATOR_BY_NAME,
+    RETURN,
     CommentAnnotation,
     Operator,
     Program,
@@ -155,13 +157,13 @@ def _match_body(body: str) -> tuple[Operator, tuple, str | None] | None:
         if match is None:
             return None
         description = match.group(2).strip()
-        return (Operator.FIND, (description,), match.group(1)) if description else None
+        return (FIND, (description,), match.group(1)) if description else None
     match = _CALL_BODY_RE.fullmatch(body)
     if match is None:
         return None
     target, name, ident1, number1, ident2, number2 = match.groups()
     op = OPERATOR_BY_NAME.get(name)
-    if op is None or op is Operator.FIND or (op is Operator.RETURN) != (target is None):
+    if op is None or op is FIND or (op is RETURN) != (target is None):
         return None
     args: list = []
     for ident, number in ((ident1, number1), (ident2, number2)):
@@ -174,7 +176,7 @@ def _match_body(body: str) -> tuple[Operator, tuple, str | None] | None:
             args.append(value)
     if len(args) != OPERATOR_ARITY[op]:
         return None
-    if op is Operator.RETURN and not isinstance(args[0], VarRef):
+    if op is RETURN and not isinstance(args[0], VarRef):
         return None
     return op, tuple(args), target
 
@@ -199,7 +201,7 @@ def _classify(raw: str, line_no: int) -> Statement | ParseError:
         if stray is not None:
             return err("malformed-line", f"unexpected character {stray!r}")
         if find is not None:
-            tokens.append(("op", find, Operator.FIND))
+            tokens.append(("op", find, FIND))
             description = closed if closed is not None else unclosed
             if description is not None:
                 tokens += [("punct", "(", None), ("description", description.strip(), None)]
@@ -230,9 +232,9 @@ def _classify(raw: str, line_no: int) -> Statement | ParseError:
         return err("unknown-operator", f"unknown operator [{name}]")
     pos += 1
 
-    if op is Operator.RETURN and target is not None:
+    if op is RETURN and target is not None:
         return err("malformed-line", "[return] does not take a target variable")
-    if op is not Operator.RETURN and target is None:
+    if op is not RETURN and target is None:
         return err("malformed-line", f"[{op.value}] requires a target variable")
 
     if pos >= len(tokens) or texts[pos] != "(":
@@ -240,7 +242,7 @@ def _classify(raw: str, line_no: int) -> Statement | ParseError:
     pos += 1
 
     args: list = []
-    if op is Operator.FIND:
+    if op is FIND:
         if pos < len(tokens) and kinds[pos] == "description" and texts[pos]:
             args.append(texts[pos])
             pos += 1
@@ -281,7 +283,7 @@ def _classify(raw: str, line_no: int) -> Statement | ParseError:
             "bad-arity",
             f"[{op.value}] takes {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
         )
-    if op is Operator.RETURN and not isinstance(args[0], VarRef):
+    if op is RETURN and not isinstance(args[0], VarRef):
         return err("malformed-line", "[return] takes a variable reference")
 
     annotation = parse_comment_value(comment) if hash_mark else None

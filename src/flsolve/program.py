@@ -41,26 +41,24 @@ class Operator(Enum):
     __hash__ = object.__hash__
 
 
+# The members that functions compare against, bound once. On Python 3.10 and
+# 3.11 EnumType defines a Python-level __getattr__, which makes every read of
+# Operator.ADD several times slower than a module constant.
+FIND = Operator.FIND
+RETURN = Operator.RETURN
+ADD = Operator.ADD
+SUBTRACT = Operator.SUBTRACT
+MULTIPLY = Operator.MULTIPLY
+DIVIDE = Operator.DIVIDE
+
 # find and return are structural; the other nine are computing operations.
-ARITHMETIC_OPERATORS = frozenset(
-    op for op in Operator if op not in (Operator.FIND, Operator.RETURN)
-)
+ARITHMETIC_OPERATORS = frozenset(op for op in Operator if op not in (FIND, RETURN))
 
 # The four operators whose results are annotated with infix symbols and whose
 # multiset is compared by the reward scorer.
-BASIC_OPERATORS = (
-    Operator.MULTIPLY,
-    Operator.DIVIDE,
-    Operator.ADD,
-    Operator.SUBTRACT,
-)
+BASIC_OPERATORS = (MULTIPLY, DIVIDE, ADD, SUBTRACT)
 
-BASIC_SYMBOLS = {
-    Operator.ADD: "+",
-    Operator.SUBTRACT: "-",
-    Operator.MULTIPLY: "*",
-    Operator.DIVIDE: "/",
-}
+BASIC_SYMBOLS = {ADD: "+", SUBTRACT: "-", MULTIPLY: "*", DIVIDE: "/"}
 
 OPERATOR_ARITY = {
     Operator.FIND: 1,
@@ -113,11 +111,11 @@ class Statement:
 
     @property
     def is_find(self) -> bool:
-        return self.op is Operator.FIND
+        return self.op is FIND
 
     @property
     def is_return(self) -> bool:
-        return self.op is Operator.RETURN
+        return self.op is RETURN
 
     @property
     def is_arithmetic(self) -> bool:
@@ -195,9 +193,9 @@ def tally(program: Program) -> tuple[int, bool, dict]:
     counts: dict = {}
     for statement in program.statements:
         op = statement.op
-        if op is Operator.FIND:
+        if op is FIND:
             finds += 1
-        elif op is Operator.RETURN:
+        elif op is RETURN:
             returns = True
         elif op in BASIC_SYMBOLS:
             counts[op] = counts.get(op, 0) + 1

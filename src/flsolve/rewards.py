@@ -114,14 +114,18 @@ def _gold_tally(gold: ProblemRecord) -> tuple[int, bool, dict]:
     return counts
 
 
+def _part(cfg: RewardConfig, num: int, den: int) -> Fraction:
+    """``r_max * num / den`` as one Fraction."""
+    r_max = cfg.r_max
+    return Fraction(r_max.numerator * num, r_max.denominator * den)
+
+
 def _r2(v_gen: int, v_gold: int, cfg: RewardConfig) -> Fraction:
     if v_gold < 1:
         raise ValueError("gold program declares no [find] variables")
     # r_max * (1 - |v_gen - v_gold| / v_gold)
-    score = cfg.r_max * Fraction(v_gold - abs(v_gen - v_gold), v_gold)
-    if cfg.clamp_components:
-        score = max(score, cfg.floor)
-    return score
+    score = _part(cfg, v_gold - abs(v_gen - v_gold), v_gold)
+    return max(score, cfg.floor) if cfg.clamp_components else score
 
 
 def _r3(gen_counts: dict, gold_counts: dict, cfg: RewardConfig) -> Fraction:
@@ -136,9 +140,9 @@ def _r3(gen_counts: dict, gold_counts: dict, cfg: RewardConfig) -> Fraction:
             matched += gold_n
             extra += gen_n - gold_n
     # r_max * (matched - missing) - r_max * extra / 2
-    score = cfg.r_max * Fraction(2 * (matched - missing) - extra, 2)
+    score = _part(cfg, 2 * (matched - missing) - extra, 2)
     if cfg.clamp_components:
-        score = max(score, -cfg.r_max * sum(gold_counts.values()))
+        return max(score, _part(cfg, -sum(gold_counts.values()), 1))
     return score
 
 
@@ -157,10 +161,18 @@ def _r4(y_gen: Fraction | None, y_gold: Fraction, cfg: RewardConfig) -> Fraction
     p, q = y_gen.numerator, y_gen.denominator
     r, s = y_gold.numerator, y_gold.denominator
     scale = q * abs(r)
-    score = cfg.r_max * Fraction(scale - abs(p * s - r * q), scale)
-    if cfg.clamp_components:
-        score = max(score, cfg.floor)
-    return score
+    score = _part(cfg, scale - abs(p * s - r * q), scale)
+    return max(score, cfg.floor) if cfg.clamp_components else score
+
+
+def _sum(parts: tuple[Fraction, ...]) -> Fraction:
+    """The sum of ``parts`` as one Fraction."""
+    num, den = 0, 1
+    for part in parts:
+        part_den = part.denominator
+        num = num * part_den + part.numerator * den
+        den *= part_den
+    return Fraction(num, den)
 
 
 def total_reward(
@@ -229,4 +241,4 @@ def _score(
         op_counts_gold=dict(gold_counts),
         y_gen=y_gen,
     )
-    return RewardBreakdown(r1, r2, r3, r4, r1 + r2 + r3 + r4, diagnostics)
+    return RewardBreakdown(r1, r2, r3, r4, _sum((r1, r2, r3, r4)), diagnostics)

@@ -13,6 +13,11 @@ session). Every line is read whole before it is parsed, and the character
 cap is charged per line read, so how output is cut into chunks changes no
 outcome.
 
+Each value is rendered once per session: a computed comment reuses the text
+of each variable operand, kept by name from the line that computed it (or
+from its [find] value's first use), and formats only its result and its
+literals.
+
 Parse and evaluation failures are recorded in the transcript rather than
 raised, so a syntactically broken generation is data, not a crash.
 """
@@ -27,13 +32,15 @@ from .interpreter import (
     Environment,
     EvalError,
     EvalOutcome,
-    annotation_text,
+    _annotation,
+    _operand_text,
     apply_operator,
     evaluate_statement,
     resolve_operands,
 )
 from .parser import ParseError, _lines, _split_line, _static_check, parse_line
-from .program import CommentAnnotation, ProblemRecord, Program, Statement
+from .program import CommentAnnotation, ProblemRecord, Program, Statement, VarRef
+from .values import format_number
 
 # Default instruction block for prompting a language-model generator. The
 # exact wording is a working stand-in, not a contract; swap in your own via
@@ -119,10 +126,12 @@ class SessionTranscript:
         """``parse_program(generated_source)`` if that gives a Program, else None.
 
         Built from the statements the session already parsed, so the text is
-        not parsed twice.
+        not parsed twice. The parser's static check (define before use,
+        assign once, nothing after [return]) runs only when the session ended
+        in an error: a session that answered has enforced each of its rules.
         """
         error = self.outcome.error
-        if (error is not None and error.kind == "parse-error") or _static_check(self.entries):
+        if error is not None and (error.kind == "parse-error" or _static_check(self.entries)):
             return None
         return Program(tuple(stmt for _, stmt in self.entries))
 
@@ -261,6 +270,8 @@ def run_session(
     entries: list[tuple[int, Statement]] = []
     halted = 0
     statement_index = 0
+    # Operand text of each variable rendered so far, by name.
+    rendered: dict[str, str] = {}
     feed = _SessionFeed(gen, budget.max_chars)
 
     def finish(answer: Fraction | None, error: EvalError | None) -> SessionTranscript:
@@ -310,9 +321,22 @@ def run_session(
                         err.statement_index = statement_index
                     emit("generator", stmt_text, Statement(stmt.op, stmt.args, stmt.target))
                     raise
-                # The comment ends in "= format_number(value)", so
-                # parse_comment_value would read back this annotation.
-                comment = annotation_text(stmt, operands, value)
+                # The comment is annotation_text(stmt, operands, value), with
+                # each variable operand's text rendered once per session. It
+                # ends in "= format_number(value)", so parse_comment_value
+                # would read back this annotation.
+                texts = []
+                for arg, operand in zip(stmt.args, operands):
+                    if isinstance(arg, VarRef):
+                        text = rendered.get(arg.name)
+                        if text is None:  # a [find] value, on its first use
+                            text = rendered[arg.name] = _operand_text(operand)
+                    else:
+                        text = _operand_text(operand)
+                    texts.append(text)
+                value_text = format_number(value)
+                rendered[stmt.target] = _operand_text(value, value_text)
+                comment = _annotation(stmt.op, texts, value_text)
                 annotated = f"{stmt_text} # {comment}"
                 emit(
                     "solver-injected",

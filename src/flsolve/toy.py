@@ -29,7 +29,7 @@ from .ppo import (
     softmax,
     value_loss,
 )
-from .program import Operator, ProblemRecord
+from .program import ADD, DIVIDE, SUBTRACT, Operator, ProblemRecord
 from .rewards import (
     DEFAULT_REWARD_CONFIG,
     RewardBreakdown,
@@ -193,14 +193,14 @@ def _features(cue: int | None, lines: int, finds: int, ops: int) -> np.ndarray:
 
 
 def _sample_values(template: TaskTemplate, rng: random.Random) -> tuple[int, ...]:
-    if template.ops == (Operator.SUBTRACT,):
+    if template.ops == (SUBTRACT,):
         sold = rng.randint(2, 20)
         return (sold + rng.randint(1, 20), sold)
-    if template.ops == (Operator.DIVIDE,):
+    if template.ops == (DIVIDE,):
         share = rng.randint(2, 12)
         groups = rng.randint(2, 9)
         return (share * groups, groups)
-    if template.ops == (Operator.ADD, Operator.SUBTRACT):
+    if template.ops == (ADD, SUBTRACT):
         start = rng.randint(5, 30)
         won = rng.randint(2, 20)
         return (start, won, rng.randint(1, start + won - 1))

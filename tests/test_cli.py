@@ -200,6 +200,45 @@ class TestScoreCommand:
         assert "no record with id" in err
 
 
+class TestFileAndStdinAgree:
+    """A file and the same text on stdin are read alike, line ends included."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "var1 = [find](a) # 3\n[return](var1)\n",
+            "var1 = [find](a) # 3\r\n[return](var1)\r\n",
+            "var1 = [find](a) # 3\r[return](var1)\n",
+            "var1 = [find](a) # 3\rvar2 = [add](var1, 2)\r[return](var2)\r",
+            "var1 = [find](a) # 3\u2028[return](var1)\n",
+        ],
+        ids=["lf", "crlf", "cr-inside", "cr-only", "u2028"],
+    )
+    @pytest.mark.parametrize("command", ["run", "parse", "score"])
+    def test_same_output(self, tmp_path, capsys, monkeypatch, text, command):
+        dataset = tmp_path / "one.jsonl"
+        write_dataset([ProblemRecord("three", "q", "var1 = [find](a) # 3\n[return](var1)", 3)],
+                      dataset)
+        program = tmp_path / "p.txt"
+        program.write_bytes(text.encode("utf-8"))
+
+        def argv(source):
+            if command == "score":
+                return ["score", "--gen", source, "--gold", str(dataset)]
+            return [command, source]
+
+        from_file = run_cli(argv(str(program)), capsys)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run_cli(argv("-"), capsys) == from_file
+
+    def test_a_lone_carriage_return_is_no_line_break(self, tmp_path, capsys):
+        program = tmp_path / "p.txt"
+        program.write_bytes(b"var1 = [find](a) # 3\r[return](var1)\n")
+        code, out, err = run_cli(["run", str(program)], capsys)
+        assert (code, out) == (3, "")
+        assert "missing-return" in err
+
+
 class TestValidateCommand:
     def test_clean_dataset_exits_0(self, capsys, fixture_path):
         code, out, err = run_cli(["validate", fixture_path], capsys)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flsolve import (
+    ARITHMETIC_OPERATORS,
     MAX_VALUE_BITS,
     Environment,
     EvalError,
@@ -28,6 +29,8 @@ from flsolve import (
     evaluate_statement,
     parse_program,
 )
+
+from flsolve import interpreter
 
 import oracles
 
@@ -127,6 +130,17 @@ class TestApplyOperator:
                 apply_operator(Operator.MOD, operands)
         else:
             assert apply_operator(Operator.MOD, operands) == a % b
+
+    def test_every_computing_operator_has_a_kernel(self):
+        assert set(interpreter._KERNELS) == ARITHMETIC_OPERATORS
+
+    @pytest.mark.parametrize("op", [Operator.FIND, Operator.RETURN], ids=["find", "return"])
+    def test_find_and_return_are_not_computed(self, op):
+        with pytest.raises(EvalError) as info:
+            apply_operator(op, [Fraction(1)])
+        assert (info.value.kind, info.value.message) == (
+            "unknown-operand", f"[{op.value}] is not a computing operator"
+        )
 
 
 class TestEvaluate:

@@ -26,10 +26,11 @@ from flsolve import (
     rollout,
     run_session,
     score_program,
+    strip_computed_comments,
     tally,
     total_reward,
 )
-from flsolve import parser, rewards
+from flsolve import parser, rewards, runtime
 from flsolve.toy import ACTION_NAMES, N_FEATURES
 
 GOLD = ProblemRecord(
@@ -266,3 +267,58 @@ class TestNoReparse:
         for _ in range(2):
             assert evaluate_corpus(dataset, spec).correct == 1
             assert parse_calls == [record.gold_program]
+
+
+@pytest.fixture
+def static_checks(monkeypatch):
+    """Entries passed to the parser's static check by a transcript's program."""
+    calls = []
+    real = runtime._static_check
+
+    def counting(entries):
+        calls.append(entries)
+        return real(entries)
+
+    monkeypatch.setattr(runtime, "_static_check", counting)
+    return calls
+
+
+class TestStaticCheckOnlyAfterAnError:
+    """A session that answered has enforced every rule of the static check,
+    so its transcript's program skips it; one that ended in an error does not."""
+
+    @pytest.mark.parametrize("chunk_size", [0, 1, 5])
+    def test_not_run_for_a_session_that_answered(self, static_checks, chunk_size):
+        for record in bundled_examples().records:
+            text = strip_computed_comments(record.gold_program)
+            t = run_session(ScriptedGenerator(text, chunk_size), record.question)
+            assert t.outcome.error is None
+            assert t.program == reparsed(str(t.generated_source)) is not None
+            assert total_reward(t.generated_source, record) == total_reward(
+                str(t.generated_source), record
+            )
+        assert static_checks == []
+
+    @pytest.mark.parametrize(
+        "text, kind, compiles",
+        [
+            ("var1 = [find](a) # 3\nvar2 = [divide](var1, 0)\n[return](var2)",
+             "division-by-zero", True),
+            ("var1 = [find](a) # ?\nvar2 = [add](var1, 1)\n[return](var2)",
+             "unknown-operand", True),
+            ("var1 = [find](a) # 3\nvar2 = [add](var9, 1)\n[return](var2)",
+             "unbound-variable", False),
+            ("var1 = [find](a) # 3\n[return](var9)", "unbound-variable", False),
+            ("var1 = [find](a) # 3\nvar1 = [find](b) # 4\n[return](var1)",
+             "duplicate-binding", False),
+        ],
+        ids=["eval-error", "unknown-operand", "unbound-operand", "unbound-return", "rebound"],
+    )
+    def test_run_for_a_session_that_ended_in_an_error(self, static_checks, text, kind, compiles):
+        t = run_session(ScriptedGenerator(text, 3), GOLD.question)
+        assert t.outcome.error.kind == kind
+        assert static_checks == []
+        program = t.program
+        assert static_checks == [t.entries]
+        assert (program is not None) == compiles
+        assert program == reparsed(str(t.generated_source))

@@ -1,5 +1,6 @@
 """Session runtime: halt/compute/resume, budgets, prompt assembly."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,12 @@ from flsolve import (
     DEFAULT_INSTRUCTIONS,
     EVAL_ERROR_KINDS,
     ProblemRecord,
+    Program,
     ScriptedGenerator,
     SessionBudget,
     Statement,
+    VarRef,
+    annotation_text,
     assemble_prompt,
     evaluate,
     parse_line,
@@ -546,3 +550,55 @@ class TestStripComputedComments:
         ]:
             once = strip_computed_comments(record_source)
             assert strip_computed_comments(once) == once
+
+
+# Literal operands: negative, zero, decimal and non-terminating.
+LITERALS = ("-3", "2/7", "-5/6", "0", "1.25", "-0.5", "7", "1/3")
+
+
+@st.composite
+def rendered_programs(draw):
+    """``oracles.random_program``, a [find] of a non-terminating or negative
+    value, then lines of any computing operator whose operands are variables,
+    literals or one variable twice. A line may fail (a zero divisor, a
+    non-integer [mod] operand), which ends the session there."""
+    source, _ = oracles.random_program(random.Random(draw(st.integers(0, 2**32 - 1))), 6)
+    lines = source.split("\n")[:-1]  # line i defines var{i + 1}; the [return] goes
+    value = draw(st.sampled_from(("1/3", "-2/7", "-4", "5/12")))
+    lines.append(f"var{len(lines) + 1} = [find](a share) # {value}")
+    for _ in range(draw(st.integers(0, 6))):
+        op = draw(st.sampled_from(oracles.BINARY_OPS + oracles.UNARY_OPS))
+        operand = st.integers(1, len(lines)).map("var{}".format) | st.sampled_from(LITERALS)
+        args = [draw(operand)]
+        if op in oracles.BINARY_OPS:
+            args.append(draw(operand | st.just(args[0])))
+        lines.append(f"var{len(lines) + 1} = [{op}]({', '.join(args)})")
+    lines.append(f"[return](var{len(lines)})")
+    return "\n".join(lines)
+
+
+class TestRenderedComments:
+    """The session renders each value once; every comment it injects is still
+    ``annotation_text`` of the statement's operands and result."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rendered_programs(), st.integers(0, 13))
+    @example(
+        "var1 = [find](a) # -3\nvar2 = [find](b) # 1/3\nvar3 = [subtract](var2, var1)\n"
+        "var4 = [multiply](var3, var1)\nvar5 = [divide](var4, var4)\n"
+        "var6 = [mod](var1, -2)\nvar7 = [round](-0.5)\n[return](var7)",
+        1,
+    )
+    def test_each_comment_is_annotation_text_of_a_fresh_evaluation(self, source, chunk_size):
+        t = run_session(ScriptedGenerator(source, chunk_size), "q")
+        statements = [parse_line(line.text) for line in t.emitted_lines]
+        env = evaluate(Program(tuple(s for s in statements if isinstance(s, Statement)))).env
+        injected = 0
+        for line, stmt in zip(t.emitted_lines, statements):
+            if line.source != "solver-injected":
+                continue
+            injected += 1
+            operands = [env.lookup(a.name) if isinstance(a, VarRef) else a for a in stmt.args]
+            comment = line.text.partition(" # ")[2]
+            assert comment == annotation_text(stmt, operands, env.lookup(stmt.target))
+        assert injected == t.halted_count
