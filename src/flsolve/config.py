@@ -60,7 +60,7 @@ def _section(obj: dict, name: str) -> dict:
 
 
 def _plain_section(default, obj: dict, where: str):
-    types = {f.name: f.type for f in fields(default)}
+    types = {f.name: f.type for f in fields(default) if f.init}
     unknown = set(obj) - set(types)
     if unknown:
         raise ValueError(f"{where}: unknown fields {sorted(unknown)}")

@@ -149,15 +149,76 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (p * np.log(safe_ratio)).sum(axis=-1)
 
 
-def _surrogate_terms(traj: Trajectory, advantages, new_logprobs, cfg: PpoConfig) -> tuple:
-    """The importance ratio against the configured anchor, and the two
-    branches of the clipped surrogate, ratio*A and clip(ratio)*A."""
-    anchor = traj.logprobs_policy if cfg.ratio_anchor == "old" else traj.logprobs_ref
-    if not (np.all(np.isfinite(new_logprobs)) and np.all(np.isfinite(anchor))):
-        raise ValueError("log-probabilities must be finite")
-    ratio = np.exp(new_logprobs - anchor)
-    clipped = np.clip(ratio, 1.0 - cfg.clip_range, 1.0 + cfg.clip_range) * advantages
-    return ratio, ratio * advantages, clipped
+class _PreparedBatch:
+    """A batch and a config, with what no gradient step changes built once:
+    row indices, the ratio's anchor and whether it is finite, the ratio's
+    clip bounds, the value band ``old ± clip_range_value`` and, given
+    ``n_actions``, the one-hot actions. Training prepares each iteration's
+    batch once and takes every epoch and the stats after them from it;
+    ``ppo_gradients``, ``ppo_objective`` and ``value_loss`` prepare the
+    batch they are given.
+    """
+
+    __slots__ = ("batch", "cfg", "rows", "anchor", "anchor_finite", "ratio_band", "value_band",
+                 "onehot")
+
+    def __init__(self, batch: Trajectory, cfg: PpoConfig, n_actions: int | None = None):
+        self.batch = batch
+        self.cfg = cfg
+        self.rows = np.arange(batch.steps)
+        self.anchor = batch.logprobs_policy if cfg.ratio_anchor == "old" else batch.logprobs_ref
+        self.anchor_finite = bool(np.all(np.isfinite(self.anchor)))
+        self.ratio_band = (1.0 - cfg.clip_range, 1.0 + cfg.clip_range)
+        old_values = batch.values[:-1]
+        self.value_band = (old_values - cfg.clip_range_value, old_values + cfg.clip_range_value)
+        self.onehot = None if n_actions is None else np.eye(n_actions)[batch.tokens]
+
+    def logprobs(self, probs: np.ndarray) -> np.ndarray:
+        """Log-probs of the batch's actions under per-step distributions ``probs``."""
+        return np.log(probs[self.rows, self.batch.tokens])
+
+    def surrogate_terms(self, advantages, new_logprobs) -> tuple:
+        """The importance ratio against the configured anchor, and the two
+        branches of the clipped surrogate, ratio*A and clip(ratio)*A."""
+        if not (np.all(np.isfinite(new_logprobs)) and self.anchor_finite):
+            raise ValueError("log-probabilities must be finite")
+        ratio = np.exp(new_logprobs - self.anchor)
+        clipped = np.clip(ratio, *self.ratio_band) * advantages
+        return ratio, ratio * advantages, clipped
+
+    def value_errors(self, returns, new_values) -> tuple:
+        """Squared errors of the new values and of their copy clipped to the
+        value band."""
+        return (new_values - returns) ** 2, (np.clip(new_values, *self.value_band) - returns) ** 2
+
+    def objective(self, advantages, new_logprobs, ref_dists=None, new_dists=None) -> PpoObjective:
+        ratio, unclipped, clipped = self.surrogate_terms(advantages, new_logprobs)
+        surrogate = float(np.minimum(unclipped, clipped).mean())
+        clip_fraction = float(np.mean(np.abs(ratio - 1.0) > self.cfg.clip_range))
+        mean_kl = kl_penalty = 0.0
+        if ref_dists is not None and new_dists is not None:
+            mean_kl = float(np.mean(kl_divergence(ref_dists, new_dists)))
+            kl_penalty = self.cfg.beta * mean_kl
+        return PpoObjective(-(surrogate - kl_penalty), kl_penalty, clip_fraction, mean_kl)
+
+    def value_loss(self, returns, new_values) -> float:
+        raw, clipped = self.value_errors(returns, new_values)
+        return float(np.maximum(raw, clipped).mean())
+
+    def gradients(self, advantages, returns, policy: ToyPolicy, ref_probs) -> tuple:
+        """``ppo_gradients`` on the prepared batch; needs ``onehot``."""
+        phi = self.batch.state_features
+        n = self.batch.steps
+        probs = softmax(phi @ policy.weights.T)
+        _, unclipped, clipped = self.surrogate_terms(advantages, self.logprobs(probs))
+        coeff = np.where(unclipped <= clipped, unclipped, 0.0)
+        grad_surrogate = ((self.onehot - probs) * coeff[:, None]).T @ phi / n
+        grad_kl = (probs - ref_probs).T @ phi / n
+
+        predicted = phi @ policy.value_weights
+        raw, banded = self.value_errors(returns, predicted)
+        grad_value = (2.0 * (predicted - returns) * (raw >= banded)) @ phi / n
+        return grad_surrogate - self.cfg.beta * grad_kl, grad_value
 
 
 def ppo_objective(
@@ -175,24 +236,9 @@ def ppo_objective(
     min(ratio*A, clip(ratio)*A). The KL penalty is exact, computed over full
     action distributions when both are supplied, and zero otherwise.
     """
-    ratio, unclipped, clipped = _surrogate_terms(
-        traj, _as_float_array(advantages), _as_float_array(new_logprobs), cfg
+    return _PreparedBatch(traj, cfg).objective(
+        _as_float_array(advantages), _as_float_array(new_logprobs), ref_dists, new_dists
     )
-    surrogate = float(np.minimum(unclipped, clipped).mean())
-    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range))
-    mean_kl = kl_penalty = 0.0
-    if ref_dists is not None and new_dists is not None:
-        mean_kl = float(np.mean(kl_divergence(ref_dists, new_dists)))
-        kl_penalty = cfg.beta * mean_kl
-    return PpoObjective(-(surrogate - kl_penalty), kl_penalty, clip_fraction, mean_kl)
-
-
-def _value_errors(traj: Trajectory, returns, new_values, cfg: PpoConfig) -> tuple:
-    """Squared errors of the new values and of their copy clipped to within
-    ``clip_range_value`` of the values recorded at sampling time."""
-    old_values = traj.values[:-1]
-    low, high = old_values - cfg.clip_range_value, old_values + cfg.clip_range_value
-    return (new_values - returns) ** 2, (np.clip(new_values, low, high) - returns) ** 2
 
 
 def value_loss(
@@ -206,8 +252,7 @@ def value_loss(
     New predictions are clipped to within ``clip_range_value`` of the values
     recorded at sampling time.
     """
-    raw, clipped = _value_errors(traj, _as_float_array(returns), _as_float_array(new_values), cfg)
-    return float(np.maximum(raw, clipped).mean())
+    return _PreparedBatch(traj, cfg).value_loss(_as_float_array(returns), _as_float_array(new_values))
 
 
 def ppo_gradients(
@@ -226,20 +271,9 @@ def ppo_gradients(
     the gradient of ``value_loss``. Where the branches of min() or max() tie,
     the gradient follows the unclipped one.
     """
-    phi = batch.state_features
-    n = batch.steps
-    probs = softmax(phi @ policy.weights.T)
-    new_logprobs = np.log(probs[np.arange(n), batch.tokens])
-    _, unclipped, clipped = _surrogate_terms(batch, advantages, new_logprobs, cfg)
-    coeff = np.where(unclipped <= clipped, unclipped, 0.0)
-    onehot = np.eye(policy.n_actions)[batch.tokens]
-    grad_surrogate = ((onehot - probs) * coeff[:, None]).T @ phi / n
-    grad_kl = (probs - ref_probs).T @ phi / n
-
-    predicted = phi @ policy.value_weights
-    raw, banded = _value_errors(batch, returns, predicted, cfg)
-    grad_value = (2.0 * (predicted - returns) * (raw >= banded)) @ phi / n
-    return grad_surrogate - cfg.beta * grad_kl, grad_value
+    return _PreparedBatch(batch, cfg, policy.n_actions).gradients(
+        advantages, returns, policy, ref_probs
+    )
 
 
 def adaptive_kl_update(beta: float, observed_kl: float, cfg: PpoConfig, batch_size: int) -> float:

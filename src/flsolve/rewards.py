@@ -28,7 +28,7 @@ source are parsed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .interpreter import EvalOutcome, evaluate
@@ -43,14 +43,14 @@ class RewardConfig:
     r_max: Fraction = Fraction(1)
     clamp_components: bool = True
     clamp_floor: Fraction | None = None  # None means -r_max
+    # The floor in effect, set once from the fields above; not a setting.
+    floor: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.r_max <= 0:
             raise ValueError("r_max must be positive")
-
-    @property
-    def floor(self) -> Fraction:
-        return -self.r_max if self.clamp_floor is None else self.clamp_floor
+        floor = -self.r_max if self.clamp_floor is None else self.clamp_floor
+        object.__setattr__(self, "floor", floor)
 
 
 DEFAULT_REWARD_CONFIG = RewardConfig()

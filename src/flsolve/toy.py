@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -23,11 +24,9 @@ from .ppo import (
     ToyPolicy,
     Trajectory,
     _gae,
+    _PreparedBatch,
     adaptive_kl_update,
-    ppo_gradients,
-    ppo_objective,
     softmax,
-    value_loss,
 )
 from .program import ADD, DIVIDE, SUBTRACT, Operator, ProblemRecord
 from .rewards import (
@@ -258,7 +257,10 @@ class _StepRow:
     ``draw`` is ``Generator.choice(len(probs), p=probs)`` taken apart: the
     same checks on ``probs``, made once when the row is built and raised on
     the first draw, then the same inverse-CDF lookup of one
-    ``rng.random()``. Actions and generator state match ``choice``.
+    ``rng.random()``, as ``bisect_right`` over ``cdf``, the normalized
+    cumulative sum held as a list of floats, where ``choice`` takes
+    ``searchsorted(side="right")``. Actions and generator state match
+    ``choice``.
     ``logprobs`` maps an action to its policy and reference log-probs,
     ``ref_logprobs`` to its reference log-prob only; rows of one state in
     tables on the same reference may share the latter.
@@ -277,7 +279,7 @@ class _StepRow:
         cdfs = cdfs / cdfs[:, -1:]
         for row, phi, p, value, total, least, argmax, cdf, ref in zip(
             rows, phis, probs, values, probs.sum(axis=1).tolist(), probs.min(axis=1).tolist(),
-            probs.argmax(axis=1).tolist(), cdfs, ref_logprobs,
+            probs.argmax(axis=1).tolist(), cdfs.tolist(), ref_logprobs,
         ):
             row.phi, row.probs, row.value, row.argmax, row.cdf = phi, p, value, argmax, cdf
             row.prob_sum_err = abs(total - 1.0)
@@ -296,7 +298,7 @@ class _StepRow:
     def draw(self, rng: np.random.Generator) -> int:
         if self.p_error is not None:
             raise ValueError(self.p_error)
-        return int(self.cdf.searchsorted(rng.random(), side="right"))
+        return bisect_right(self.cdf, rng.random())
 
 
 class _StepTable:
@@ -309,18 +311,18 @@ class _StepTable:
     order first read. Per-action log-probs are filled on first use. The
     table keeps no copy of the weights: build a new one after an update.
 
-    ``ref_logprobs`` maps a state to its reference log-probs by action.
-    Tables on the same unchanged ``ref`` may share it, so that each is
-    computed once for all of them.
+    ``states`` maps a state to its features and its reference log-probs by
+    action. Tables on the same unchanged ``ref`` may share it, so that each
+    is computed once for all of them.
     """
 
     def __init__(
-        self, policy: ToyPolicy, ref: ToyPolicy, ref_logprobs: dict | None = None,
+        self, policy: ToyPolicy, ref: ToyPolicy, states: dict | None = None,
         fill: Sequence[tuple] = (),
     ):
         self.policy = policy
         self.ref = ref
-        self.ref_logprobs = {} if ref_logprobs is None else ref_logprobs
+        self.states = {} if states is None else states
         self._rows: dict[tuple, _StepRow] = {}
         self._filled = dict(zip(fill, self._build(fill))) if fill else {}
 
@@ -337,13 +339,17 @@ class _StepTable:
     def _build(self, keys: Sequence[tuple]) -> list[_StepRow]:
         """Rows for ``keys``, with one ``W @ phi`` and ``V @ phi`` per row as in
         ``ToyPolicy``: one matrix product for all would change some bits."""
-        phis = [_features(*key) for key in keys]
+        states = self.states
+        for key in keys:
+            if key not in states:
+                states[key] = (_features(*key), {})
+        phis, refs = zip(*[states[key] for key in keys])
         W, V = self.policy.weights, self.policy.value_weights
         return _StepRow.batch(
             phis,
             softmax(np.array([W @ phi for phi in phis])),
             [float(V @ phi) for phi in phis],
-            [self.ref_logprobs.setdefault(key, {}) for key in keys],
+            refs,
         )
 
     def logprobs(self, row: _StepRow, action: int) -> tuple[float, float]:
@@ -377,7 +383,6 @@ class _Steps:
         self.logprobs: list[float] = []
         self.ref_logprobs: list[float] = []
         self.values: list[float] = []
-        self.prob_sum_err = 0.0
         self._forced: Sequence[int] = ()
         self._cue = cue
         self._finds = 0
@@ -386,7 +391,6 @@ class _Steps:
 
     def _step(self) -> int:
         row = self.table.row(self._cue, len(self.actions), self._finds, self._ops)
-        self.prob_sum_err = max(self.prob_sum_err, row.prob_sum_err)
         if len(self.actions) < len(self._forced):
             action = self._forced[len(self.actions)]
         else:
@@ -408,6 +412,18 @@ class _Steps:
             self._done = True
 
 
+def _gold_finds(record: ProblemRecord) -> list[tuple]:
+    """Description and declared value of each [find] in the record's gold program."""
+    finds = [
+        (s.args[0], s.annotation.declared_value if s.annotation else None)
+        for s in record.parsed_gold().statements
+        if s.is_find
+    ]
+    if not finds:
+        raise ValueError(f"reference program for '{record.id}' declares no quantities")
+    return finds
+
+
 class PolicySession(_Steps):
     """Generator that turns policy actions into pseudocode lines.
 
@@ -421,8 +437,10 @@ class PolicySession(_Steps):
     the weights stay fixed while episodes run. A session builds its own
     table unless given one built on ``policy`` and ``ref``: ``rollout`` and
     ``greedy_accuracy`` share one across their episodes, ``train_ppo_demo``
-    one across an iteration's episodes. ``_play`` sets the inherited
-    ``_forced`` prefix to hand the session actions already drawn.
+    one across an iteration's episodes. ``_play`` hands in ``_task``, the
+    record's cue index and ``_gold_finds``, as its call computed them, and
+    sets the inherited ``_forced`` prefix to hand the session actions
+    already drawn.
     """
 
     def __init__(
@@ -433,17 +451,14 @@ class PolicySession(_Steps):
         rng: np.random.Generator | None = None,
         *,
         table: _StepTable | None = None,
+        _task: tuple[int | None, list] | None = None,
     ):
-        self.gold_finds = [
-            (s.args[0], s.annotation.declared_value if s.annotation else None)
-            for s in record.parsed_gold().statements
-            if s.is_find
-        ]
-        if not self.gold_finds:
-            raise ValueError(f"reference program for '{record.id}' declares no quantities")
+        cue, self.gold_finds = (
+            (_cue_index(record.question), _gold_finds(record)) if _task is None else _task
+        )
         if table is None:
             table = _StepTable(policy, ref)
-        super().__init__(table, _cue_index(record.question), rng)
+        super().__init__(table, cue, rng)
         self.record = record
         self._pending: str | None = None
 
@@ -533,6 +548,7 @@ def _trajectory(episodes: Sequence[tuple[_Steps, float]]) -> Trajectory:
 
 def _play(
     memo: dict,
+    finds: dict,
     table: _StepTable,
     position: int,
     cue: int | None,
@@ -549,6 +565,8 @@ def _play(
     action. At the first unknown prefix the runtime runs a session whose
     forced prefix is the actions drawn so far: it steps through them again
     on table reads alone, then draws on. The episode is scored and recorded.
+    ``finds`` maps a task position to its ``_gold_finds``, taken on the
+    position's first session.
     """
     steps = _Steps(table, cue, rng)
     node = memo.get(position)
@@ -558,7 +576,12 @@ def _play(
         node = node.get(action)
     if node is not None:
         return steps, node
-    session = PolicySession(table.policy, table.ref, record, rng, table=table)
+    gold_finds = finds.get(position)
+    if gold_finds is None:
+        gold_finds = finds[position] = _gold_finds(record)
+    session = PolicySession(
+        table.policy, table.ref, record, rng, table=table, _task=(cue, gold_finds)
+    )
     session._forced = steps.actions
     transcript = run_session(session, record.question, budget=DEMO_BUDGET)
     total = float(_score_transcript(transcript, record, reward_cfg).total)
@@ -615,11 +638,14 @@ def train_ppo_demo(
     """Optimize ``policy`` in place against the frozen copy taken on entry.
 
     Each iteration samples a batch of episodes (all tasks unless
-    ``batch_size`` says otherwise), computes advantages once, then takes the
-    configured number of gradient epochs with ``ppo_gradients`` on the
-    batch as one flat trajectory. Advantages are normalized per batch for
-    the policy step only. The recorded ``beta`` is the adapted coefficient
-    entering the next iteration.
+    ``batch_size`` says otherwise), computes advantages once, prepares the
+    batch as one flat trajectory once, then takes the configured number of
+    gradient epochs of ``ppo_gradients``' step on it and the stats after
+    them. Advantages are normalized per batch for the policy step only. The
+    recorded ``beta`` is the adapted coefficient entering the next
+    iteration, and ``prob_sum_err`` the largest over the states the
+    iteration read. A ``policy_loss``, ``value_loss`` or ``mean_kl`` that is
+    not finite stops the run with ``ValueError`` naming the iteration.
 
     Each (task, action sequence) is played through the session runtime and
     scored once per call; an episode that repeats one only draws its actions
@@ -628,8 +654,9 @@ def train_ppo_demo(
     exact: ``PolicySession`` ignores its context, so its chunks are a function
     of its actions and the record, and the budget and ``reward_cfg`` are fixed
     for the call. The reference is frozen too, so its log-prob of each
-    (state, action) is computed once per call. Draws, stats and weights
-    match playing every episode afresh.
+    (state, action) is computed once per call, as are each state's features
+    and each task's cue and gold quantities. Draws, stats and weights match
+    playing every episode afresh.
     """
     if ppo_cfg is None:
         ppo_cfg = demo_config()
@@ -644,7 +671,8 @@ def train_ppo_demo(
     history: list[IterationStats] = []
     # Indexed, not iterated: iterating ``tasks`` counts as taking a batch.
     cues = [_cue_index(tasks[i].question) for i in range(len(tasks))]
-    ref_logprobs: dict = {}
+    finds: dict = {}
+    states: dict = {}
     memo: dict = {}
     table = None
     for iteration in range(iterations):
@@ -655,9 +683,9 @@ def train_ppo_demo(
             positions = rng.permutation(len(tasks))[:batch_size].tolist()
             batch = [tasks[i] for i in positions]
         # The states the last iteration read are filled in one batch.
-        table = _StepTable(policy, ref, ref_logprobs, [] if table is None else list(table._rows))
+        table = _StepTable(policy, ref, states, [] if table is None else list(table._rows))
         episodes = [
-            _play(memo, table, position, cues[position], rec, reward_cfg, rng)
+            _play(memo, finds, table, position, cues[position], rec, reward_cfg, rng)
             for position, rec in zip(positions, batch)
         ]
         flat = _trajectory(episodes)
@@ -670,20 +698,21 @@ def train_ppo_demo(
         norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         phi = flat.state_features
         ref_probs = softmax(phi @ ref.weights.T)
-        iter_cfg = replace(ppo_cfg, beta=beta)
+        update = _PreparedBatch(flat, replace(ppo_cfg, beta=beta), policy.n_actions)
         for _ in range(ppo_cfg.epochs):
-            weights_step, value_step = ppo_gradients(
-                flat, norm_adv, returns, policy, ref_probs, iter_cfg
-            )
+            weights_step, value_step = update.gradients(norm_adv, returns, policy, ref_probs)
             policy.weights += lr * weights_step
             policy.value_weights -= lr * VALUE_LR_SCALE * value_step
 
         probs = softmax(phi @ policy.weights.T)
-        new_logprobs = np.log(probs[np.arange(flat.steps), flat.tokens])
-        objective = ppo_objective(
-            flat, advantages, new_logprobs, iter_cfg, ref_dists=ref_probs, new_dists=probs
-        )
-        vloss = value_loss(flat, returns, phi @ policy.value_weights, iter_cfg)
+        objective = update.objective(advantages, update.logprobs(probs), ref_probs, probs)
+        vloss = update.value_loss(returns, phi @ policy.value_weights)
+        for name, value in (
+            ("policy_loss", objective.policy_loss), ("value_loss", vloss),
+            ("mean_kl", objective.mean_kl),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"training diverged at iteration {iteration}: {name} is {value}")
         beta = adaptive_kl_update(beta, objective.mean_kl, ppo_cfg, len(episodes))
         history.append(
             IterationStats(
@@ -694,7 +723,7 @@ def train_ppo_demo(
                 beta=beta,
                 policy_loss=objective.policy_loss,
                 value_loss=vloss,
-                prob_sum_err=max(steps.prob_sum_err for steps, _ in episodes),
+                prob_sum_err=max(0.0, *(row.prob_sum_err for row in table._rows.values())),
             )
         )
     return history

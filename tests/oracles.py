@@ -44,8 +44,8 @@ from flsolve.ppo import (
     Trajectory,
     adaptive_kl_update,
     compute_gae,
+    PpoObjective,
     kl_divergence,
-    ppo_gradients,
     ppo_objective,
     softmax,
     value_loss,
@@ -215,6 +215,64 @@ def central_fd_ppo_gradients(batch, advantages, returns, policy, ref_probs, cfg)
         return value_loss(batch, returns, phi @ value_weights, cfg)
 
     return central_fd(objective, policy.weights), central_fd(vloss, policy.value_weights)
+
+
+def _reference_surrogate_terms(traj, advantages, new_logprobs, cfg) -> tuple:
+    anchor = traj.logprobs_policy if cfg.ratio_anchor == "old" else traj.logprobs_ref
+    if not (np.all(np.isfinite(new_logprobs)) and np.all(np.isfinite(anchor))):
+        raise ValueError("log-probabilities must be finite")
+    ratio = np.exp(new_logprobs - anchor)
+    clipped = np.clip(ratio, 1.0 - cfg.clip_range, 1.0 + cfg.clip_range) * advantages
+    return ratio, ratio * advantages, clipped
+
+
+def _reference_value_errors(traj, returns, new_values, cfg) -> tuple:
+    old_values = traj.values[:-1]
+    low, high = old_values - cfg.clip_range_value, old_values + cfg.clip_range_value
+    return (new_values - returns) ** 2, (np.clip(new_values, low, high) - returns) ** 2
+
+
+def reference_ppo_objective(traj, advantages, new_logprobs, cfg, *, ref_dists=None, new_dists=None):
+    """``ppo_objective`` with the anchor, its check and the clip bounds taken per call."""
+    ratio, unclipped, clipped = _reference_surrogate_terms(
+        traj, np.asarray(advantages, dtype=np.float64), np.asarray(new_logprobs, dtype=np.float64),
+        cfg,
+    )
+    surrogate = float(np.minimum(unclipped, clipped).mean())
+    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range))
+    mean_kl = kl_penalty = 0.0
+    if ref_dists is not None and new_dists is not None:
+        mean_kl = float(np.mean(kl_divergence(ref_dists, new_dists)))
+        kl_penalty = cfg.beta * mean_kl
+    return PpoObjective(-(surrogate - kl_penalty), kl_penalty, clip_fraction, mean_kl)
+
+
+def reference_value_loss(traj, returns, new_values, cfg) -> float:
+    """``value_loss`` with the value band taken per call."""
+    raw, clipped = _reference_value_errors(
+        traj, np.asarray(returns, dtype=np.float64), np.asarray(new_values, dtype=np.float64), cfg
+    )
+    return float(np.maximum(raw, clipped).mean())
+
+
+def reference_ppo_gradients(batch, advantages, returns, policy, ref_probs, cfg) -> tuple:
+    """``ppo_gradients`` with row indices, one-hot actions, the anchor's check
+    and both clip bands built afresh on every call: the step as it was before
+    an update prepared its batch once."""
+    phi = batch.state_features
+    n = batch.steps
+    probs = softmax(phi @ policy.weights.T)
+    new_logprobs = np.log(probs[np.arange(n), batch.tokens])
+    _, unclipped, clipped = _reference_surrogate_terms(batch, advantages, new_logprobs, cfg)
+    coeff = np.where(unclipped <= clipped, unclipped, 0.0)
+    onehot = np.eye(policy.n_actions)[batch.tokens]
+    grad_surrogate = ((onehot - probs) * coeff[:, None]).T @ phi / n
+    grad_kl = (probs - ref_probs).T @ phi / n
+
+    predicted = phi @ policy.value_weights
+    raw, banded = _reference_value_errors(batch, returns, predicted, cfg)
+    grad_value = (2.0 * (predicted - returns) * (raw >= banded)) @ phi / n
+    return grad_surrogate - cfg.beta * grad_kl, grad_value
 
 
 _NUMBER_RE = re.compile(rf"^{NUMBER_PATTERN}$")
@@ -480,7 +538,6 @@ class ReferencePolicySession(PolicySession):
             _cue_index(self.record.question), len(self.actions), self._finds, self._ops
         )
         probs = policy.action_probs(phi)
-        self.prob_sum_err = max(self.prob_sum_err, abs(float(probs.sum()) - 1.0))
         if self.rng is None:
             action = int(np.argmax(probs))
         else:
@@ -578,7 +635,8 @@ def reference_train_ppo_demo(
     seed=0, batch_size=None,
 ):
     """``train_ppo_demo`` without the episode memo: every episode goes through
-    ``toy._rollout``, with a fresh ``run_session`` each time."""
+    ``toy._rollout``, with a fresh ``run_session`` each time, and every epoch
+    and the stats take the reference step on the unprepared batch."""
     if ppo_cfg is None:
         ppo_cfg = toy.demo_config()
     if not tasks:
@@ -609,10 +667,12 @@ def reference_train_ppo_demo(
         returns = advantages + flat.values[:-1]
         norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         phi = flat.state_features
+        # Sampling ran on the policy as it was before this update.
+        prob_sum_err = max(0.0, *(abs(float(policy.action_probs(f).sum()) - 1.0) for f in phi))
         ref_probs = softmax(phi @ ref.weights.T)
         iter_cfg = replace(ppo_cfg, beta=beta)
         for _ in range(ppo_cfg.epochs):
-            weights_step, value_step = ppo_gradients(
+            weights_step, value_step = reference_ppo_gradients(
                 flat, norm_adv, returns, policy, ref_probs, iter_cfg
             )
             policy.weights += lr * weights_step
@@ -620,10 +680,10 @@ def reference_train_ppo_demo(
 
         probs = softmax(phi @ policy.weights.T)
         new_logprobs = np.log(probs[np.arange(flat.steps), flat.tokens])
-        objective = ppo_objective(
+        objective = reference_ppo_objective(
             flat, advantages, new_logprobs, iter_cfg, ref_dists=ref_probs, new_dists=probs
         )
-        vloss = value_loss(flat, returns, phi @ policy.value_weights, iter_cfg)
+        vloss = reference_value_loss(flat, returns, phi @ policy.value_weights, iter_cfg)
         observed_kl = float(np.mean(kl_divergence(ref_probs, probs)))
         beta = adaptive_kl_update(beta, observed_kl, ppo_cfg, len(trajectories))
         history.append(
@@ -635,7 +695,7 @@ def reference_train_ppo_demo(
                 beta=beta,
                 policy_loss=objective.policy_loss,
                 value_loss=vloss,
-                prob_sum_err=max(r.session.prob_sum_err for r in results),
+                prob_sum_err=prob_sum_err,
             )
         )
     return history

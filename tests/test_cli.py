@@ -402,6 +402,14 @@ class TestPpoDemoCommand:
         _, via_env, _ = run_cli(self.DEMO_ARGS[:-2], capsys)
         assert via_env == via_flag
 
+    def test_diverging_run_exits_1_without_non_finite_output(self, capsys):
+        # The value head overflows within the default 300 iterations.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(["ppo-demo", "--learning-rate", "1e3"], capsys)
+        assert (code, out) == (1, "")
+        assert "NaN" not in out and "Infinity" not in out
+        assert err.splitlines()[-1] == "error: training diverged at iteration 14: value_loss is inf"
+
     def test_zero_iterations_rejected(self, capsys):
         code, _, err = run_cli(["ppo-demo", "--iterations", "0"], capsys)
         assert code == 1

@@ -53,6 +53,13 @@ class TestFromJson:
         with pytest.raises(ValueError, match="unknown fields"):
             config_from_json({"reward": {"rmax": 1}})
 
+    def test_derived_floor_is_not_a_setting(self):
+        with pytest.raises(ValueError, match=r"unknown fields \['floor'\]"):
+            config_from_json({"reward": {"floor": 1}})
+        assert set(config_to_json(default_config())["reward"]) == {
+            "r_max", "clamp_components", "clamp_floor"
+        }
+
     def test_boolean_is_not_a_number(self):
         with pytest.raises(ValueError, match="expected a number"):
             config_from_json({"reward": {"r_max": True}})

@@ -1,9 +1,12 @@
 """Optimization core: GAE, clipped objectives, KL control, exact gradients."""
 
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flsolve import (
     PpoConfig,
@@ -16,7 +19,7 @@ from flsolve import (
     softmax,
     value_loss,
 )
-from flsolve.ppo import ppo_gradients
+from flsolve.ppo import _PreparedBatch, ppo_gradients
 
 import oracles
 
@@ -375,3 +378,83 @@ class TestPpoGradients:
             case = oracles.random_ppo_case(rng, anchor)
             for step, fd in zip(ppo_gradients(*case), oracles.central_fd_ppo_gradients(*case)):
                 np.testing.assert_allclose(step, fd, rtol=0, atol=1e-6 * np.abs(fd).max())
+
+
+def bits(*arrays) -> list[bytes]:
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+
+
+def step_or_error(step, *args):
+    try:
+        return bits(*step(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestPreparedBatch:
+    """An update prepares its batch once; every epoch and the stats after them
+    match the step and the losses computed afresh per call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        anchor=st.sampled_from(["old", "ref"]),
+        clip_range=st.sampled_from([0.2, math.inf]),
+        clip_range_value=st.sampled_from([0.2, math.inf]),
+        anchor_poison=st.lists(
+            st.tuples(st.integers(0, 10), st.sampled_from([np.nan, np.inf, -np.inf])), max_size=2
+        ),
+        weight_poison=st.lists(
+            st.tuples(
+                st.integers(0, 4), st.integers(0, 5),
+                st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308]),
+            ),
+            max_size=2,
+        ),
+        epochs=st.integers(1, 4),
+    )
+    def test_epochs_and_stats_match_the_reference(
+        self, seed, anchor, clip_range, clip_range_value, anchor_poison, weight_poison, epochs
+    ):
+        rng = np.random.default_rng(seed)
+        batch, advantages, returns, policy, ref_probs, cfg = oracles.random_ppo_case(rng, anchor)
+        cfg = replace(cfg, clip_range=clip_range, clip_range_value=clip_range_value)
+        anchors = batch.logprobs_policy if anchor == "old" else batch.logprobs_ref
+        for index, value in anchor_poison:
+            anchors[index % batch.steps] = value
+        for action, feature, value in weight_poison:
+            policy.weights[action, feature] = value
+        phi = batch.state_features
+        with np.errstate(all="ignore"):
+            prepared = _PreparedBatch(batch, cfg, policy.n_actions)
+            for _ in range(epochs):
+                args = (advantages, returns, policy, ref_probs)
+                expected = step_or_error(oracles.reference_ppo_gradients, batch, *args, cfg)
+                assert step_or_error(prepared.gradients, *args) == expected
+                assert step_or_error(ppo_gradients, batch, *args, cfg) == expected
+                if isinstance(expected, str):
+                    assert expected == "log-probabilities must be finite"
+                    return
+                weights_step, value_step = prepared.gradients(*args)
+                policy.weights += 0.5 * weights_step
+                policy.value_weights -= 0.05 * value_step
+
+            probs = softmax(phi @ policy.weights.T)
+            new_logprobs = np.log(probs[np.arange(batch.steps), batch.tokens])
+            stats = (
+                lambda: astuple(oracles.reference_ppo_objective(
+                    batch, advantages, new_logprobs, cfg, ref_dists=ref_probs, new_dists=probs
+                )),
+                lambda: astuple(prepared.objective(
+                    advantages, prepared.logprobs(probs), ref_probs, probs
+                )),
+                lambda: astuple(ppo_objective(
+                    batch, advantages, new_logprobs, cfg, ref_dists=ref_probs, new_dists=probs
+                )),
+            )
+            expected = step_or_error(stats[0])
+            assert [step_or_error(f) for f in stats[1:]] == [expected, expected]
+            predicted = phi @ policy.value_weights
+            expected = bits(oracles.reference_value_loss(batch, returns, predicted, cfg))
+            assert bits(prepared.value_loss(returns, predicted)) == expected
+            assert bits(value_loss(batch, returns, predicted, cfg)) == expected

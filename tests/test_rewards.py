@@ -1,7 +1,10 @@
 """Reward components: golden values, perturbations, clamps, monotonicity."""
 
+import copy
 import json
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -318,6 +321,45 @@ class TestComponentRules:
     def test_r_max_validation(self):
         with pytest.raises(ValueError):
             RewardConfig(r_max=Fraction(0))
+
+
+class TestRewardConfig:
+    """``floor`` is derived once, when the config is made, and is not a setting."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RewardConfig(),
+            RewardConfig(r_max=Fraction(3, 2)),
+            RewardConfig(r_max=Fraction(2), clamp_floor=Fraction(-1, 2)),
+            RewardConfig(clamp_components=False, clamp_floor=Fraction(0)),
+        ],
+    )
+    def test_floor_is_clamp_floor_or_minus_r_max(self, cfg):
+        expected = -cfg.r_max if cfg.clamp_floor is None else cfg.clamp_floor
+        assert cfg.floor == expected and type(cfg.floor) is Fraction
+        assert cfg.floor is cfg.floor  # kept, not rebuilt per read
+        assert replace(cfg, r_max=cfg.r_max * 4).floor == (
+            -4 * cfg.r_max if cfg.clamp_floor is None else cfg.clamp_floor
+        )
+
+    def test_equality_repr_hash_and_pickling_see_only_the_settings(self):
+        cfg = RewardConfig(r_max=Fraction(2), clamp_floor=Fraction(-1, 2))
+        assert repr(cfg) == (
+            "RewardConfig(r_max=Fraction(2, 1), clamp_components=True, "
+            "clamp_floor=Fraction(-1, 2))"
+        )
+        assert cfg == RewardConfig(Fraction(2), True, Fraction(-1, 2))
+        assert cfg != RewardConfig(r_max=Fraction(2))
+        assert hash(cfg) == hash((cfg.r_max, cfg.clamp_components, cfg.clamp_floor))
+        assert [f.name for f in fields(cfg) if f.init] == ["r_max", "clamp_components", "clamp_floor"]
+        for copied in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
+            assert copied == cfg and hash(copied) == hash(cfg)
+            assert copied.floor == cfg.floor == Fraction(-1, 2)
+        with pytest.raises(FrozenInstanceError):
+            cfg.floor = Fraction(0)
+        with pytest.raises(TypeError):
+            RewardConfig(floor=Fraction(0))
 
 
 class TestTotalReward:

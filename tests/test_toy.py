@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -314,6 +315,32 @@ class TestTraining:
             "value_loss",
             "prob_sum_err",
         }
+
+    @pytest.mark.parametrize("learning_rate, batch_size", [(1e3, None), (100.0, 5)])
+    def test_diverging_run_stops_at_the_first_non_finite_stat(
+        self, single_op_tasks, learning_rate, batch_size
+    ):
+        # The reference trains on through the overflow; the first stat it
+        # reports non-finite is the one the error names.
+        watched = ("policy_loss", "value_loss", "mean_kl")
+
+        def run(train, iterations):
+            policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return train(
+                    policy, single_op_tasks, ppo_cfg=demo_config(learning_rate),
+                    iterations=iterations, seed=0, batch_size=batch_size,
+                )
+
+        with pytest.raises(ValueError, match=r"^training diverged at iteration \d+: ") as raised:
+            run(train_ppo_demo, 300)
+        iteration = int(str(raised.value).split()[4].rstrip(":"))
+        *finite, last = run(oracles.reference_train_ppo_demo, iteration + 1)
+        assert all(math.isfinite(getattr(s, name)) for s in finite for name in watched)
+        name = next(name for name in watched if not math.isfinite(getattr(last, name)))
+        assert str(raised.value) == (
+            f"training diverged at iteration {iteration}: {name} is {getattr(last, name)}"
+        )
 
     def test_empty_task_list_rejected(self):
         with pytest.raises(ValueError):
@@ -761,14 +788,14 @@ class TestWorkCounts:
             return real_logprob(self, features, action)
 
         batches = []
-        real_gradients = toy.ppo_gradients
 
-        def gradients_spy(batch, *args):
-            batches.extend(zip(map(tuple, batch.state_features), batch.tokens.tolist()))
-            return real_gradients(batch, *args)
+        class PreparedSpy(toy._PreparedBatch):
+            def __init__(self, batch, *args):
+                batches.extend(zip(map(tuple, batch.state_features), batch.tokens.tolist()))
+                super().__init__(batch, *args)
 
         monkeypatch.setattr(ToyPolicy, "logprob", logprob_spy)
-        monkeypatch.setattr(toy, "ppo_gradients", gradients_spy)
+        monkeypatch.setattr(toy, "_PreparedBatch", PreparedSpy)
         tasks = generate_toy_tasks(3, 16, SINGLE_OP_TEMPLATES)
         for _ in range(2):  # nothing carries over from one call to the next
             policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
@@ -777,6 +804,64 @@ class TestWorkCounts:
             assert set(calls) == set(batches)
             calls.clear()
             batches.clear()
+
+    def test_features_once_per_state_per_call(self, single_op_tasks, monkeypatch):
+        keys = []
+        real = toy._features
+
+        def spy(*key):
+            keys.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(toy, "_features", spy)
+        counts = []
+        for batch_size in (None, 5, None):
+            policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+            train_ppo_demo(policy, single_op_tasks, iterations=60, seed=1, batch_size=batch_size)
+            assert len(keys) == len(set(keys)) > 0
+            counts.append(len(keys))
+            keys.clear()
+        assert counts[0] == counts[2]  # nothing carries over from one call to the next
+
+    def test_one_prepared_batch_per_iteration(self, single_op_tasks, monkeypatch):
+        prepared = self.count_instances(monkeypatch, "_PreparedBatch")
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        cfg = replace(demo_config(), epochs=3)
+        train_ppo_demo(policy, single_op_tasks, ppo_cfg=cfg, iterations=7, seed=0)
+        assert len(prepared) == 7
+        train_ppo_demo(policy, single_op_tasks, ppo_cfg=cfg, iterations=4, seed=0, batch_size=5)
+        assert len(prepared) == 11
+
+    def test_training_sessions_take_cue_and_finds_from_the_call(self, single_op_tasks, monkeypatch):
+        sessions, inside, calls = [], [], []
+
+        class Watched(PolicySession):
+            def __init__(self, *args, **kwargs):
+                sessions.append(self)
+                inside.append(True)
+                try:
+                    super().__init__(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+        def spy(name, real):
+            def spied(*args):
+                calls.append((name, bool(inside)))
+                return real(*args)
+            return spied
+
+        monkeypatch.setattr(toy, "PolicySession", Watched)
+        monkeypatch.setattr(toy, "_cue_index", spy("cue", toy._cue_index))
+        monkeypatch.setattr(
+            toy.ProblemRecord, "parsed_gold", spy("gold", toy.ProblemRecord.parsed_gold)
+        )
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        train_ppo_demo(policy, single_op_tasks, iterations=30, seed=1)
+        assert sessions and not any(within for _, within in calls)
+        assert calls.count(("cue", False)) == len(single_op_tasks)
+        calls.clear()
+        rollout(policy, policy, single_op_tasks[0], rng=np.random.default_rng(0))
+        assert ("cue", True) in calls and ("gold", True) in calls  # a session on its own
 
     @pytest.mark.parametrize("batch_size", [None, 5])
     def test_each_iteration_fills_the_states_the_last_one_read(self, batch_size, monkeypatch):
