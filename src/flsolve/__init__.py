@@ -81,8 +81,6 @@ from .program import (
     Statement,
     VarRef,
     operation_counts,
-    render_program,
-    render_statement,
     tally,
 )
 from .rewards import (
@@ -111,12 +109,10 @@ from .toy import (
     SINGLE_OP_TEMPLATES,
     IterationStats,
     PolicySession,
-    RolloutResult,
     TaskTemplate,
     demo_config,
     generate_toy_tasks,
     greedy_accuracy,
-    rollout,
     train_ppo_demo,
 )
 from .values import (

@@ -162,7 +162,7 @@ def cmd_ppo_demo(args: argparse.Namespace) -> int:
     )
     for stats in history:
         _emit(stats.to_json())
-    accuracy = greedy_accuracy(policy, heldout, reward_cfg)
+    accuracy = greedy_accuracy(policy, heldout)
     summary = {
         "initial_mean_reward": history[0].mean_total_reward,
         "final_mean_reward": history[-1].mean_total_reward,

@@ -44,6 +44,10 @@ class PpoConfig:
     ratio_anchor: str = "old"
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "kl_horizon"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("beta", "kl_target", "clip_range", "clip_range_value", "learning_rate"):
             value, clip = getattr(self, name), name.startswith("clip")
             # inf is a clip range's documented "no clipping" setting.
@@ -75,10 +79,12 @@ def _as_float_array(x) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """One episode of T+1 steps (t = 0..T).
+    """Steps t = 0..T, one per action: one episode, or a batch of episodes
+    laid end to end, as ``train_ppo_demo`` passes them to the update.
 
     ``values`` carries one extra bootstrap entry V(s_{T+1}), zero for a
-    terminal state. ``tokens`` are action indices.
+    terminal state. ``compute_gae`` reads the steps as one episode, so a
+    batch takes its advantages per episode. ``tokens`` are action indices.
     """
 
     tokens: np.ndarray

@@ -1,4 +1,4 @@
-"""Syntax types and canonical rendering for the pseudocode language.
+"""Syntax types and statement counts for the pseudocode language.
 
 Programs are straight-line, one statement per line::
 
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Union
-
-from .values import format_number
 
 
 class Operator(Enum):
@@ -158,28 +156,6 @@ class ProblemRecord:
 
 
 _GOLD_CACHE = "_parsed_gold"
-
-
-def render_argument(arg: Argument) -> str:
-    if isinstance(arg, VarRef):
-        return arg.name
-    if isinstance(arg, Fraction):
-        return format_number(arg)
-    return str(arg)
-
-
-def render_statement(stmt: Statement) -> str:
-    args = ", ".join(render_argument(a) for a in stmt.args)
-    text = f"[{stmt.op.value}]({args})"
-    if stmt.target is not None:
-        text = f"{stmt.target} = {text}"
-    if stmt.annotation is not None:
-        text = f"{text} # {stmt.annotation.raw_text}"
-    return text
-
-
-def render_program(program: Program) -> str:
-    return "\n".join(render_statement(s) for s in program.statements)
 
 
 def tally(program: Program) -> tuple[int, bool, dict]:

@@ -47,6 +47,12 @@ class RewardConfig:
     floor: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("r_max", "clamp_floor"):
+            value = getattr(self, name)
+            if value is None and name == "clamp_floor":
+                continue
+            if type(value) is bool or not isinstance(value, (int, Fraction)):
+                raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
         if self.r_max <= 0:
             raise ValueError("r_max must be positive")
         floor = -self.r_max if self.clamp_floor is None else self.clamp_floor

@@ -29,13 +29,8 @@ from .ppo import (
     softmax,
 )
 from .program import ADD, DIVIDE, SUBTRACT, Operator, ProblemRecord
-from .rewards import (
-    DEFAULT_REWARD_CONFIG,
-    RewardBreakdown,
-    RewardConfig,
-    _score_transcript,
-)
-from .runtime import ScriptedGenerator, SessionBudget, SessionTranscript, run_session
+from .rewards import DEFAULT_REWARD_CONFIG, RewardConfig, _score_transcript
+from .runtime import ScriptedGenerator, SessionBudget, run_session
 from .values import format_number
 
 ACTION_NAMES = (
@@ -162,22 +157,17 @@ DEMO_LEARNING_RATE = 0.8
 VALUE_LR_SCALE = 0.1
 
 
-def demo_config(learning_rate: float = DEMO_LEARNING_RATE) -> PpoConfig:
-    return PpoConfig(learning_rate=learning_rate)
-
-
-def question_cue(question: str) -> Operator | None:
-    text = question.lower()
-    for keyword, op in CUE_KEYWORDS.items():
-        if keyword in text:
-            return op
-    return None
+def demo_config() -> PpoConfig:
+    return PpoConfig(learning_rate=DEMO_LEARNING_RATE)
 
 
 def _cue_index(question: str) -> int | None:
     """Position of the question's cue in ``CUE_OPERATORS``; None without a cue."""
-    cue = question_cue(question)
-    return None if cue is None else CUE_OPERATORS.index(cue)
+    text = question.lower()
+    for keyword, op in CUE_KEYWORDS.items():
+        if keyword in text:
+            return CUE_OPERATORS.index(op)
+    return None
 
 
 def _features(cue: int | None, lines: int, finds: int, ops: int) -> np.ndarray:
@@ -435,8 +425,8 @@ class PolicySession(_Steps):
 
     Each step reads the policy from a step table, one row per state, since
     the weights stay fixed while episodes run. A session builds its own
-    table unless given one built on ``policy`` and ``ref``: ``rollout`` and
-    ``greedy_accuracy`` share one across their episodes, ``train_ppo_demo``
+    table unless given one built on ``policy`` and ``ref``:
+    ``greedy_accuracy`` shares one across its episodes, ``train_ppo_demo``
     one across an iteration's episodes. ``_play`` hands in ``_task``, the
     record's cue index and ``_gold_finds``, as its call computed them, and
     sets the inherited ``_forced`` prefix to hand the session actions
@@ -484,49 +474,6 @@ class PolicySession(_Steps):
             self._pending = "\n"
             return f"var{var} = [{OP_ACTIONS[action].value}](var1, var2)"
         return f"[return](var{max(var, 1)})\n"
-
-
-@dataclass
-class RolloutResult:
-    trajectory: Trajectory
-    breakdown: RewardBreakdown
-    session: PolicySession
-    transcript: SessionTranscript
-
-
-def rollout(
-    policy: ToyPolicy,
-    ref: ToyPolicy,
-    record: ProblemRecord,
-    reward_cfg: RewardConfig = DEFAULT_REWARD_CONFIG,
-    *,
-    rng: np.random.Generator | None = None,
-    greedy: bool = False,
-    budget: SessionBudget = DEMO_BUDGET,
-) -> RolloutResult:
-    """Play one episode and package it as a trajectory.
-
-    The whole reward lands on the final step; earlier steps earn zero.
-    """
-    if not greedy and rng is None:
-        raise ValueError("stochastic rollout needs an rng; pass greedy=True for argmax")
-    return _rollout(
-        _StepTable(policy, ref), record, reward_cfg, None if greedy else rng, budget
-    )
-
-
-def _rollout(
-    table: _StepTable,
-    record: ProblemRecord,
-    reward_cfg: RewardConfig,
-    rng: np.random.Generator | None,
-    budget: SessionBudget = DEMO_BUDGET,
-) -> RolloutResult:
-    session = PolicySession(table.policy, table.ref, record, rng, table=table)
-    transcript = run_session(session, record.question, budget=budget)
-    breakdown = _score_transcript(transcript, record, reward_cfg)
-    trajectory = _trajectory([(session, float(breakdown.total))])
-    return RolloutResult(trajectory, breakdown, session, transcript)
 
 
 def _trajectory(episodes: Sequence[tuple[_Steps, float]]) -> Trajectory:
@@ -593,19 +540,16 @@ def _play(
     return session, total
 
 
-def greedy_accuracy(
-    policy: ToyPolicy,
-    records: Sequence[ProblemRecord],
-    reward_cfg: RewardConfig = DEFAULT_REWARD_CONFIG,
-) -> float:
+def greedy_accuracy(policy: ToyPolicy, records: Sequence[ProblemRecord]) -> float:
     """Fraction of records the argmax policy answers correctly."""
     if not records:
         raise ValueError("no records to evaluate")
     table = _StepTable(policy, policy)
     hits = 0
     for record in records:
-        result = _rollout(table, record, reward_cfg, None)
-        if answers_match(result.transcript.outcome.answer, record.gold_answer):
+        session = PolicySession(policy, policy, record, table=table)
+        outcome = run_session(session, record.question, budget=DEMO_BUDGET).outcome
+        if answers_match(outcome.answer, record.gold_answer):
             hits += 1
     return hits / len(records)
 

@@ -37,8 +37,8 @@ from flsolve.program import (
     Statement,
     VarRef,
 )
-from flsolve.runtime import _SessionFeed
-from flsolve.values import NUMBER_PATTERN, parse_number
+from flsolve.runtime import SessionTranscript, _SessionFeed
+from flsolve.values import NUMBER_PATTERN, format_number, parse_number
 from flsolve.ppo import (
     PpoConfig,
     Trajectory,
@@ -143,6 +143,29 @@ def random_program(rng: random.Random, max_ops: int = 6):
     result = values[-1]
     lines.append(f"[return](var{len(values)}) # {pair_text(result)}")
     return "\n".join(lines), result
+
+
+def render_argument(arg) -> str:
+    if isinstance(arg, VarRef):
+        return arg.name
+    if isinstance(arg, Fraction):
+        return format_number(arg)
+    return str(arg)
+
+
+def render_statement(stmt: Statement) -> str:
+    """A statement as program text, its comment kept as written."""
+    args = ", ".join(render_argument(a) for a in stmt.args)
+    text = f"[{stmt.op.value}]({args})"
+    if stmt.target is not None:
+        text = f"{stmt.target} = {text}"
+    if stmt.annotation is not None:
+        text = f"{text} # {stmt.annotation.raw_text}"
+    return text
+
+
+def render_program(program) -> str:
+    return "\n".join(render_statement(s) for s in program.statements)
 
 
 def gae_direct(rewards, values, gamma: float, lam: float) -> list[float]:
@@ -630,12 +653,33 @@ def reference_score_program(gen, gold, cfg: RewardConfig = DEFAULT_REWARD_CONFIG
     return RewardBreakdown(r1, r2, r3, r4, r1 + r2 + r3 + r4, diagnostics)
 
 
+@dataclass
+class ReferenceEpisode:
+    trajectory: Trajectory
+    breakdown: RewardBreakdown
+    session: PolicySession
+    transcript: SessionTranscript
+
+
+def reference_episode(table, record, reward_cfg=DEFAULT_REWARD_CONFIG, rng=None):
+    """One episode played afresh on ``table``: a session through the runtime,
+    scored, and packaged as a trajectory with the whole reward on its last
+    step. Argmax with ``rng=None``. The session class, the runtime and the
+    scorer are read off ``toy`` at each call, so a test that swaps one there
+    swaps it here too."""
+    session = toy.PolicySession(table.policy, table.ref, record, rng, table=table)
+    transcript = toy.run_session(session, record.question, budget=toy.DEMO_BUDGET)
+    breakdown = toy._score_transcript(transcript, record, reward_cfg)
+    trajectory = toy._trajectory([(session, float(breakdown.total))])
+    return ReferenceEpisode(trajectory, breakdown, session, transcript)
+
+
 def reference_train_ppo_demo(
     policy, tasks, reward_cfg=DEFAULT_REWARD_CONFIG, ppo_cfg=None, iterations=300, *,
     seed=0, batch_size=None,
 ):
     """``train_ppo_demo`` without the episode memo: every episode goes through
-    ``toy._rollout``, with a fresh ``run_session`` each time, and every epoch
+    ``reference_episode``, with a fresh ``run_session`` each time, and every epoch
     and the stats take the reference step on the unprepared batch."""
     if ppo_cfg is None:
         ppo_cfg = toy.demo_config()
@@ -653,7 +697,7 @@ def reference_train_ppo_demo(
             order = rng.permutation(len(tasks))[:batch_size]
             batch = [tasks[i] for i in order]
         table = toy._StepTable(policy, ref)
-        results = [toy._rollout(table, rec, reward_cfg, rng) for rec in batch]
+        results = [reference_episode(table, rec, reward_cfg, rng) for rec in batch]
         trajectories = [r.trajectory for r in results]
         flat = Trajectory(
             tokens=np.concatenate([t.tokens for t in trajectories]),

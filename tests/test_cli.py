@@ -5,21 +5,28 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flsolve
 from flsolve import (
     CONFIG_ENV_VAR,
     PpoConfig,
     ProblemRecord,
+    Program,
     RewardConfig,
     ToolkitConfig,
     ToyPolicy,
     bundled_examples,
     bundled_examples_path,
+    parse_program,
     save_config,
     write_dataset,
 )
@@ -620,3 +627,118 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             main(["stats", fixture_path, "--sideways"])
         assert excinfo.value.code == 1
+
+
+# Program text for the in-process fuzz: literals from tiny to past CPython's
+# 4300-digit limit, with digit counts on each side of the value bound (4096
+# bits, ~1233 digits) and of that limit; [find] descriptions holding '#' and
+# ')'; lines ended by "\r\n" or holding a lone "\r"; stray brackets.
+FUZZ_DIGITS = st.one_of(st.integers(1, 40), st.sampled_from((616, 1233, 1234, 4300, 4301, 4400)))
+FUZZ_LITERALS = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.sampled_from(("-0", "3.25", "-1/3", "007", ".5")),
+    FUZZ_DIGITS.map(lambda n: "9" * n),
+    FUZZ_DIGITS.map(lambda n: "0." + "0" * n + "1"),
+    FUZZ_DIGITS.map(lambda n: "1/" + "7" * n),
+)
+FUZZ_DESCRIPTIONS = st.one_of(
+    st.sampled_from(("apples", "item #3 price", "the (red) box", "a)b", "#", ") # 2", "x ( y")),
+    st.text(alphabet="ab #)([]\r", max_size=8),
+)
+FUZZ_OPERATORS = st.sampled_from(("add", "subtract", "multiply", "divide", "mod", "round", "frob"))
+
+
+@st.composite
+def fuzz_programs(draw) -> str:
+    def comment() -> str:
+        return draw(st.sampled_from(("", " # "))) + draw(FUZZ_LITERALS) if draw(st.booleans()) else ""
+
+    def operand(i: int) -> str:
+        return f"var{draw(st.integers(1, i))}" if draw(st.booleans()) else draw(FUZZ_LITERALS)
+
+    text = ""
+    for i in range(1, draw(st.integers(1, 6)) + 1):
+        kind = draw(st.sampled_from(("find", "find", "op", "return", "junk")))
+        if kind == "find":
+            line = f"var{i} = [find]({draw(FUZZ_DESCRIPTIONS)})" + comment()
+        elif kind == "op":
+            line = f"var{i} = [{draw(FUZZ_OPERATORS)}]({operand(i)}, {operand(i)})" + comment()
+        elif kind == "return":
+            line = f"[return]({operand(i)})" + comment()
+        else:
+            line = draw(st.text(alphabet="[]()#=,\r var1", max_size=12))
+        text += line + draw(st.sampled_from(("\n", "\r\n", "\r", "\n\n")))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("[](){}")) + text[at:]
+    return text
+
+
+# References that score: one [find], one operation, the answer.
+FUZZ_GOLDS = st.builds(
+    "var1 = [find]({}) # {}\nvar2 = [multiply](var1, {})\n[return](var2)\n".format,
+    FUZZ_DESCRIPTIONS, FUZZ_LITERALS, FUZZ_LITERALS,
+)
+FUZZ_ANSWERS = st.one_of(
+    st.fractions(max_denominator=1000),
+    FUZZ_DIGITS.map(lambda n: Fraction(1, 10**n)),
+    FUZZ_DIGITS.map(lambda n: Fraction(10**n - 1)),
+)
+
+
+def cli_in_process(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzzedFiles:
+    """Every subcommand on generated program files and loadable records:
+    nothing raises, and each exit code is one the subcommand documents."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fuzz_programs(),
+        st.lists(
+            st.tuples(st.one_of(fuzz_programs(), FUZZ_GOLDS), FUZZ_ANSWERS), min_size=1, max_size=2
+        ),
+        st.sampled_from(("How many?", "Item #3 costs 4 (tax).", "one\rtwo")),
+    )
+    def test_no_exception_escapes(self, program, golds, question):
+        records = [
+            ProblemRecord(f"r{i}", question, gold, answer) for i, (gold, answer) in enumerate(golds)
+        ]
+        # Scoring needs a reference that parses and declares a [find].
+        parsed = [parse_program(r.gold_program) for r in records]
+        scorable = [isinstance(p, Program) and any(s.is_find for s in p.statements) for p in parsed]
+        with tempfile.TemporaryDirectory() as tmp:
+            gen, data = os.path.join(tmp, "gen.txt"), os.path.join(tmp, "gold.jsonl")
+            with open(gen, "w", encoding="utf-8", newline="") as fh:
+                fh.write(program)
+            write_dataset(records, data)
+            codes = {}
+            for argv, documented in (
+                (["parse", gen], {0, 2}),
+                (["run", gen], {0, 2, 3}),
+                (["run", "--strict", gen], {0, 2, 3}),
+                (["score", "--gen", gen, "--gold", data, "--id", "r0"], {0, 1}),
+                (["eval", "--dataset", data, "--generator", f"scripted:{gen}"], {0, 1}),
+                (["validate", data], {0, 1}),
+            ):
+                code, out, err = cli_in_process(argv)
+                name = " ".join(argv[:2] if argv[1] == "--strict" else argv[:1])
+                assert code in documented, (name, code, err)
+                codes[name] = code
+                if name.startswith("run"):
+                    assert (code == 0) == (len(out.splitlines()) == 1), (name, out)
+                    continue
+                lines = [json.loads(line) for line in out.splitlines()]
+                if name == "validate":
+                    assert code == (0 if lines[0]["failed"] == 0 else 1)
+                elif name in ("score", "eval"):
+                    # Exit 1 only for a reference that cannot be scored.
+                    ok = scorable[0] if name == "score" else all(scorable)
+                    assert code == (0 if ok else 1), (name, err)
+                    assert (code == 1) == (lines == []) == err.startswith("error: ")
+        assert (codes["parse"] == 2) == (codes["run"] == 2) == (codes["run --strict"] == 2)

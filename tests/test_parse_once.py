@@ -22,8 +22,8 @@ from flsolve import (
     evaluate,
     evaluate_corpus,
     generate_toy_tasks,
+    greedy_accuracy,
     parse_program,
-    rollout,
     run_session,
     score_program,
     strip_computed_comments,
@@ -31,7 +31,9 @@ from flsolve import (
     total_reward,
 )
 from flsolve import parser, rewards, runtime
-from flsolve.toy import ACTION_NAMES, N_FEATURES
+from flsolve.toy import ACTION_NAMES, N_FEATURES, _StepTable
+
+import oracles
 
 GOLD = ProblemRecord(
     id="sum",
@@ -256,7 +258,9 @@ class TestNoReparse:
         record = generate_toy_tasks(0, 1)[0]
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         for _ in range(2):
-            rollout(policy, policy, record, greedy=True)
+            # A scored episode, then one that reads only its answer.
+            oracles.reference_episode(_StepTable(policy, policy), record)
+            greedy_accuracy(policy, [record])
             assert parse_calls == [record.gold_program]
 
     @pytest.mark.parametrize("chunk_size", [0, 4])

@@ -22,7 +22,6 @@ from flsolve import (
     bundled_examples,
     parse_line,
     parse_program,
-    render_program,
     score_program,
     tally,
 )
@@ -380,7 +379,7 @@ class TestParseProgram:
             source, _expected = oracles.random_program(rng)
             program = parse_program(source)
             assert isinstance(program, Program)
-            again = parse_program(render_program(program))
+            again = parse_program(oracles.render_program(program))
             assert isinstance(again, Program)
             assert again.statements == program.statements
 

@@ -106,6 +106,15 @@ class TestConfigs:
         with pytest.raises(ValueError, match=rf"^{name} must be in"):
             PpoConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["epochs", "kl_horizon"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, "4", None, True, False])
+    def test_count_fields_reject_non_integers_by_name(self, name, value):
+        # 2.5 epochs would otherwise fail only inside training, in range().
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            PpoConfig(**{name: value})
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            replace(PpoConfig(), **{name: value})
+
     def test_learning_rate_must_be_non_negative(self):
         with pytest.raises(ValueError, match="^learning_rate must be non-negative"):
             PpoConfig(learning_rate=-1.0)

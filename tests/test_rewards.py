@@ -24,7 +24,6 @@ from flsolve import (
     VarRef,
     bundled_examples,
     parse_program,
-    render_program,
     score_program,
     total_reward,
 )
@@ -343,6 +342,26 @@ class TestRewardConfig:
             -4 * cfg.r_max if cfg.clamp_floor is None else cfg.clamp_floor
         )
 
+    @pytest.mark.parametrize("name", ["r_max", "clamp_floor"])
+    @pytest.mark.parametrize("value", [0.5, 1.0, "1", True, False])
+    def test_bounds_reject_non_rationals_by_name(self, name, value):
+        # A float would otherwise fail in every total_reward, in exact arithmetic.
+        message = rf"^{name} must be an int or a Fraction, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            RewardConfig(**{name: value})
+        with pytest.raises(ValueError, match=message):
+            replace(RewardConfig(), **{name: value})
+
+    def test_bounds_take_ints_and_no_floor(self):
+        cfg = RewardConfig(r_max=2, clamp_floor=-1)
+        assert cfg.floor == -1
+        assert RewardConfig(r_max=2).floor == -2
+        assert RewardConfig(r_max=Fraction(2), clamp_floor=None).floor == -2
+        gold = bundled_examples().records[0]
+        assert total_reward(gold.gold_program, gold, cfg).total == total_reward(
+            gold.gold_program, gold, RewardConfig(Fraction(2), True, Fraction(-1))
+        ).total
+
     def test_equality_repr_hash_and_pickling_see_only_the_settings(self):
         cfg = RewardConfig(r_max=Fraction(2), clamp_floor=Fraction(-1, 2))
         assert repr(cfg) == (
@@ -431,7 +450,8 @@ def programs(draw, wild: bool = False, kinds=KINDS) -> Program:
 def gold_records(draw) -> ProblemRecord:
     answer = draw(SMALL)  # 0 often enough for the zero-gold rule
     # Never empty, so it declares at least one [find].
-    source = render_program(draw(programs(kinds=st.lists(KIND, min_size=1, max_size=8))))
+    program = draw(programs(kinds=st.lists(KIND, min_size=1, max_size=8)))
+    source = oracles.render_program(program)
     return ProblemRecord("gold", "?", source, answer)
 
 

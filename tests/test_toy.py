@@ -16,15 +16,18 @@ from flsolve import (
     N_FEATURES,
     SINGLE_OP_TEMPLATES,
     Operator,
+    PpoConfig,
     Program,
     ToyPolicy,
+    answers_match,
     demo_config,
     evaluate,
     format_number,
     generate_toy_tasks,
     greedy_accuracy,
     parse_program,
-    rollout,
+    run_session,
+    total_reward,
     train_ppo_demo,
 )
 from flsolve import toy
@@ -32,16 +35,27 @@ from flsolve.ppo import softmax
 from flsolve.toy import (
     CUE_KEYWORDS,
     CUE_OPERATORS,
+    DEMO_BUDGET,
     DEMO_LEARNING_RATE,
     PolicySession,
     _StepRow,
     _StepTable,
     _cue_index,
     _features,
-    question_cue,
 )
 
 import oracles
+
+
+def play(policy: ToyPolicy, record, rng=None):
+    """One episode of ``policy`` on ``record``: its session and transcript."""
+    session = PolicySession(policy, policy, record, rng)
+    return session, run_session(session, record.question, budget=DEMO_BUDGET)
+
+
+def reference_episode(policy: ToyPolicy, record, rng=None):
+    """One episode of ``policy`` on ``record`` with its score and trajectory."""
+    return oracles.reference_episode(_StepTable(policy, policy), record, rng=rng)
 
 
 def optimal_policy() -> ToyPolicy:
@@ -152,8 +166,9 @@ class TestCuesAndFeatures:
 
     def test_question_cue_reads_the_operator(self):
         for template in SINGLE_OP_TEMPLATES:
-            assert question_cue(template.question.format(3, 4)) is template.ops[0]
-        assert question_cue("What is seven plus three?") is None
+            cue = _cue_index(template.question.format(3, 4))
+            assert CUE_OPERATORS[cue] is template.ops[0]
+        assert _cue_index("What is seven plus three?") is None
 
     def test_feature_vector_layout(self):
         phi = _features(_cue_index("How many apples altogether?"), lines=2, finds=2, ops=0)
@@ -175,20 +190,16 @@ class TestRollout:
     def test_optimal_policy_plays_single_op_tasks_perfectly(self, single_op_tasks):
         policy = optimal_policy()
         for task in single_op_tasks:
-            result = rollout(policy, policy, task, greedy=True)
-            cue_index = CUE_OPERATORS.index(question_cue(task.question))
-            assert list(result.trajectory.tokens) == [0, 1, 2 + cue_index, 6], task.id
-            assert result.breakdown.total == Fraction(4), task.id
-            assert result.transcript.outcome.answer == task.gold_answer, task.id
-            injected = [
-                l for l in result.transcript.emitted_lines if l.source == "solver-injected"
-            ]
+            session, transcript = play(policy, task)
+            assert session.actions == [0, 1, 2 + _cue_index(task.question), 6], task.id
+            assert total_reward(transcript.generated_source, task).total == Fraction(4), task.id
+            assert transcript.outcome.answer == task.gold_answer, task.id
+            injected = [l for l in transcript.emitted_lines if l.source == "solver-injected"]
             assert len(injected) == 1, task.id
             assert injected[0].text.endswith(f"= {task.gold_answer}"), task.id
 
     def test_trajectory_packaging(self, single_op_tasks):
-        result = rollout(optimal_policy(), optimal_policy(), single_op_tasks[0], greedy=True)
-        traj = result.trajectory
+        traj = reference_episode(optimal_policy(), single_op_tasks[0]).trajectory
         assert traj.steps == 4
         assert np.all(traj.rewards[:-1] == 0.0)
         assert traj.rewards[-1] == pytest.approx(4.0)
@@ -197,15 +208,12 @@ class TestRollout:
         assert np.all(traj.logprobs_policy <= 0.0)
         assert traj.state_features.shape == (4, N_FEATURES)
 
-    def test_stochastic_rollout_requires_rng(self, single_op_tasks):
-        with pytest.raises(ValueError):
-            rollout(optimal_policy(), optimal_policy(), single_op_tasks[0])
-
     def test_stochastic_rollout_is_seed_reproducible(self, single_op_tasks):
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
-        first = rollout(policy, policy, single_op_tasks[0], rng=np.random.default_rng(4))
-        second = rollout(policy, policy, single_op_tasks[0], rng=np.random.default_rng(4))
-        assert list(first.trajectory.tokens) == list(second.trajectory.tokens)
+        first, first_transcript = play(policy, single_op_tasks[0], np.random.default_rng(4))
+        second, second_transcript = play(policy, single_op_tasks[0], np.random.default_rng(4))
+        assert first.actions == second.actions
+        assert first_transcript == second_transcript
 
     def test_op_lines_pause_for_the_solver(self, single_op_tasks):
         # An operation line is emitted without its newline so the session
@@ -250,6 +258,40 @@ class TestRollout:
             greedy_accuracy(optimal_policy(), [])
 
 
+class TestGreedyAccuracy:
+    """``greedy_accuracy`` against the share of records whose reference
+    episode, played with the reference policy step, answers correctly."""
+
+    @staticmethod
+    def reference_accuracy(policy, records, monkeypatch) -> float:
+        monkeypatch.setattr(toy, "PolicySession", oracles.ReferencePolicySession)
+        table = _StepTable(policy, policy)
+        hits = [
+            answers_match(
+                oracles.reference_episode(table, record).transcript.outcome.answer,
+                record.gold_answer,
+            )
+            for record in records
+        ]
+        return sum(hits) / len(records)
+
+    @pytest.mark.parametrize("seed, expected", [(0, 1.0), (31337, 0.25)])
+    def test_trained_policy(self, seed, expected, monkeypatch):
+        # The benchmark's train shape: 16 tasks, 300 iterations, 32 held out.
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        train_ppo_demo(policy, generate_toy_tasks(seed, 16, SINGLE_OP_TEMPLATES), seed=seed)
+        heldout = generate_toy_tasks(seed + 1, 32, SINGLE_OP_TEMPLATES)
+        accuracy = greedy_accuracy(policy, heldout)
+        assert accuracy == expected
+        assert accuracy == self.reference_accuracy(policy, heldout, monkeypatch)
+
+    def test_nan_weight_policy(self, single_op_tasks, monkeypatch):
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        policy.weights[:] = np.nan
+        accuracy = greedy_accuracy(policy, single_op_tasks)
+        assert accuracy == self.reference_accuracy(policy, single_op_tasks, monkeypatch) == 0.0
+
+
 class TestTraining:
     def test_zero_learning_rate_freezes_weights(self, single_op_tasks):
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
@@ -258,7 +300,7 @@ class TestTraining:
         stats = train_ppo_demo(
             policy,
             single_op_tasks[:4],
-            ppo_cfg=demo_config(learning_rate=0.0),
+            ppo_cfg=replace(demo_config(), learning_rate=0.0),
             iterations=2,
             seed=0,
         )
@@ -328,7 +370,8 @@ class TestTraining:
             policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
             with np.errstate(over="ignore", invalid="ignore"):
                 return train(
-                    policy, single_op_tasks, ppo_cfg=demo_config(learning_rate),
+                    policy, single_op_tasks,
+                    ppo_cfg=replace(demo_config(), learning_rate=learning_rate),
                     iterations=iterations, seed=0, batch_size=batch_size,
                 )
 
@@ -354,11 +397,7 @@ class TestTraining:
             )
 
     def test_demo_config_overrides_only_the_learning_rate(self):
-        cfg = demo_config()
-        assert cfg.learning_rate == DEMO_LEARNING_RATE
-        assert cfg.beta == 0.03
-        assert cfg.gamma == 0.99
-        assert demo_config(learning_rate=0.25).learning_rate == 0.25
+        assert demo_config() == replace(PpoConfig(), learning_rate=DEMO_LEARNING_RATE)
 
 
 def one_row(probs: np.ndarray) -> _StepRow:
@@ -455,16 +494,16 @@ class TestStepTable:
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         policy.weights[:] = np.nan
         with pytest.raises(ValueError, match="Probabilities contain NaN"):
-            rollout(policy, policy, single_op_tasks[0], rng=np.random.default_rng(0))
+            play(policy, single_op_tasks[0], np.random.default_rng(0))
         with pytest.raises(ValueError, match="Probabilities contain NaN"):
             train_ppo_demo(policy, single_op_tasks[:2], iterations=1)
 
     def test_nan_weights_greedy_rollout_matches_reference(self, single_op_tasks, monkeypatch):
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         policy.weights[:] = np.nan
-        ours = rollout(policy, policy, single_op_tasks[0], greedy=True)
+        ours = reference_episode(policy, single_op_tasks[0])
         monkeypatch.setattr(toy, "PolicySession", oracles.ReferencePolicySession)
-        theirs = rollout(policy, policy, single_op_tasks[0], greedy=True)
+        theirs = reference_episode(policy, single_op_tasks[0])
         for field in ("tokens", "state_features", "logprobs_policy", "logprobs_ref", "rewards", "values"):
             assert np.array_equal(
                 getattr(ours.trajectory, field), getattr(theirs.trajectory, field), equal_nan=True
@@ -687,14 +726,14 @@ class TestEpisodeMemo:
         memo_calls = list(calls)
         calls.clear()
         episodes = []
-        real_rollout = toy._rollout
+        real_episode = oracles.reference_episode
 
-        def rollout_spy(table, record, *args):
-            result = real_rollout(table, record, *args)
+        def episode_spy(table, record, *args):
+            result = real_episode(table, record, *args)
             episodes.append((id(record), tuple(result.session.actions)))
             return result
 
-        monkeypatch.setattr(toy, "_rollout", rollout_spy)
+        monkeypatch.setattr(oracles, "reference_episode", episode_spy)
         _, _, tasks = self.train(oracles.reference_train_ppo_demo, 1, batch_size, iterations=120)
         assert len(episodes) == 120 * (batch_size or len(tasks))
         assert len(memo_calls) == len(set(episodes)) < len(episodes)
@@ -776,7 +815,7 @@ class TestWorkCounts:
         assert 0 < len(runs) < 60 * len(single_op_tasks)
         assert len(sessions) == len(runs)
         greedy_accuracy(policy, single_op_tasks)
-        rollout(policy, policy, single_op_tasks[0], rng=np.random.default_rng(0))
+        reference_episode(policy, single_op_tasks[0], np.random.default_rng(0))
         assert len(sessions) == len(runs)
 
     def test_reference_logprob_once_per_state_and_action(self, monkeypatch):
@@ -860,7 +899,7 @@ class TestWorkCounts:
         assert sessions and not any(within for _, within in calls)
         assert calls.count(("cue", False)) == len(single_op_tasks)
         calls.clear()
-        rollout(policy, policy, single_op_tasks[0], rng=np.random.default_rng(0))
+        greedy_accuracy(policy, single_op_tasks[:1])
         assert ("cue", True) in calls and ("gold", True) in calls  # a session on its own
 
     @pytest.mark.parametrize("batch_size", [None, 5])
