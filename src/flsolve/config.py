@@ -47,7 +47,6 @@ def _exact_number(value: object, where: str) -> Fraction:
 _JSON_TYPES = {
     "float": ("a number", (int, float)),
     "int": ("an integer", int),
-    "str": ("a string", str),
     "bool": ("a boolean", bool),
 }
 

@@ -36,7 +36,7 @@ STATS_ORDER = (
     Operator.MOD,
 )
 
-FAILURE_REASONS = ("parse-error", "eval-error", "answer-mismatch")
+FAILURE_REASONS = ("parse-error", "eval-error", "answer-mismatch", "no-find")
 
 
 class DatasetError(Exception):
@@ -154,6 +154,8 @@ def _validate_record(record: ProblemRecord) -> tuple[ValidationFailure | None, C
             f"record says {format_number(record.gold_answer)}"
         )
         return ValidationFailure(record.id, "answer-mismatch", detail), Counter()
+    if not any(s.is_find for s in parsed.statements):  # r2 divides by the gold [find] count
+        return ValidationFailure(record.id, "no-find", "program declares no [find]"), Counter()
     return None, operation_counts(parsed)
 
 
@@ -167,7 +169,8 @@ def _fan_out(fn: Callable, jobs: Sequence, workers: int) -> list:
 
 
 def validate_dataset(ds: DatasetFile, workers: int = 1) -> ValidationReport:
-    """Check every record end to end: parse, evaluate, compare the answer.
+    """Check every record end to end: parse, evaluate, compare the answer,
+    and require a [find] for scoring to count against.
 
     Operator frequencies count only records that pass. Records are
     independent, so ``workers > 1`` fans them out across processes.

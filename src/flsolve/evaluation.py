@@ -15,14 +15,8 @@ from .data import DatasetFile, _fan_out, reasoning_step_count
 from .interpreter import answers_match
 from .parser import _lines, _split_line
 from .program import ProblemRecord
-from .rewards import DEFAULT_REWARD_CONFIG, RewardBreakdown, RewardConfig, _score_transcript
-from .runtime import (
-    DEFAULT_INSTRUCTIONS,
-    GeneratorInterface,
-    ScriptedGenerator,
-    SessionBudget,
-    run_session,
-)
+from .rewards import DEFAULT_REWARD_CONFIG, RewardBreakdown, _score_transcript
+from .runtime import GeneratorInterface, ScriptedGenerator, run_session
 from .values import format_number
 
 GENERATOR_KINDS = ("gold-replay", "scripted")
@@ -127,17 +121,9 @@ class EvalReport:
         }
 
 
-def _evaluate_record(
-    spec: GeneratorSpec,
-    reward_cfg: RewardConfig,
-    budget: SessionBudget,
-    instructions: str,
-    record: ProblemRecord,
-) -> ProblemResult:
-    transcript = run_session(
-        spec.build(record), record.question, instructions, budget=budget
-    )
-    breakdown = _score_transcript(transcript, record, reward_cfg)
+def _evaluate_record(spec: GeneratorSpec, record: ProblemRecord) -> ProblemResult:
+    transcript = run_session(spec.build(record), record.question)
+    breakdown = _score_transcript(transcript, record, DEFAULT_REWARD_CONFIG)
     outcome = transcript.outcome
     return ProblemResult(
         id=record.id,
@@ -150,22 +136,14 @@ def _evaluate_record(
     )
 
 
-def evaluate_corpus(
-    ds: DatasetFile,
-    spec: GeneratorSpec,
-    *,
-    reward_cfg: RewardConfig = DEFAULT_REWARD_CONFIG,
-    budget: SessionBudget = SessionBudget(),
-    instructions: str = DEFAULT_INSTRUCTIONS,
-    workers: int = 1,
-) -> EvalReport:
-    """Run every record through a session and aggregate the results.
+def evaluate_corpus(ds: DatasetFile, spec: GeneratorSpec, *, workers: int = 1) -> EvalReport:
+    """Run every record through a session, under the default instructions,
+    budget and reward config, and aggregate the results.
 
     A problem counts as a syntax error when its generated source fails the
     compile gate, which includes producing no [return] or nothing at all.
     """
-    evaluate_one = partial(_evaluate_record, spec, reward_cfg, budget, instructions)
-    results = _fan_out(evaluate_one, ds.records, workers)
+    results = _fan_out(partial(_evaluate_record, spec), ds.records, workers)
 
     total = len(results)
     correct = sum(1 for r in results if r.correct)

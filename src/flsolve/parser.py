@@ -11,7 +11,8 @@ characters anywhere else in a line. The session runtime reads lines the same
 way, so a text gets one answer from either.
 
 Bracketed operator symbols such as ``[subtract]`` are atomic tokens, a ``#``
-starts a comment running to end of line, whitespace is insignificant, and a
+starts a comment running to end of line (one inside a [find] description
+stays in it: see ``_split_line``), whitespace is insignificant, and a
 single trailing comma at line end is tolerated (some listings format programs
 that way). Parsing never raises on bad input: every line is classified
 independently so a malformed program yields a full list of errors.
@@ -81,6 +82,9 @@ _TOKEN_RE = re.compile(
 )
 # VarRefs are immutable, so the fast path shares one per recent name.
 _var_ref = lru_cache(maxsize=1024)(VarRef)
+# The ')' that closes a [find] description holding a '#': the first one
+# followed only by whitespace, or by whitespace and the comment's '#'.
+_FIND_CLOSE_RE = re.compile(r"\)\s*(#|\Z)")
 # A comment's declared value: the whole comment, or the text after its last
 # '=', is one number literal.
 _COMMENT_VALUE_RE = re.compile(rf"(?:.*=)?\s*({NUMBER_PATTERN})\s*", re.DOTALL)
@@ -101,13 +105,24 @@ def _split_line(raw: str) -> tuple[str, str, str]:
     """``(body, "#" or "", comment)`` of a line, after dropping trailing
     whitespace and one trailing comma.
 
+    The comment starts at the first ``#``, except where a [find] description
+    holds one: when the text before the first ``#`` holds ``[find]`` but does
+    not end in ``)``, the body runs to the first later ``)`` followed only by
+    whitespace, or by whitespace and a ``#``, if there is one.
+
     The line is blank, and parse_line gives None, exactly when the body is
     whitespace only.
     """
     line = raw.rstrip()
     if line.endswith(","):
         line = line[:-1].rstrip()
-    return line.partition("#")
+    parts = line.partition("#")
+    body = parts[0]
+    if parts[1] and "[find]" in body and not body.rstrip().endswith(")"):
+        close = _FIND_CLOSE_RE.search(line, len(body))
+        if close is not None:
+            return line[: close.start() + 1], close.group(1), line[close.end():]
+    return parts
 
 
 def parse_comment_value(comment: str) -> CommentAnnotation:

@@ -24,12 +24,11 @@ class PpoConfig:
     is sized for a large language model and is far too small for the toy
     linear policy (the demo passes its own).
 
-    ``ratio_anchor`` selects the baseline for the importance ratio:
-    ``"old"`` uses the behaviour policy's log-probs recorded at sampling
-    time (the standard proximal update, refreshed every batch), ``"ref"``
-    uses the frozen reference policy. The KL penalty always targets the
-    reference. Set ``beta = 0`` to disable the KL penalty and
-    ``clip_range = math.inf`` to disable ratio clipping.
+    The importance ratio is taken against the behaviour policy's log-probs
+    recorded at sampling time (the standard proximal update, refreshed every
+    batch); the KL penalty targets the frozen reference. Set ``beta = 0`` to
+    disable the KL penalty and ``clip_range = math.inf`` to disable ratio
+    clipping.
     """
 
     beta: float = 0.03
@@ -41,7 +40,6 @@ class PpoConfig:
     learning_rate: float = 1.41e-6
     gamma: float = 0.99
     lam: float = 0.95
-    ratio_anchor: str = "old"
 
     def __post_init__(self) -> None:
         for name in ("epochs", "kl_horizon"):
@@ -69,8 +67,6 @@ class PpoConfig:
             raise ValueError("gamma must be in (0, 1]")
         if not 0 < self.lam <= 1:
             raise ValueError("lam must be in (0, 1]")
-        if self.ratio_anchor not in ("old", "ref"):
-            raise ValueError("ratio_anchor must be 'old' or 'ref'")
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -84,13 +80,14 @@ class Trajectory:
 
     ``values`` carries one extra bootstrap entry V(s_{T+1}), zero for a
     terminal state. ``compute_gae`` reads the steps as one episode, so a
-    batch takes its advantages per episode. ``tokens`` are action indices.
+    batch takes its advantages per episode. ``tokens`` are action indices and
+    ``logprobs_policy`` their log-probs under the policy that sampled them,
+    the importance ratio's anchor.
     """
 
     tokens: np.ndarray
     state_features: np.ndarray
     logprobs_policy: np.ndarray
-    logprobs_ref: np.ndarray
     rewards: np.ndarray
     values: np.ndarray
 
@@ -98,13 +95,12 @@ class Trajectory:
         self.tokens = np.asarray(self.tokens)
         self.state_features = _as_float_array(self.state_features)
         self.logprobs_policy = _as_float_array(self.logprobs_policy)
-        self.logprobs_ref = _as_float_array(self.logprobs_ref)
         self.rewards = _as_float_array(self.rewards)
         self.values = _as_float_array(self.values)
         steps = len(self.tokens)
         if steps < 1:
             raise ValueError("a trajectory needs at least one step")
-        for name in ("logprobs_policy", "logprobs_ref", "rewards"):
+        for name in ("logprobs_policy", "rewards"):
             if len(getattr(self, name)) != steps:
                 raise ValueError(f"{name} must have {steps} entries")
         if len(self.state_features) != steps:
@@ -157,7 +153,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 class _PreparedBatch:
     """A batch and a config, with what no gradient step changes built once:
-    row indices, the ratio's anchor and whether it is finite, the ratio's
+    row indices, whether the behaviour log-probs are all finite, the ratio's
     clip bounds, the value band ``old ± clip_range_value`` and, given
     ``n_actions``, the one-hot actions. Training prepares each iteration's
     batch once and takes every epoch and the stats after them from it;
@@ -165,15 +161,13 @@ class _PreparedBatch:
     batch they are given.
     """
 
-    __slots__ = ("batch", "cfg", "rows", "anchor", "anchor_finite", "ratio_band", "value_band",
-                 "onehot")
+    __slots__ = ("batch", "cfg", "rows", "old_finite", "ratio_band", "value_band", "onehot")
 
     def __init__(self, batch: Trajectory, cfg: PpoConfig, n_actions: int | None = None):
         self.batch = batch
         self.cfg = cfg
         self.rows = np.arange(batch.steps)
-        self.anchor = batch.logprobs_policy if cfg.ratio_anchor == "old" else batch.logprobs_ref
-        self.anchor_finite = bool(np.all(np.isfinite(self.anchor)))
+        self.old_finite = bool(np.all(np.isfinite(batch.logprobs_policy)))
         self.ratio_band = (1.0 - cfg.clip_range, 1.0 + cfg.clip_range)
         old_values = batch.values[:-1]
         self.value_band = (old_values - cfg.clip_range_value, old_values + cfg.clip_range_value)
@@ -184,11 +178,11 @@ class _PreparedBatch:
         return np.log(probs[self.rows, self.batch.tokens])
 
     def surrogate_terms(self, advantages, new_logprobs) -> tuple:
-        """The importance ratio against the configured anchor, and the two
+        """The importance ratio against the behaviour log-probs, and the two
         branches of the clipped surrogate, ratio*A and clip(ratio)*A."""
-        if not (np.all(np.isfinite(new_logprobs)) and self.anchor_finite):
+        if not (np.all(np.isfinite(new_logprobs)) and self.old_finite):
             raise ValueError("log-probabilities must be finite")
-        ratio = np.exp(new_logprobs - self.anchor)
+        ratio = np.exp(new_logprobs - self.batch.logprobs_policy)
         clipped = np.clip(ratio, *self.ratio_band) * advantages
         return ratio, ratio * advantages, clipped
 

@@ -127,8 +127,6 @@ def _part(cfg: RewardConfig, num: int, den: int) -> Fraction:
 
 
 def _r2(v_gen: int, v_gold: int, cfg: RewardConfig) -> Fraction:
-    if v_gold < 1:
-        raise ValueError("gold program declares no [find] variables")
     # r_max * (1 - |v_gen - v_gold| / v_gold)
     score = _part(cfg, v_gold - abs(v_gen - v_gold), v_gold)
     return max(score, cfg.floor) if cfg.clamp_components else score
@@ -228,6 +226,8 @@ def _score(
 ) -> RewardBreakdown:
     """The scoring body; ``outcome`` is ``gen``'s evaluation."""
     v_gold, _, gold_counts = _gold_tally(gold)
+    if v_gold < 1:
+        raise ValueError(f"gold program for '{gold.id}' declares no [find] variables")
     if gen is None:
         v_gen, compiled, gen_counts = 0, False, {}
     else:

@@ -250,26 +250,23 @@ class _StepRow:
     ``rng.random()``, as ``bisect_right`` over ``cdf``, the normalized
     cumulative sum held as a list of floats, where ``choice`` takes
     ``searchsorted(side="right")``. Actions and generator state match
-    ``choice``.
-    ``logprobs`` maps an action to its policy and reference log-probs,
-    ``ref_logprobs`` to its reference log-prob only; rows of one state in
-    tables on the same reference may share the latter.
+    ``choice``. ``logprobs`` maps an action to its log-prob, filled on first
+    use.
     """
 
-    __slots__ = ("phi", "probs", "value", "prob_sum_err", "argmax", "cdf", "p_error", "logprobs",
-                 "ref_logprobs")
+    __slots__ = ("phi", "probs", "value", "prob_sum_err", "argmax", "cdf", "p_error", "logprobs")
 
     @classmethod
-    def batch(cls, phis, probs: np.ndarray, values, ref_logprobs) -> list[_StepRow]:
+    def batch(cls, phis, probs: np.ndarray, values) -> list[_StepRow]:
         """One row per row of ``probs``, an (n, actions) block. Each row's
         sum, minimum, argmax, cumsum and division are those of the row on its
         own, bit for bit; only the calls are shared."""
         rows = [cls() for _ in phis]
         cdfs = probs.cumsum(axis=1)
         cdfs = cdfs / cdfs[:, -1:]
-        for row, phi, p, value, total, least, argmax, cdf, ref in zip(
+        for row, phi, p, value, total, least, argmax, cdf in zip(
             rows, phis, probs, values, probs.sum(axis=1).tolist(), probs.min(axis=1).tolist(),
-            probs.argmax(axis=1).tolist(), cdfs.tolist(), ref_logprobs,
+            probs.argmax(axis=1).tolist(), cdfs.tolist(),
         ):
             row.phi, row.probs, row.value, row.argmax, row.cdf = phi, p, value, argmax, cdf
             row.prob_sum_err = abs(total - 1.0)
@@ -282,7 +279,6 @@ class _StepRow:
             else:
                 row.p_error = None
             row.logprobs = {}
-            row.ref_logprobs = {} if ref is None else ref
         return rows
 
     def draw(self, rng: np.random.Generator) -> int:
@@ -300,18 +296,12 @@ class _StepTable:
     alone on its first read; ``_rows`` holds the rows read so far, in the
     order first read. Per-action log-probs are filled on first use. The
     table keeps no copy of the weights: build a new one after an update.
-
-    ``states`` maps a state to its features and its reference log-probs by
-    action. Tables on the same unchanged ``ref`` may share it, so that each
-    is computed once for all of them.
+    ``states`` maps a state to its features; tables may share it, so that
+    each state's features are computed once for all of them.
     """
 
-    def __init__(
-        self, policy: ToyPolicy, ref: ToyPolicy, states: dict | None = None,
-        fill: Sequence[tuple] = (),
-    ):
+    def __init__(self, policy: ToyPolicy, states: dict | None = None, fill: Sequence[tuple] = ()):
         self.policy = policy
-        self.ref = ref
         self.states = {} if states is None else states
         self._rows: dict[tuple, _StepRow] = {}
         self._filled = dict(zip(fill, self._build(fill))) if fill else {}
@@ -332,34 +322,28 @@ class _StepTable:
         states = self.states
         for key in keys:
             if key not in states:
-                states[key] = (_features(*key), {})
-        phis, refs = zip(*[states[key] for key in keys])
+                states[key] = _features(*key)
+        phis = [states[key] for key in keys]
         W, V = self.policy.weights, self.policy.value_weights
         return _StepRow.batch(
-            phis,
-            softmax(np.array([W @ phi for phi in phis])),
-            [float(V @ phi) for phi in phis],
-            refs,
+            phis, softmax(np.array([W @ phi for phi in phis])), [float(V @ phi) for phi in phis]
         )
 
-    def logprobs(self, row: _StepRow, action: int) -> tuple[float, float]:
-        """log pi(action) and log pi_ref(action) at ``row``'s state."""
-        pair = row.logprobs.get(action)
-        if pair is None:
-            ref_logprob = row.ref_logprobs.get(action)
-            if ref_logprob is None:
-                ref_logprob = row.ref_logprobs[action] = self.ref.logprob(row.phi, action)
-            pair = row.logprobs[action] = (float(np.log(row.probs[action])), ref_logprob)
-        return pair
+    def logprob(self, row: _StepRow, action: int) -> float:
+        """log pi(action) at ``row``'s state."""
+        logprob = row.logprobs.get(action)
+        if logprob is None:
+            logprob = row.logprobs[action] = float(np.log(row.probs[action]))
+        return logprob
 
 
 class _Steps:
     """The policy's side of one episode: the state it has reached and, per
-    step, the features, action, log-probs and value of the row it read.
+    step, the features, action, log-prob and value of the row it read.
 
     ``_step`` reads the current state's row and picks an action: the next
     one of ``_forced`` while any are left, else argmax with ``rng=None``,
-    else a draw. A forced step reads its row and log-probs as any other
+    else a draw. A forced step reads its row and log-prob as any other
     step does but leaves ``rng`` alone. ``_advance`` moves the state past
     an action. A training episode whose outcome is already known takes only
     these steps.
@@ -371,7 +355,6 @@ class _Steps:
         self.features: list[np.ndarray] = []
         self.actions: list[int] = []
         self.logprobs: list[float] = []
-        self.ref_logprobs: list[float] = []
         self.values: list[float] = []
         self._forced: Sequence[int] = ()
         self._cue = cue
@@ -385,11 +368,9 @@ class _Steps:
             action = self._forced[len(self.actions)]
         else:
             action = row.argmax if self.rng is None else row.draw(self.rng)
-        logprob, ref_logprob = self.table.logprobs(row, action)
         self.features.append(row.phi)
         self.actions.append(action)
-        self.logprobs.append(logprob)
-        self.ref_logprobs.append(ref_logprob)
+        self.logprobs.append(self.table.logprob(row, action))
         self.values.append(row.value)
         return action
 
@@ -425,7 +406,7 @@ class PolicySession(_Steps):
 
     Each step reads the policy from a step table, one row per state, since
     the weights stay fixed while episodes run. A session builds its own
-    table unless given one built on ``policy`` and ``ref``:
+    table unless given one built on ``policy``:
     ``greedy_accuracy`` shares one across its episodes, ``train_ppo_demo``
     one across an iteration's episodes. ``_play`` hands in ``_task``, the
     record's cue index and ``_gold_finds``, as its call computed them, and
@@ -436,7 +417,6 @@ class PolicySession(_Steps):
     def __init__(
         self,
         policy: ToyPolicy,
-        ref: ToyPolicy,
         record: ProblemRecord,
         rng: np.random.Generator | None = None,
         *,
@@ -447,7 +427,7 @@ class PolicySession(_Steps):
             (_cue_index(record.question), _gold_finds(record)) if _task is None else _task
         )
         if table is None:
-            table = _StepTable(policy, ref)
+            table = _StepTable(policy)
         super().__init__(table, cue, rng)
         self.record = record
         self._pending: str | None = None
@@ -487,7 +467,6 @@ def _trajectory(episodes: Sequence[tuple[_Steps, float]]) -> Trajectory:
         tokens=np.array([a for s in steps for a in s.actions], dtype=int),
         state_features=np.array([phi for s in steps for phi in s.features]),
         logprobs_policy=np.array([lp for s in steps for lp in s.logprobs]),
-        logprobs_ref=np.array([lp for s in steps for lp in s.ref_logprobs]),
         rewards=np.array(rewards),
         values=np.array([v for s in steps for v in s.values] + [0.0]),
     )
@@ -526,9 +505,7 @@ def _play(
     gold_finds = finds.get(position)
     if gold_finds is None:
         gold_finds = finds[position] = _gold_finds(record)
-    session = PolicySession(
-        table.policy, table.ref, record, rng, table=table, _task=(cue, gold_finds)
-    )
+    session = PolicySession(table.policy, record, rng, table=table, _task=(cue, gold_finds))
     session._forced = steps.actions
     transcript = run_session(session, record.question, budget=DEMO_BUDGET)
     total = float(_score_transcript(transcript, record, reward_cfg).total)
@@ -544,10 +521,10 @@ def greedy_accuracy(policy: ToyPolicy, records: Sequence[ProblemRecord]) -> floa
     """Fraction of records the argmax policy answers correctly."""
     if not records:
         raise ValueError("no records to evaluate")
-    table = _StepTable(policy, policy)
+    table = _StepTable(policy)
     hits = 0
     for record in records:
-        session = PolicySession(policy, policy, record, table=table)
+        session = PolicySession(policy, record, table=table)
         outcome = run_session(session, record.question, budget=DEMO_BUDGET).outcome
         if answers_match(outcome.answer, record.gold_answer):
             hits += 1
@@ -597,10 +574,10 @@ def train_ppo_demo(
     reads the total reward from a memo that lives for this call. That is
     exact: ``PolicySession`` ignores its context, so its chunks are a function
     of its actions and the record, and the budget and ``reward_cfg`` are fixed
-    for the call. The reference is frozen too, so its log-prob of each
-    (state, action) is computed once per call, as are each state's features
-    and each task's cue and gold quantities. Draws, stats and weights match
-    playing every episode afresh.
+    for the call. Each state's features and each task's cue and gold
+    quantities are computed once per call. The frozen copy enters only the
+    KL penalty, through its action distributions at the batch's states.
+    Draws, stats and weights match playing every episode afresh.
     """
     if ppo_cfg is None:
         ppo_cfg = demo_config()
@@ -627,7 +604,7 @@ def train_ppo_demo(
             positions = rng.permutation(len(tasks))[:batch_size].tolist()
             batch = [tasks[i] for i in positions]
         # The states the last iteration read are filled in one batch.
-        table = _StepTable(policy, ref, states, [] if table is None else list(table._rows))
+        table = _StepTable(policy, states, [] if table is None else list(table._rows))
         episodes = [
             _play(memo, finds, table, position, cues[position], rec, reward_cfg, rng)
             for position, rec in zip(positions, batch)

@@ -190,7 +190,7 @@ def central_fd(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def random_ppo_case(rng: np.random.Generator, anchor: str) -> tuple:
+def random_ppo_case(rng: np.random.Generator) -> tuple:
     """Random ``ppo_gradients`` arguments: a batch, its advantages and
     returns, a linear-softmax policy, the reference's action distributions
     and a config. Perturbations are sized so that a third of the ratios and
@@ -211,11 +211,10 @@ def random_ppo_case(rng: np.random.Generator, anchor: str) -> tuple:
         tokens=tokens,
         state_features=phi,
         logprobs_policy=logprobs_under(old),
-        logprobs_ref=logprobs_under(ref),
         rewards=rng.normal(size=n),
         values=np.append(old_values, 0.0),
     )
-    cfg = PpoConfig(beta=float(rng.uniform(0.05, 1.0)), ratio_anchor=anchor)
+    cfg = PpoConfig(beta=float(rng.uniform(0.05, 1.0)))
     advantages = rng.normal(size=n)
     returns = old_values + rng.normal(scale=0.5, size=n)
     return batch, advantages, returns, policy, softmax(phi @ ref.T), cfg
@@ -241,7 +240,7 @@ def central_fd_ppo_gradients(batch, advantages, returns, policy, ref_probs, cfg)
 
 
 def _reference_surrogate_terms(traj, advantages, new_logprobs, cfg) -> tuple:
-    anchor = traj.logprobs_policy if cfg.ratio_anchor == "old" else traj.logprobs_ref
+    anchor = traj.logprobs_policy
     if not (np.all(np.isfinite(new_logprobs)) and np.all(np.isfinite(anchor))):
         raise ValueError("log-probabilities must be finite")
     ratio = np.exp(new_logprobs - anchor)
@@ -546,8 +545,8 @@ class ReferenceSessionFeed(_SessionFeed):
 class ReferencePolicySession(PolicySession):
     """The policy step computed afresh at every step, with ``Generator.choice``.
 
-    Reads the policy and reference through the session's step table but none
-    of its cached rows.
+    Reads the policy through the session's step table but none of its cached
+    rows.
     """
 
     def next_chunk(self, context: str) -> str:
@@ -556,7 +555,7 @@ class ReferencePolicySession(PolicySession):
             return chunk
         if self._done:
             return ""
-        policy, ref = self.table.policy, self.table.ref
+        policy = self.table.policy
         phi = _features(
             _cue_index(self.record.question), len(self.actions), self._finds, self._ops
         )
@@ -568,7 +567,6 @@ class ReferencePolicySession(PolicySession):
         self.features.append(phi)
         self.actions.append(action)
         self.logprobs.append(float(np.log(probs[action])))
-        self.ref_logprobs.append(ref.logprob(phi, action))
         self.values.append(policy.value(phi))
         return self._emit(action)
 
@@ -596,8 +594,6 @@ def reference_step_row(probs: np.ndarray) -> dict:
 
 
 def _reference_r2(v_gen: int, v_gold: int, cfg: RewardConfig) -> Fraction:
-    if v_gold < 1:
-        raise ValueError("gold program declares no [find] variables")
     score = cfg.r_max * (1 - Fraction(abs(v_gen - v_gold), v_gold))
     if cfg.clamp_components:
         score = max(score, cfg.floor)
@@ -632,6 +628,8 @@ def reference_score_program(gen, gold, cfg: RewardConfig = DEFAULT_REWARD_CONFIG
     compiled = gen_ops[Operator.RETURN] > 0
     v_gen = gen_ops[Operator.FIND]
     v_gold = gold_ops[Operator.FIND]
+    if v_gold < 1:
+        raise ValueError(f"gold program for '{gold.id}' declares no [find] variables")
     # Counters keep first-occurrence order, which reaches the JSON.
     gen_counts = Counter({op: n for op, n in gen_ops.items() if op in BASIC_OPERATORS})
     gold_counts = Counter({op: n for op, n in gold_ops.items() if op in BASIC_OPERATORS})
@@ -667,7 +665,7 @@ def reference_episode(table, record, reward_cfg=DEFAULT_REWARD_CONFIG, rng=None)
     step. Argmax with ``rng=None``. The session class, the runtime and the
     scorer are read off ``toy`` at each call, so a test that swaps one there
     swaps it here too."""
-    session = toy.PolicySession(table.policy, table.ref, record, rng, table=table)
+    session = toy.PolicySession(table.policy, record, rng, table=table)
     transcript = toy.run_session(session, record.question, budget=toy.DEMO_BUDGET)
     breakdown = toy._score_transcript(transcript, record, reward_cfg)
     trajectory = toy._trajectory([(session, float(breakdown.total))])
@@ -696,14 +694,13 @@ def reference_train_ppo_demo(
         else:
             order = rng.permutation(len(tasks))[:batch_size]
             batch = [tasks[i] for i in order]
-        table = toy._StepTable(policy, ref)
+        table = toy._StepTable(policy)
         results = [reference_episode(table, rec, reward_cfg, rng) for rec in batch]
         trajectories = [r.trajectory for r in results]
         flat = Trajectory(
             tokens=np.concatenate([t.tokens for t in trajectories]),
             state_features=np.concatenate([t.state_features for t in trajectories]),
             logprobs_policy=np.concatenate([t.logprobs_policy for t in trajectories]),
-            logprobs_ref=np.concatenate([t.logprobs_ref for t in trajectories]),
             rewards=np.concatenate([t.rewards for t in trajectories]),
             values=np.append(np.concatenate([t.values[:-1] for t in trajectories]), 0.0),
         )

@@ -194,7 +194,6 @@ def test_criterion_4_gae_against_direct_summation():
             tokens=np.zeros(steps, dtype=int),
             state_features=np.zeros((steps, 1)),
             logprobs_policy=np.zeros(steps),
-            logprobs_ref=np.zeros(steps),
             rewards=rewards,
             values=values,
         )
@@ -208,11 +207,11 @@ def test_criterion_4_gae_against_direct_summation():
 
 def test_criterion_5_gradients_and_probabilities(demo_run):
     # The training step's exact gradients, policy and value, against central
-    # differences of the clipped, KL-penalized losses, under both anchors.
+    # differences of the clipped, KL-penalized losses.
     rng = np.random.default_rng(1999)
     worst_rel = 0.0
-    for anchor in ("old", "ref") * 50:
-        case = oracles.random_ppo_case(rng, anchor)
+    for _ in range(100):
+        case = oracles.random_ppo_case(rng)
         for step, fd in zip(ppo_gradients(*case), oracles.central_fd_ppo_gradients(*case)):
             scale = max(1.0, float(np.abs(fd).max()))
             worst_rel = max(worst_rel, float(np.abs(step - fd).max()) / scale)

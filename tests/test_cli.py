@@ -271,6 +271,22 @@ class TestValidateCommand:
         assert payload["failures"][0]["reason"] == "answer-mismatch"
         assert "4/5 records pass" in err
 
+    def test_gold_without_find_fails_every_command_by_id(self, tmp_path, capsys):
+        program = "var1 = [add](1, 2)\n[return](var1)"
+        record = ProblemRecord("nofind", "How many?", program, Fraction(3))
+        ds_path, gen = str(tmp_path / "nofind.jsonl"), str(tmp_path / "gen.txt")
+        write_dataset([record], ds_path)
+        (tmp_path / "gen.txt").write_text(GOOD_PROGRAM, encoding="utf-8")
+        code, out, err = run_cli(["validate", ds_path], capsys)
+        assert code == 1
+        assert json_lines(out)[0]["failures"][0]["reason"] == "no-find"
+        message = "error: gold program for 'nofind' declares no [find] variables\n"
+        for argv in (
+            ["score", "--gen", gen, "--gold", ds_path, "--id", "nofind"],
+            ["eval", "--dataset", ds_path],
+        ):
+            assert run_cli(argv, capsys) == (1, "", message)
+
     def test_workers_flag(self, capsys, fixture_path):
         code, out, _ = run_cli(["validate", "--workers", "2", fixture_path], capsys)
         assert code == 0
@@ -742,3 +758,5 @@ class TestFuzzedFiles:
                     assert code == (0 if ok else 1), (name, err)
                     assert (code == 1) == (lines == []) == err.startswith("error: ")
         assert (codes["parse"] == 2) == (codes["run"] == 2) == (codes["run --strict"] == 2)
+        if codes["validate"] == 0:  # a file validate passes can be scored
+            assert codes["score"] == codes["eval"] == 0

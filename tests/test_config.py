@@ -16,6 +16,7 @@ from flsolve import (
     load_config,
     save_config,
 )
+from flsolve.cli import main
 from flsolve.toy import DEMO_LEARNING_RATE
 
 
@@ -87,8 +88,6 @@ class TestFromJson:
             ("epochs", True, "an integer"),
             ("kl_horizon", 1e4, "an integer"),
             ("kl_horizon", None, "an integer"),
-            ("ratio_anchor", 1, "a string"),
-            ("ratio_anchor", None, "a string"),
         ],
     )
     def test_ppo_field_must_have_its_json_type(self, field, value, expected):
@@ -108,8 +107,6 @@ class TestFromJson:
     def test_section_validation_still_applies(self):
         with pytest.raises(ValueError, match="gamma must be in"):
             config_from_json({"ppo": {"gamma": 2.0}})
-        with pytest.raises(ValueError):
-            config_from_json({"ppo": {"ratio_anchor": "frozen"}})
 
     @pytest.mark.parametrize("section", [{}, {"gamma": 0.5, "lam": 0.5}, {"gamma": 2.0}])
     def test_gae_section_rejected(self, section):
@@ -143,7 +140,7 @@ class TestRoundTrip:
 
     def test_custom_round_trip(self):
         cfg = ToolkitConfig(
-            ppo=PpoConfig(beta=0.5, ratio_anchor="ref", learning_rate=0.3, gamma=0.9, lam=0.8),
+            ppo=PpoConfig(beta=0.5, learning_rate=0.3, gamma=0.9, lam=0.8),
             reward=RewardConfig(r_max=Fraction(2), clamp_floor=Fraction(-1, 2)),
         )
         assert config_from_json(config_to_json(cfg)) == cfg
@@ -183,6 +180,20 @@ class TestFiles:
         save_config(ToolkitConfig(PpoConfig(epochs=9), RewardConfig()), str(via_path))
         monkeypatch.setenv(CONFIG_ENV_VAR, str(via_env))
         assert load_config(str(via_path)).ppo.epochs == 9
+
+    def test_ratio_anchor_is_an_unknown_field(self, tmp_path, capsys):
+        # The ratio always anchors on the behaviour policy; a file that still
+        # sets ppo.ratio_anchor fails like any other unknown field.
+        payload = config_to_json(default_config())
+        payload["ppo"]["ratio_anchor"] = "old"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^ppo: unknown fields \['ratio_anchor'\]$"):
+            load_config(str(path))
+        assert main(["ppo-demo", "--config", str(path), "--iterations", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ppo: unknown fields ['ratio_anchor']\n"
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from flsolve import (
     DatasetError,
     DatasetFile,
+    FAILURE_REASONS,
     Operator,
     ProblemRecord,
     Program,
@@ -208,6 +209,18 @@ class TestValidateDataset:
         }
         # frequencies count only passing records
         assert report.operator_frequency == FIXTURE_FREQUENCY
+
+    def test_no_find_reason(self):
+        # Scoring divides by the gold [find] count, so a record without one
+        # fails validation instead of failing score and eval later.
+        no_find = ProblemRecord(
+            id="nofind", question="?",
+            gold_program="var1 = [add](1, 2)\n[return](var1)", gold_answer=Fraction(3),
+        )
+        report = validate_dataset(DatasetFile((no_find,), "inline"))
+        assert [(f.record_id, f.reason) for f in report.failures] == [("nofind", "no-find")]
+        assert "no-find" in FAILURE_REASONS
+        assert report.operator_frequency == {}
 
     def test_eval_error_reason(self):
         zero_div = ProblemRecord(

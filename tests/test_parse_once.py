@@ -259,7 +259,7 @@ class TestNoReparse:
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         for _ in range(2):
             # A scored episode, then one that reads only its answer.
-            oracles.reference_episode(_StepTable(policy, policy), record)
+            oracles.reference_episode(_StepTable(policy), record)
             greedy_accuracy(policy, [record])
             assert parse_calls == [record.gold_program]
 

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from flsolve import (
     PARSE_ERROR_KINDS,
     CommentAnnotation,
+    DatasetFile,
+    GeneratorSpec,
     Operator,
     ParseError,
     ProblemRecord,
@@ -20,12 +22,16 @@ from flsolve import (
     Statement,
     VarRef,
     bundled_examples,
+    evaluate_corpus,
     parse_line,
     parse_program,
     score_program,
+    strip_computed_comments,
     tally,
+    validate_dataset,
 )
-from flsolve.parser import _lines, parse_comment_value
+from flsolve import parser
+from flsolve.parser import _lines, _split_line, parse_comment_value
 from flsolve.values import NUMBER_PATTERN, parse_number
 
 import oracles
@@ -289,6 +295,83 @@ class TestParseLine:
         result = parse_line("var1 = [frob](var2)", line_no=17)
         assert result.line_number == 17
         assert str(result).startswith("line 17: unknown-operator:")
+
+
+HASH_FIND_GOLD = """\
+var1 = [find](price of item #3) # 4
+var2 = [find](number of items bought) # 5
+var3 = [multiply](var1, var2) # 20
+[return](var3) # 20"""
+
+
+def partition_split(raw: str) -> tuple[str, str, str]:
+    """``_split_line`` without the [find] rule: the comment at the first '#'."""
+    line = raw.rstrip()
+    if line.endswith(","):
+        line = line[:-1].rstrip()
+    return line.partition("#")
+
+
+HASH_LINE_ATOMS = ["var1", " ", "=", "[find]", "[add]", "(", ")", "#", "#3", ",", "2", "x = 5",
+                   "\t", "[return]", "var2", "?", " # "]
+
+
+class TestHashInFindDescription:
+    """A '#' inside a [find] description belongs to the description."""
+
+    def test_description_keeps_its_hash(self):
+        stmt = parse_line("var1 = [find](item #3 price) # 4")
+        assert isinstance(stmt, Statement)
+        assert shape(stmt) == (Operator.FIND, ("item #3 price",), "var1")
+        assert stmt.annotation.declared_value == 4
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("var1 = [find](item #3 price) # 4", ("var1 = [find](item #3 price)", "#", " 4")),
+            ("var1 = [find](item #3 price)#4", ("var1 = [find](item #3 price)", "#", "4")),
+            ("var1 = [find](item #3 price)", ("var1 = [find](item #3 price)", "", "")),
+            ("var1 = [find](item #3 price)  ,", ("var1 = [find](item #3 price)", "", "")),
+            ("var1 = [find](a #1 (b) c) # x = 4", ("var1 = [find](a #1 (b) c)", "#", " x = 4")),
+            # The common case: the text before the first '#' ends in ')'.
+            ("var1 = [find](eggs) # 7 (a dozen)", ("var1 = [find](eggs) ", "#", " 7 (a dozen)")),
+            ("var1 = [find](eggs) # 7 # 8", ("var1 = [find](eggs) ", "#", " 7 # 8")),
+            # No ')' closes the description at a comment or the line end.
+            ("var1 = [find](a #1", ("var1 = [find](a ", "#", "1")),
+            ("var1 = [find](a #1) b", ("var1 = [find](a ", "#", "1) b")),
+            # No [find] before the first '#'.
+            ("var2 = [add](var1, 2) # (3 #)", ("var2 = [add](var1, 2) ", "#", " (3 #)")),
+            ("var2 = [add](var1 # [find](x #1)", ("var2 = [add](var1 ", "#", " [find](x #1)")),
+            ("# [find](x #1)", ("", "#", " [find](x #1)")),
+        ],
+    )
+    def test_split(self, line, expected):
+        assert _split_line(line) == expected
+
+    def test_gold_program_survives_replay_and_stripping(self):
+        record = ProblemRecord("hash", "Item #3 costs 4. What do 5 cost?", HASH_FIND_GOLD,
+                               Fraction(20))
+        assert strip_computed_comments(HASH_FIND_GOLD) == (
+            "var1 = [find](price of item #3) # 4\n"
+            "var2 = [find](number of items bought) # 5\n"
+            "var3 = [multiply](var1, var2)\n"
+            "[return](var3)"
+        )
+        ds = DatasetFile((record,), "inline")
+        assert validate_dataset(ds).failed == 0
+        for chunk_size in (0, 1, 3):
+            report = evaluate_corpus(ds, GeneratorSpec("gold-replay", chunk_size=chunk_size))
+            assert report.correct == 1, chunk_size
+            assert report.per_problem[0].reward.diagnostics.v_gen == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(HASH_LINE_ATOMS), min_size=1, max_size=12).map("".join))
+    def test_only_lines_that_failed_change(self, line):
+        ours = parse_line(line)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parser, "_split_line", partition_split)
+            before = parse_line(line)
+        assert ours == before or isinstance(before, ParseError), (line, before, ours)
 
 
 class TestParseProgram:

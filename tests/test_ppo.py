@@ -24,17 +24,14 @@ from flsolve.ppo import _PreparedBatch, ppo_gradients
 import oracles
 
 
-def make_traj(rewards, values, logprobs=None, ref_logprobs=None) -> Trajectory:
+def make_traj(rewards, values, logprobs=None) -> Trajectory:
     steps = len(rewards)
     if logprobs is None:
         logprobs = np.full(steps, math.log(0.5))
-    if ref_logprobs is None:
-        ref_logprobs = np.array(logprobs, dtype=float)
     return Trajectory(
         tokens=np.zeros(steps, dtype=int),
         state_features=np.zeros((steps, 3)),
         logprobs_policy=logprobs,
-        logprobs_ref=ref_logprobs,
         rewards=rewards,
         values=values,
     )
@@ -52,7 +49,6 @@ class TestConfigs:
         assert cfg.learning_rate == 1.41e-6
         assert cfg.gamma == 0.99
         assert cfg.lam == 0.95
-        assert cfg.ratio_anchor == "old"
 
     @pytest.mark.parametrize("kwargs", [{"gamma": 0.0}, {"gamma": 1.5}, {"lam": 0.0}, {"lam": 1.1}])
     def test_gae_config_rejects_out_of_range(self, kwargs):
@@ -75,7 +71,6 @@ class TestConfigs:
             {"clip_range_value": -1.0},
             {"epochs": 0},
             {"gamma": 0.0},
-            {"ratio_anchor": "frozen"},
         ],
     )
     def test_ppo_config_validation(self, kwargs):
@@ -132,7 +127,6 @@ class TestTrajectory:
                 tokens=[0, 1],
                 state_features=np.zeros((2, 3)),
                 logprobs_policy=[0.0],
-                logprobs_ref=[0.0, 0.0],
                 rewards=[1.0, 1.0],
                 values=[0.0, 0.0, 0.0],
             )
@@ -232,20 +226,6 @@ class TestPpoObjective:
         obj = ppo_objective(traj, [-2.0], [math.log(0.75)], PpoConfig())
         # min(1.5*(-2), 1.2*(-2)) keeps the unclipped, worse value
         assert obj.policy_loss == pytest.approx(3.0)
-
-    def test_ratio_anchor_selects_baseline(self):
-        traj = make_traj(
-            rewards=[0.0],
-            values=[0.0, 0.0],
-            logprobs=[math.log(0.5)],
-            ref_logprobs=[math.log(0.25)],
-        )
-        new_logprobs = [math.log(0.25)]
-        via_ref = ppo_objective(traj, [1.0], new_logprobs, PpoConfig(ratio_anchor="ref"))
-        assert via_ref.policy_loss == pytest.approx(-1.0)  # ratio 1 against ref
-        via_old = ppo_objective(traj, [1.0], new_logprobs, PpoConfig(ratio_anchor="old"))
-        # ratio 0.5 against the behaviour policy, clipped to 0.8 but min picks 0.5
-        assert via_old.policy_loss == pytest.approx(-0.5)
 
     def test_kl_penalty_added(self):
         traj = make_traj(rewards=[0.0, 0.0], values=[0.0] * 3)
@@ -380,11 +360,10 @@ class TestToyPolicy:
 class TestPpoGradients:
     """``ppo_gradients`` is the step training applies; the losses are the spec."""
 
-    @pytest.mark.parametrize("anchor", ["old", "ref"])
-    def test_matches_central_differences_of_the_losses(self, anchor):
-        rng = np.random.default_rng(2024 if anchor == "old" else 2025)
+    def test_matches_central_differences_of_the_losses(self):
+        rng = np.random.default_rng(2024)
         for _ in range(100):
-            case = oracles.random_ppo_case(rng, anchor)
+            case = oracles.random_ppo_case(rng)
             for step, fd in zip(ppo_gradients(*case), oracles.central_fd_ppo_gradients(*case)):
                 np.testing.assert_allclose(step, fd, rtol=0, atol=1e-6 * np.abs(fd).max())
 
@@ -407,7 +386,6 @@ class TestPreparedBatch:
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        anchor=st.sampled_from(["old", "ref"]),
         clip_range=st.sampled_from([0.2, math.inf]),
         clip_range_value=st.sampled_from([0.2, math.inf]),
         anchor_poison=st.lists(
@@ -423,14 +401,13 @@ class TestPreparedBatch:
         epochs=st.integers(1, 4),
     )
     def test_epochs_and_stats_match_the_reference(
-        self, seed, anchor, clip_range, clip_range_value, anchor_poison, weight_poison, epochs
+        self, seed, clip_range, clip_range_value, anchor_poison, weight_poison, epochs
     ):
         rng = np.random.default_rng(seed)
-        batch, advantages, returns, policy, ref_probs, cfg = oracles.random_ppo_case(rng, anchor)
+        batch, advantages, returns, policy, ref_probs, cfg = oracles.random_ppo_case(rng)
         cfg = replace(cfg, clip_range=clip_range, clip_range_value=clip_range_value)
-        anchors = batch.logprobs_policy if anchor == "old" else batch.logprobs_ref
         for index, value in anchor_poison:
-            anchors[index % batch.steps] = value
+            batch.logprobs_policy[index % batch.steps] = value
         for action, feature, value in weight_poison:
             policy.weights[action, feature] = value
         phi = batch.state_features

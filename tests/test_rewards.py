@@ -222,7 +222,7 @@ class TestComponentRules:
     def test_r2_requires_gold_finds(self):
         gen = parse_program("var1 = [find](a) # 1\n[return](var1)")
         gold_without_finds = record_of("var1 = [add](1, 2)\n[return](var1)", Fraction(3))
-        with pytest.raises(ValueError, match=r"declares no \[find\]"):
+        with pytest.raises(ValueError, match=r"^gold program for 'g' declares no \[find\] variables$"):
             score_program(gen, gold_without_finds)
 
     def test_r2_unclamped_is_monotone_in_count_distance(self):

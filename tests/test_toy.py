@@ -49,13 +49,13 @@ import oracles
 
 def play(policy: ToyPolicy, record, rng=None):
     """One episode of ``policy`` on ``record``: its session and transcript."""
-    session = PolicySession(policy, policy, record, rng)
+    session = PolicySession(policy, record, rng)
     return session, run_session(session, record.question, budget=DEMO_BUDGET)
 
 
 def reference_episode(policy: ToyPolicy, record, rng=None):
     """One episode of ``policy`` on ``record`` with its score and trajectory."""
-    return oracles.reference_episode(_StepTable(policy, policy), record, rng=rng)
+    return oracles.reference_episode(_StepTable(policy), record, rng=rng)
 
 
 def optimal_policy() -> ToyPolicy:
@@ -220,7 +220,7 @@ class TestRollout:
         # halts at ')' and injects the computed comment.
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         policy.weights[2, 12] = 100.0  # bias: always op-add
-        session = PolicySession(policy, policy, single_op_tasks[0])
+        session = PolicySession(policy, single_op_tasks[0])
         first = session.next_chunk("")
         assert first.startswith("var1 = [add](var1, var2)")
         assert not first.endswith("\n")
@@ -241,7 +241,7 @@ class TestRollout:
         )
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         with pytest.raises(ValueError, match="no quantities"):
-            PolicySession(policy, policy, findless)
+            PolicySession(policy, findless)
 
     def test_session_rejects_broken_reference(self):
         from flsolve import ProblemRecord
@@ -251,7 +251,7 @@ class TestRollout:
         )
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         with pytest.raises(ValueError, match="does not parse"):
-            PolicySession(policy, policy, broken)
+            PolicySession(policy, broken)
 
     def test_greedy_accuracy_requires_records(self):
         with pytest.raises(ValueError):
@@ -265,7 +265,7 @@ class TestGreedyAccuracy:
     @staticmethod
     def reference_accuracy(policy, records, monkeypatch) -> float:
         monkeypatch.setattr(toy, "PolicySession", oracles.ReferencePolicySession)
-        table = _StepTable(policy, policy)
+        table = _StepTable(policy)
         hits = [
             answers_match(
                 oracles.reference_episode(table, record).transcript.outcome.answer,
@@ -402,7 +402,7 @@ class TestTraining:
 
 def one_row(probs: np.ndarray) -> _StepRow:
     """The step row of one state with these probabilities, built as a 1-row batch."""
-    (row,) = _StepRow.batch([np.zeros(N_FEATURES)], probs[None], [0.0], [None])
+    (row,) = _StepRow.batch([np.zeros(N_FEATURES)], probs[None], [0.0])
     return row
 
 
@@ -463,7 +463,7 @@ class TestStepTable:
                 weights.normal(scale=scale, size=(len(ACTION_NAMES), N_FEATURES)),
                 weights.normal(size=N_FEATURES),
             )
-            table = _StepTable(policy, policy)
+            table = _StepTable(policy)
             ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
             for cue in (None,) + tuple(range(len(CUE_OPERATORS))):
                 for lines in range(7):
@@ -504,7 +504,7 @@ class TestStepTable:
         ours = reference_episode(policy, single_op_tasks[0])
         monkeypatch.setattr(toy, "PolicySession", oracles.ReferencePolicySession)
         theirs = reference_episode(policy, single_op_tasks[0])
-        for field in ("tokens", "state_features", "logprobs_policy", "logprobs_ref", "rewards", "values"):
+        for field in ("tokens", "state_features", "logprobs_policy", "rewards", "values"):
             assert np.array_equal(
                 getattr(ours.trajectory, field), getattr(theirs.trajectory, field), equal_nan=True
             ), field
@@ -514,26 +514,22 @@ class TestStepTable:
 
     def test_rows_are_built_once_per_state(self):
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
-        table = _StepTable(policy, policy)
+        table = _StepTable(policy)
         add = CUE_OPERATORS.index(Operator.ADD)
         first = table.row(add, 7, 3, 4)
         assert table.row(add, 5, 3, 4) is first  # lines saturate at 5
         assert table.row(add, 5, 4, 3) is not first
-        assert table.logprobs(first, 2) is table.logprobs(first, 2)
+        assert table.logprob(first, 2) is table.logprob(first, 2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 7])
     @pytest.mark.parametrize("batch_size", [None, 5])
-    @pytest.mark.parametrize("anchor", ["old", "ref"])
-    def test_training_matches_reference(self, seed, batch_size, anchor, monkeypatch):
+    def test_training_matches_reference(self, seed, batch_size, monkeypatch):
         # The reference plays every episode afresh, with the old policy step
         # and the old scorer.
         def run(train):
             tasks = generate_toy_tasks(seed, 8)
             policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
-            cfg = replace(demo_config(), ratio_anchor=anchor)
-            stats = train(
-                policy, tasks, ppo_cfg=cfg, iterations=25, seed=seed, batch_size=batch_size
-            )
+            stats = train(policy, tasks, iterations=25, seed=seed, batch_size=batch_size)
             return stats, policy, greedy_accuracy(policy, generate_toy_tasks(seed + 1, 16))
 
         stats, policy, accuracy = run(train_ppo_demo)
@@ -549,11 +545,11 @@ class TestStepTable:
         assert accuracy == ref_accuracy
 
     def test_reference_logprobs_match_reference_from_random_starts(self, monkeypatch):
-        # From a zero policy every reference log-prob is log(1/7). Random
-        # starts tell states and actions apart, anchor "ref" puts them in the
-        # ratio, and two calls in a row show nothing carries over.
+        # From a zero policy the reference is uniform over the 7 actions.
+        # Random starts tell states and actions apart, so the KL penalty
+        # against the frozen copy differs by state, and two calls in a row
+        # show nothing carries over.
         tasks = generate_toy_tasks(5, 8, SINGLE_OP_TEMPLATES)
-        cfg = replace(demo_config(), ratio_anchor="ref")
 
         def run(train):
             results = []
@@ -563,7 +559,7 @@ class TestStepTable:
                     weights.normal(size=(len(ACTION_NAMES), N_FEATURES)),
                     weights.normal(size=N_FEATURES),
                 )
-                stats = train(policy, tasks, ppo_cfg=cfg, iterations=15, seed=start)
+                stats = train(policy, tasks, iterations=15, seed=start)
                 results.append((stats, policy.weights, policy.value_weights))
             return results
 
@@ -631,8 +627,8 @@ class TestRowBatch:
         keys = [ALL_STATES[i] for i in draws.choice(len(ALL_STATES), n, replace=False)]
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         with np.errstate(all="ignore"):
-            table = _StepTable(policy, policy, fill=keys)  # builds, never raises
-            alone = _StepTable(policy, policy)
+            table = _StepTable(policy, fill=keys)  # builds, never raises
+            alone = _StepTable(policy)
             for i, key in enumerate(keys):
                 row = table.row(*key)
                 assert table.row(*key) is row
@@ -817,32 +813,6 @@ class TestWorkCounts:
         greedy_accuracy(policy, single_op_tasks)
         reference_episode(policy, single_op_tasks[0], np.random.default_rng(0))
         assert len(sessions) == len(runs)
-
-    def test_reference_logprob_once_per_state_and_action(self, monkeypatch):
-        calls = []
-        real_logprob = ToyPolicy.logprob
-
-        def logprob_spy(self, features, action):
-            calls.append((tuple(features), action))
-            return real_logprob(self, features, action)
-
-        batches = []
-
-        class PreparedSpy(toy._PreparedBatch):
-            def __init__(self, batch, *args):
-                batches.extend(zip(map(tuple, batch.state_features), batch.tokens.tolist()))
-                super().__init__(batch, *args)
-
-        monkeypatch.setattr(ToyPolicy, "logprob", logprob_spy)
-        monkeypatch.setattr(toy, "_PreparedBatch", PreparedSpy)
-        tasks = generate_toy_tasks(3, 16, SINGLE_OP_TEMPLATES)
-        for _ in range(2):  # nothing carries over from one call to the next
-            policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
-            train_ppo_demo(policy, tasks, iterations=40, seed=3)
-            assert len(calls) == len(set(calls))
-            assert set(calls) == set(batches)
-            calls.clear()
-            batches.clear()
 
     def test_features_once_per_state_per_call(self, single_op_tasks, monkeypatch):
         keys = []
