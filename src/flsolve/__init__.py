@@ -13,10 +13,8 @@ from .config import (
     CONFIG_ENV_VAR,
     ToolkitConfig,
     config_from_json,
-    config_to_json,
     default_config,
     load_config,
-    save_config,
 )
 from .data import (
     FAILURE_REASONS,

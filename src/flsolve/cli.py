@@ -45,10 +45,15 @@ class _Parser(argparse.ArgumentParser):
 def _read_source(path: str) -> str:
     """The text of a file, or of stdin for ``-``, with its line ends as they
     are: the parser decides where a line ends, for both alike."""
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8", newline="") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+            text.encode("utf-8")  # stdin may carry undecodable bytes as surrogates
+            return text
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeError:
+        raise ValueError(f"{'<stdin>' if path == '-' else path}: not UTF-8 text") from None
 
 
 def _emit(obj: dict) -> None:

@@ -1,9 +1,10 @@
-"""JSON round trip for the toolkit's tunable knobs.
+"""JSON config files for the toolkit's tunable knobs.
 
 A config file may specify any subset of fields; everything missing keeps
-its default, ``ppo-demo``'s own for the ``ppo`` section. Reward values
-serialize as exact number strings. GAE's gamma and lambda are ``ppo.gamma``
-and ``ppo.lam``; a ``gae`` section is rejected rather than ignored.
+its default, ``ppo-demo``'s own for the ``ppo`` section. Reward values are
+read exactly, from JSON numbers or number strings such as ``"1/3"``. GAE's
+gamma and lambda are ``ppo.gamma`` and ``ppo.lam``; a ``gae`` section is
+rejected rather than ignored.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .ppo import PpoConfig
 from .rewards import RewardConfig
 from .toy import demo_config
-from .values import format_number, parse_number
+from .values import parse_number
 
 CONFIG_ENV_VAR = "FLSOLVE_CONFIG"
 
@@ -94,32 +95,19 @@ def config_from_json(obj: dict) -> ToolkitConfig:
     return ToolkitConfig(ppo, _plain_section(defaults.reward, reward, "reward"))
 
 
-def config_to_json(cfg: ToolkitConfig) -> dict:
-    return {
-        "ppo": {f.name: getattr(cfg.ppo, f.name) for f in fields(PpoConfig)},
-        "reward": {
-            "r_max": format_number(cfg.reward.r_max),
-            "clamp_components": cfg.reward.clamp_components,
-            "clamp_floor": (
-                None
-                if cfg.reward.clamp_floor is None
-                else format_number(cfg.reward.clamp_floor)
-            ),
-        },
-    }
-
-
 def load_config(path: str | None = None) -> ToolkitConfig:
     """Config from ``path``, else from $FLSOLVE_CONFIG, else defaults."""
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return default_config()
-    with open(path, encoding="utf-8") as fh:
-        return config_from_json(json.load(fh))
-
-
-def save_config(cfg: ToolkitConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_json(cfg), fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+    return config_from_json(obj)

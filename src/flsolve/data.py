@@ -113,19 +113,25 @@ def load_dataset(path: str | Path) -> DatasetFile:
     records: list[ProblemRecord] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                obj = json.loads(line, parse_int=_JsonNumber, parse_float=_JsonNumber)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{where}: invalid JSON: {exc.msg}") from exc
-            record = _record_from_json(obj, where)
-            if record.id in seen:
-                raise DatasetError(f"{where}: duplicate record id '{record.id}'")
-            seen.add(record.id)
-            records.append(record)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise DatasetError(f"{path}: not UTF-8 text") from None
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{line_no}"
+        try:
+            obj = json.loads(line, parse_int=_JsonNumber, parse_float=_JsonNumber)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{where}: invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise DatasetError(f"{where}: invalid JSON: nested too deeply") from None
+        record = _record_from_json(obj, where)
+        if record.id in seen:
+            raise DatasetError(f"{where}: duplicate record id '{record.id}'")
+        seen.add(record.id)
+        records.append(record)
     return DatasetFile(tuple(records), str(path))
 
 

@@ -2,8 +2,8 @@
 
 A [find] binds its comment's declared value (or the UNKNOWN sentinel), the
 computing operators work on exact rationals, and [return] yields the answer.
-Evaluation never mutates shared state: environments are immutable snapshots,
-so evaluation of distinct programs can run concurrently.
+Each evaluation binds into one store of its own, in place; the environments
+``bind`` and ``evaluate_statement`` return are never changed afterwards.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class EvalError(Exception):
 
 
 class Environment:
-    """Immutable variable store; ``bind`` returns a new snapshot. Snapshots
-    with the same bindings are equal."""
+    """Variable store that an evaluation binds into in place; ``bind`` returns
+    a new snapshot instead. Stores with the same bindings are equal."""
 
     __slots__ = ("_bindings",)
 
@@ -80,13 +80,17 @@ class Environment:
         self._bindings: dict[str, Value] = dict(bindings)
 
     def bind(self, name: str, value: Value) -> "Environment":
+        env = Environment(self.items())
+        env._set(name, value)
+        return env
+
+    def _set(self, name: str, value: Value) -> None:
+        """Bind in place; a duplicate or a value past the bound changes nothing."""
         if name in self._bindings:
             raise EvalError("duplicate-binding", f"variable '{name}' is already bound")
         if value is not UNKNOWN:
             _check_bound(value, f"variable '{name}'")
-        env = Environment.__new__(Environment)
-        env._bindings = {**self._bindings, name: value}
-        return env
+        self._bindings[name] = value
 
     def lookup(self, name: str) -> Value:
         try:
@@ -198,18 +202,15 @@ def apply_operator(op: Operator, operands: list[Fraction]) -> Fraction:
     return kernel(*operands)
 
 
-def evaluate_statement(stmt: Statement, env: Environment) -> tuple[Value, Environment]:
-    """Evaluate one statement against ``env``; returns (value, new env).
-
-    Arithmetic never consults the statement's comment; the solver is the
-    source of numeric truth for computed values.
-    """
+def _step(stmt: Statement, env: Environment) -> tuple[list[Fraction] | None, Value]:
+    """Evaluate one statement into ``env`` in place: (operands, value), with
+    operands None for [find] and [return]; a failing statement binds nothing.
+    Arithmetic never consults the comment: the solver is the numeric truth."""
     if stmt.is_find:
         ann = stmt.annotation
-        value: Value = UNKNOWN
-        if ann is not None and ann.declared_value is not None:
-            value = ann.declared_value
-        return value, env.bind(stmt.target, value)
+        value = UNKNOWN if ann is None or ann.declared_value is None else ann.declared_value
+        env._set(stmt.target, value)
+        return None, value
     if stmt.is_return:
         ref = stmt.args[0]
         value = env.lookup(ref.name)
@@ -217,10 +218,18 @@ def evaluate_statement(stmt: Statement, env: Environment) -> tuple[Value, Enviro
             raise EvalError(
                 "return-of-unknown", f"cannot return '{ref.name}': its value is unknown"
             )
-        return value, env
+        return None, value
     operands = resolve_operands(stmt, env)
     result = apply_operator(stmt.op, operands)
-    return result, env.bind(stmt.target, result)
+    env._set(stmt.target, result)
+    return operands, result
+
+
+def evaluate_statement(stmt: Statement, env: Environment) -> tuple[Value, Environment]:
+    """Evaluate one statement against ``env``; returns (value, new env) and
+    leaves ``env`` unchanged, also when the statement fails."""
+    env = Environment(env.items())
+    return _step(stmt, env)[1], env
 
 
 def evaluate(program: Program, *, strict_annotations: bool = False) -> EvalOutcome:
@@ -233,7 +242,7 @@ def evaluate(program: Program, *, strict_annotations: bool = False) -> EvalOutco
     env = Environment()
     for index, stmt in enumerate(program.statements):
         try:
-            value, env = evaluate_statement(stmt, env)
+            value = _step(stmt, env)[1]
             if strict_annotations and not stmt.is_find:
                 ann = stmt.annotation
                 if ann is not None and ann.declared_value is not None and ann.declared_value != value:

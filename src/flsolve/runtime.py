@@ -34,9 +34,7 @@ from .interpreter import (
     EvalOutcome,
     _annotation,
     _operand_text,
-    apply_operator,
-    evaluate_statement,
-    resolve_operands,
+    _step,
 )
 from .parser import ParseError, _lines, _split_line, _static_check, parse_line
 from .program import CommentAnnotation, ProblemRecord, Program, Statement, VarRef
@@ -312,53 +310,47 @@ def run_session(
                 # the rest, the generator's comment included, and on success
                 # carries the solver's; its entry does the same.
                 stmt_text = line[: line.index(")") + 1].strip()
-                try:
-                    operands = resolve_operands(stmt, env)
-                    value = apply_operator(stmt.op, operands)
-                    env = env.bind(stmt.target, value)
-                except EvalError as err:
-                    if err.statement_index is None:
-                        err.statement_index = statement_index
-                    emit("generator", stmt_text, Statement(stmt.op, stmt.args, stmt.target))
-                    raise
-                # The comment is annotation_text(stmt, operands, value), with
-                # each variable operand's text rendered once per session. It
-                # ends in "= format_number(value)", so parse_comment_value
-                # would read back this annotation.
-                texts = []
-                for arg, operand in zip(stmt.args, operands):
-                    if isinstance(arg, VarRef):
-                        text = rendered.get(arg.name)
-                        if text is None:  # a [find] value, on its first use
-                            text = rendered[arg.name] = _operand_text(operand)
-                    else:
-                        text = _operand_text(operand)
-                    texts.append(text)
-                value_text = format_number(value)
-                rendered[stmt.target] = _operand_text(value, value_text)
-                comment = _annotation(stmt.op, texts, value_text)
-                annotated = f"{stmt_text} # {comment}"
-                emit(
-                    "solver-injected",
-                    annotated,
-                    Statement(stmt.op, stmt.args, stmt.target, CommentAnnotation(comment, value)),
-                )
-                halted += 1
-                context += annotated + "\n"
-                statement_index += 1
-                continue
-
-            stmt_text = line.strip()
-            emit("generator", stmt_text, stmt)
+            else:
+                stmt_text = line.strip()
             try:
-                value, env = evaluate_statement(stmt, env)
+                operands, value = _step(stmt, env)
             except EvalError as err:
                 if err.statement_index is None:
                     err.statement_index = statement_index
+                if stmt.is_arithmetic:
+                    stmt = Statement(stmt.op, stmt.args, stmt.target)
+                emit("generator", stmt_text, stmt)
                 raise
-            context += stmt_text + "\n"
             statement_index += 1
-            if stmt.is_return:
-                return finish(value, None)
+            if operands is None:
+                emit("generator", stmt_text, stmt)
+                context += stmt_text + "\n"
+                if stmt.is_return:
+                    return finish(value, None)
+                continue
+            # The comment is annotation_text(stmt, operands, value), with
+            # each variable operand's text rendered once per session. It
+            # ends in "= format_number(value)", so parse_comment_value
+            # would read back this annotation.
+            texts = []
+            for arg, operand in zip(stmt.args, operands):
+                if isinstance(arg, VarRef):
+                    text = rendered.get(arg.name)
+                    if text is None:  # a [find] value, on its first use
+                        text = rendered[arg.name] = _operand_text(operand)
+                else:
+                    text = _operand_text(operand)
+                texts.append(text)
+            value_text = format_number(value)
+            rendered[stmt.target] = _operand_text(value, value_text)
+            comment = _annotation(stmt.op, texts, value_text)
+            annotated = f"{stmt_text} # {comment}"
+            emit(
+                "solver-injected",
+                annotated,
+                Statement(stmt.op, stmt.args, stmt.target, CommentAnnotation(comment, value)),
+            )
+            halted += 1
+            context += annotated + "\n"
     except EvalError as err:
         return finish(None, err)

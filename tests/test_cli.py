@@ -18,16 +18,12 @@ from hypothesis import strategies as st
 import flsolve
 from flsolve import (
     CONFIG_ENV_VAR,
-    PpoConfig,
     ProblemRecord,
     Program,
-    RewardConfig,
-    ToolkitConfig,
     ToyPolicy,
     bundled_examples,
     bundled_examples_path,
     parse_program,
-    save_config,
     write_dataset,
 )
 from flsolve.cli import main
@@ -395,9 +391,8 @@ class TestPpoDemoCommand:
 
     def test_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        save_config(
-            ToolkitConfig(PpoConfig(learning_rate=0.05, epochs=1), RewardConfig()),
-            str(cfg_path),
+        cfg_path.write_text(
+            json.dumps({"ppo": {"learning_rate": 0.05, "epochs": 1}}), encoding="utf-8"
         )
         code, out, _ = run_cli(
             ["ppo-demo", "--iterations", "1", "--tasks", "2", "--heldout", "2",
@@ -760,3 +755,96 @@ class TestFuzzedFiles:
         assert (codes["parse"] == 2) == (codes["run"] == 2) == (codes["run --strict"] == 2)
         if codes["validate"] == 0:  # a file validate passes can be scored
             assert codes["score"] == codes["eval"] == 0
+
+
+# Files no generated record reaches: JSON nested past the parser's recursion
+# limit, a truncated config, and bytes that are not UTF-8.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+NOT_UTF8 = b"var1 = [find](a) # 1\xff\n[return](var1)\n"
+
+
+class TestUnreadableFiles:
+    """Every command that reads a file fails on an unreadable one by the
+    file's name: exit 1, one error line, nothing on stdout."""
+
+    @staticmethod
+    def dataset_commands(data: str, program: str) -> list[list[str]]:
+        return [
+            ["validate", data],
+            ["stats", data],
+            ["eval", "--dataset", data],
+            ["score", "--gen", program, "--gold", data],
+            ["prompt", "--question", "q", "--dataset", data],
+        ]
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [(DEEP_JSON + b"\n", ":1: invalid JSON: nested too deeply"), (NOT_UTF8, ": not UTF-8 text")],
+        ids=["deep", "0xff"],
+    )
+    def test_dataset(self, tmp_path, data, message):
+        dataset, program = tmp_path / "d.jsonl", tmp_path / "p.txt"
+        dataset.write_bytes(data)
+        program.write_text(GOOD_PROGRAM, encoding="utf-8")
+        for argv in self.dataset_commands(str(dataset), str(program)):
+            assert cli_in_process(argv) == (1, "", f"error: {dataset}{message}\n"), argv
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"ppo": ', ": invalid JSON: Expecting value: line 1 column 9 (char 8)"),
+            (DEEP_JSON, ": invalid JSON: nested too deeply"),
+            (b'{"ppo": {}}\xff', ": not UTF-8 text"),
+        ],
+        ids=["truncated", "deep", "0xff"],
+    )
+    def test_config(self, tmp_path, monkeypatch, data, message):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(data)
+        argv = ["ppo-demo", "--iterations", "1", "--tasks", "2", "--heldout", "2"]
+        expected = (1, "", f"error: {config}{message}\n")
+        assert cli_in_process(argv + ["--config", str(config)]) == expected
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
+        assert cli_in_process(argv) == expected
+
+    def test_program_not_utf8(self, tmp_path, fixture_path):
+        program = tmp_path / "p.txt"
+        program.write_bytes(NOT_UTF8)
+        for argv in (
+            ["parse", str(program)],
+            ["run", str(program)],
+            ["run", "--strict", str(program)],
+            ["score", "--gen", str(program), "--gold", fixture_path, "--id", "goal-count"],
+            ["eval", "--dataset", fixture_path, "--generator", f"scripted:{program}"],
+        ):
+            assert cli_in_process(argv) == (1, "", f"error: {program}: not UTF-8 text\n"), argv
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_stdin_not_utf8(self, monkeypatch, fixture_path, errors):
+        # A UTF-8 locale reads stdin strictly; the C locale maps bad bytes to surrogates.
+        for argv in (
+            ["parse", "-"],
+            ["run", "-"],
+            ["score", "--gen", "-", "--gold", fixture_path, "--id", "goal-count"],
+        ):
+            stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors=errors)
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert cli_in_process(argv) == (1, "", "error: <stdin>: not UTF-8 text\n"), argv
+
+    def test_deeply_nested_program_is_a_parse_error(self, tmp_path):
+        program = tmp_path / "p.txt"
+        program.write_text("var1 = " + "[" * 100_000 + "find](a) # 1\n[return](var1)\n")
+        for argv in (["parse", str(program)], ["run", str(program)]):
+            code, _, err = cli_in_process(argv)
+            assert code == 2 and "Traceback" not in err, argv
+
+    def test_no_traceback_from_a_real_process(self, tmp_path):
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_bytes(DEEP_JSON + b"\n")
+        src = str(Path(flsolve.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "flsolve", "validate", str(dataset)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: {dataset}:1: invalid JSON: nested too deeply\n"

@@ -1,23 +1,36 @@
-"""Config file round trip and validation."""
+"""Config files: reading and validation."""
 
 import json
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from flsolve import (
     CONFIG_ENV_VAR,
-    PpoConfig,
     RewardConfig,
     ToolkitConfig,
     config_from_json,
-    config_to_json,
     default_config,
     load_config,
-    save_config,
 )
 from flsolve.cli import main
-from flsolve.toy import DEMO_LEARNING_RATE
+from flsolve.toy import DEMO_LEARNING_RATE, demo_config
+
+# Every field at its default, as a full config file spells it.
+DEFAULT_JSON = {
+    "ppo": {
+        "beta": 0.03, "kl_target": 6.0, "kl_horizon": 10000, "clip_range": 0.2,
+        "clip_range_value": 0.2, "epochs": 4, "learning_rate": 0.8, "gamma": 0.99, "lam": 0.95,
+    },
+    "reward": {"r_max": "1", "clamp_components": True, "clamp_floor": None},
+}
+
+
+def write_config(path, obj) -> str:
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
 
 
 class TestFromJson:
@@ -57,9 +70,6 @@ class TestFromJson:
     def test_derived_floor_is_not_a_setting(self):
         with pytest.raises(ValueError, match=r"unknown fields \['floor'\]"):
             config_from_json({"reward": {"floor": 1}})
-        assert set(config_to_json(default_config())["reward"]) == {
-            "r_max", "clamp_components", "clamp_floor"
-        }
 
     def test_boolean_is_not_a_number(self):
         with pytest.raises(ValueError, match="expected a number"):
@@ -133,67 +143,74 @@ class TestFromJson:
         assert cfg.ppo.clip_range == cfg.ppo.clip_range_value == float("inf")
 
 
-class TestRoundTrip:
-    def test_defaults_round_trip(self):
-        cfg = default_config()
-        assert config_from_json(config_to_json(cfg)) == cfg
+class TestFullFiles:
+    """A file that spells every field reads back exactly what it says."""
 
-    def test_custom_round_trip(self):
-        cfg = ToolkitConfig(
-            ppo=PpoConfig(beta=0.5, learning_rate=0.3, gamma=0.9, lam=0.8),
+    def test_defaults_spelled_out(self):
+        assert config_from_json(DEFAULT_JSON) == default_config()
+
+    def test_custom_values(self):
+        obj = json.loads(json.dumps(DEFAULT_JSON))
+        obj["ppo"].update(beta=0.5, learning_rate=0.3, gamma=0.9, lam=0.8)
+        obj["reward"].update(r_max="2", clamp_floor="-1/2")
+        assert config_from_json(obj) == ToolkitConfig(
+            ppo=replace(demo_config(), beta=0.5, learning_rate=0.3, gamma=0.9, lam=0.8),
             reward=RewardConfig(r_max=Fraction(2), clamp_floor=Fraction(-1, 2)),
         )
-        assert config_from_json(config_to_json(cfg)) == cfg
-        assert "gae" not in config_to_json(cfg)
 
-    def test_reward_values_serialize_as_exact_strings(self):
-        cfg = ToolkitConfig(PpoConfig(), RewardConfig(r_max=Fraction(1, 3)))
-        payload = config_to_json(cfg)
-        assert payload["reward"]["r_max"] == "1/3"
-        assert payload["reward"]["clamp_floor"] is None
+    def test_reward_values_read_from_exact_strings(self):
+        cfg = config_from_json({"reward": {"r_max": "1/3", "clamp_floor": None}})
+        assert cfg.reward == RewardConfig(r_max=Fraction(1, 3))
+        assert cfg.reward.clamp_floor is None
 
 
 class TestFiles:
-    def test_save_load(self, tmp_path):
-        cfg = ToolkitConfig(PpoConfig(epochs=7), RewardConfig())
-        path = tmp_path / "cfg.json"
-        save_config(cfg, str(path))
-        assert load_config(str(path)) == cfg
-        assert path.read_text(encoding="utf-8").endswith("\n")
-        assert json.loads(path.read_text(encoding="utf-8"))["ppo"]["epochs"] == 7
+    def test_load_reads_a_file(self, tmp_path):
+        path = write_config(tmp_path / "cfg.json", {"ppo": {"epochs": 7}})
+        assert load_config(path) == ToolkitConfig(replace(demo_config(), epochs=7), RewardConfig())
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
-        cfg = ToolkitConfig(PpoConfig(beta=0.07), RewardConfig())
-        path = tmp_path / "cfg.json"
-        save_config(cfg, str(path))
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
-        assert load_config() == cfg
+        path = write_config(tmp_path / "cfg.json", {"ppo": {"beta": 0.07}})
+        monkeypatch.setenv(CONFIG_ENV_VAR, path)
+        assert load_config() == ToolkitConfig(replace(demo_config(), beta=0.07), RewardConfig())
 
     def test_defaults_without_path_or_env(self, monkeypatch):
         monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
         assert load_config() == default_config()
 
     def test_explicit_path_beats_env(self, tmp_path, monkeypatch):
-        via_env = tmp_path / "env.json"
-        via_path = tmp_path / "path.json"
-        save_config(ToolkitConfig(PpoConfig(epochs=2), RewardConfig()), str(via_env))
-        save_config(ToolkitConfig(PpoConfig(epochs=9), RewardConfig()), str(via_path))
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(via_env))
-        assert load_config(str(via_path)).ppo.epochs == 9
+        via_env = write_config(tmp_path / "env.json", {"ppo": {"epochs": 2}})
+        via_path = write_config(tmp_path / "path.json", {"ppo": {"epochs": 9}})
+        monkeypatch.setenv(CONFIG_ENV_VAR, via_env)
+        assert load_config(via_path).ppo.epochs == 9
 
     def test_ratio_anchor_is_an_unknown_field(self, tmp_path, capsys):
         # The ratio always anchors on the behaviour policy; a file that still
         # sets ppo.ratio_anchor fails like any other unknown field.
-        payload = config_to_json(default_config())
+        payload = json.loads(json.dumps(DEFAULT_JSON))
         payload["ppo"]["ratio_anchor"] = "old"
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path = write_config(tmp_path / "cfg.json", payload)
         with pytest.raises(ValueError, match=r"^ppo: unknown fields \['ratio_anchor'\]$"):
-            load_config(str(path))
-        assert main(["ppo-demo", "--config", str(path), "--iterations", "1"]) == 1
+            load_config(path)
+        assert main(["ppo-demo", "--config", path, "--iterations", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: ppo: unknown fields ['ratio_anchor']\n"
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"ppo": ', r"invalid JSON: Expecting value: line 1 column 9 \(char 8\)"),
+            (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nested too deeply"),
+            (b'{"ppo": {}}\xff\n', "not UTF-8 text"),
+        ],
+        ids=["truncated", "deep", "0xff"],
+    )
+    def test_unreadable_file_is_named(self, tmp_path, data, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+            load_config(str(path))
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):

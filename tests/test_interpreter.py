@@ -12,12 +12,16 @@ from hypothesis import strategies as st
 
 from flsolve import (
     ARITHMETIC_OPERATORS,
+    CommentAnnotation,
     MAX_VALUE_BITS,
     Environment,
     EvalError,
+    EvalOutcome,
     EVAL_ERROR_KINDS,
     Operator,
     Program,
+    ScriptedGenerator,
+    SessionBudget,
     Statement,
     UNKNOWN,
     VarRef,
@@ -27,10 +31,12 @@ from flsolve import (
     bundled_examples,
     evaluate,
     evaluate_statement,
+    format_number,
     parse_program,
+    run_session,
 )
 
-from flsolve import interpreter
+from flsolve import interpreter, runtime
 
 import oracles
 
@@ -442,3 +448,145 @@ def test_random_programs_match_pair_oracle():
         outcome = evaluate(parsed(source))
         assert outcome.error is None, source
         assert (outcome.answer.numerator, outcome.answer.denominator) == expected, source
+
+
+def chain_source(n: int) -> str:
+    """A [find], n - 1 additions that each read the previous line, a [return]."""
+    lines = ["var1 = [find](a) # 1"]
+    lines += [f"var{i} = [add](var{i - 1}, 1)" for i in range(2, n + 1)]
+    lines.append(f"[return](var{n})")
+    return "\n".join(lines) + "\n"
+
+
+class TestOneStorePerEvaluation:
+    """An evaluation binds into one store, so its work grows linearly with
+    the program: it builds one environment, not one per line."""
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> list:
+        built = []
+
+        class Counted(Environment):
+            __slots__ = ()
+
+            def __new__(cls, *args):
+                built.append(cls)
+                return super().__new__(cls)
+
+        monkeypatch.setattr(interpreter, "Environment", Counted)
+        monkeypatch.setattr(runtime, "Environment", Counted)
+        return built
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_evaluate(self, built, n):
+        program = parsed(chain_source(n))
+        outcome = evaluate(program)
+        assert (outcome.answer, outcome.error, len(outcome.env)) == (n, None, n)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("chunk_size", [0, 7])
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_run_session(self, built, n, chunk_size):
+        text = chain_source(n)
+        budget = SessionBudget(max_lines=n + 1, max_chars=len(text))
+        transcript = run_session(ScriptedGenerator(text, chunk_size), "q", budget=budget)
+        assert (transcript.outcome.answer, transcript.halted_count) == (n, n - 1)
+        assert len(built) == 1
+
+
+# One program per evaluation error kind; the first two cannot be written as
+# text that parses, and annotation-mismatch needs strict annotations.
+_A = Statement(Operator.FIND, (), "a")
+ERROR_PROGRAMS = {
+    "unbound-variable": Program((Statement(Operator.RETURN, (VarRef("ghost"),)),)),
+    "duplicate-binding": Program((_A, _A, Statement(Operator.RETURN, (VarRef("a"),)))),
+    "division-by-zero": "var1 = [find](a) # 3\nvar2 = [divide](var1, 0)\n[return](var2)",
+    "unknown-operand": "var1 = [find](a) # ?\nvar2 = [floor](var1)\n[return](var2)",
+    "non-integer-operand": "var1 = [find](a) # 3.5\nvar2 = [mod](var1, 2)\n[return](var2)",
+    "return-of-unknown": "var1 = [find](a) # ?\n[return](var1)",
+    "missing-return": "var1 = [find](a) # 1",
+    "annotation-mismatch": "var1 = [find](a) # 2\nvar2 = [add](var1, 1) # 2 + 1 = 4\n[return](var2)",
+    "value-overflow": f"var1 = [find](a) # {2**4000}\nvar2 = [multiply](var1, var1)\n[return](var2)",
+}
+
+
+def folded(program: Program, strict: bool) -> EvalOutcome:
+    """``evaluate`` as evaluate_statement folded over the program from an
+    empty store, checking that no call changes the env it is given."""
+    env = Environment()
+    for index, stmt in enumerate(program.statements):
+        before = Environment(env.items())
+        try:
+            value, after = evaluate_statement(stmt, env)
+        except EvalError as err:
+            assert env == before
+            err.statement_index = index
+            return EvalOutcome(None, env, err)
+        assert env == before
+        env = after
+        ann = stmt.annotation
+        if strict and not stmt.is_find and ann is not None and ann.declared_value not in (None, value):
+            message = (
+                f"comment declares {format_number(ann.declared_value)}, "
+                f"computed {format_number(value)}"
+            )
+            return EvalOutcome(None, env, EvalError("annotation-mismatch", message, index))
+        if stmt.is_return:
+            return EvalOutcome(value, env, None)
+    return EvalOutcome(None, env, EvalError("missing-return", "program ended without a [return] statement"))
+
+
+class TestEvaluateIsAFold:
+    def test_every_error_kind_has_a_program(self):
+        assert set(ERROR_PROGRAMS) == set(EVAL_ERROR_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(ERROR_PROGRAMS))
+    def test_error_programs(self, kind):
+        program = ERROR_PROGRAMS[kind]
+        if isinstance(program, str):
+            program = parsed(program)
+        strict = kind == "annotation-mismatch"
+        outcome = evaluate(program, strict_annotations=strict)
+        assert outcome.error.kind == kind
+        assert outcome == folded(program, strict)
+
+    def test_random_programs(self):
+        rng = random.Random(2114)
+        for _ in range(300):
+            program = parsed(oracles.random_program(rng)[0])
+            for strict in (False, True):
+                assert evaluate(program, strict_annotations=strict) == folded(program, strict)
+
+
+class TestEvaluateStatementLeavesItsArgument:
+    ENV = Environment([("known", Fraction(3)), ("zero", Fraction(0)), ("mystery", UNKNOWN)])
+
+    @pytest.mark.parametrize(
+        "stmt, kind",
+        [
+            (Statement(Operator.FIND, (), "known"), "duplicate-binding"),
+            (
+                Statement(Operator.FIND, (), "big", annotation=CommentAnnotation("", Fraction(2**5000))),
+                "value-overflow",
+            ),
+            (Statement(Operator.ADD, (VarRef("known"), VarRef("mystery")), "x"), "unknown-operand"),
+            (Statement(Operator.DIVIDE, (VarRef("known"), VarRef("zero")), "x"), "division-by-zero"),
+            (Statement(Operator.ADD, (VarRef("known"), VarRef("ghost")), "x"), "unbound-variable"),
+            (Statement(Operator.ADD, (VarRef("known"), VarRef("known")), "zero"), "duplicate-binding"),
+            (Statement(Operator.RETURN, (VarRef("mystery"),)), "return-of-unknown"),
+        ],
+    )
+    def test_failing_statement(self, stmt, kind):
+        env = Environment(self.ENV.items())
+        with pytest.raises(EvalError) as excinfo:
+            evaluate_statement(stmt, env)
+        assert excinfo.value.kind == kind
+        assert env == self.ENV
+
+    def test_succeeding_statement(self):
+        env = Environment(self.ENV.items())
+        value, after = evaluate_statement(
+            Statement(Operator.MULTIPLY, (VarRef("known"), Fraction(2)), "six"), env
+        )
+        assert (value, after.lookup("six")) == (6, 6)
+        assert env == self.ENV and "six" not in env
