@@ -112,7 +112,8 @@ def load_dataset(path: str | Path) -> DatasetFile:
     """Load a .jsonl dataset; malformed lines are hard errors with line numbers."""
     records: list[ProblemRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    # A line ends at "\n" only, as a program line does.
+    with open(path, encoding="utf-8", newline="\n") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError:

@@ -43,15 +43,10 @@ ACTION_NAMES = (
     "emit-return",
 )
 
-OP_ACTIONS = {
-    2: Operator.ADD,
-    3: Operator.SUBTRACT,
-    4: Operator.MULTIPLY,
-    5: Operator.DIVIDE,
-}
-
-# Cue order matches the op-action order: cue index c pairs with action 2 + c.
+# Cue index c pairs with action 2 + c.
 CUE_OPERATORS = (Operator.ADD, Operator.SUBTRACT, Operator.MULTIPLY, Operator.DIVIDE)
+
+OP_ACTIONS = {2 + c: op for c, op in enumerate(CUE_OPERATORS)}
 
 CUE_KEYWORDS = {
     "altogether": Operator.ADD,
@@ -337,37 +332,69 @@ class _StepTable:
         return logprob
 
 
-class _Steps:
-    """The policy's side of one episode: the state it has reached and, per
-    step, the features, action, log-prob and value of the row it read.
+def _gold_finds(record: ProblemRecord) -> list[tuple]:
+    """Description and declared value of each [find] in the record's gold program."""
+    finds = [
+        (s.args[0], s.annotation.declared_value if s.annotation else None)
+        for s in record.parsed_gold().statements
+        if s.is_find
+    ]
+    if not finds:
+        raise ValueError(f"reference program for '{record.id}' declares no quantities")
+    return finds
 
-    ``_step`` reads the current state's row and picks an action: the next
-    one of ``_forced`` while any are left, else argmax with ``rng=None``,
-    else a draw. A forced step reads its row and log-prob as any other
-    step does but leaves ``rng`` alone. ``_advance`` moves the state past
-    an action. A training episode whose outcome is already known takes only
-    these steps.
+
+class PolicySession:
+    """Generator that turns policy actions into pseudocode lines.
+
+    Quantities come from the reference program's [find] comments; structure
+    comes from the policy. An arithmetic line is emitted up to its ')', and
+    its newline on the next pull: the split stands for a model that is
+    stopped at ')' while the session injects the computed comment.
+
+    ``_step`` reads the current state's row and picks an action, argmax with
+    ``rng=None``, else a draw; the session keeps each step's features,
+    action, log-prob and value. ``_advance`` moves the state past an action.
+    Line ``n`` depends only on ``n`` and action ``n``, since every action
+    before a return defines a variable. A pull writes the line of the next
+    action not yet written and steps first only when every action taken is
+    written, so a session that took steps before it reached the runtime
+    writes their lines first.
+
+    Each step reads the policy from a step table, one row per state, since
+    the weights stay fixed while episodes run. A session builds its own
+    table unless given one built on ``policy``:
+    ``greedy_accuracy`` shares one across its episodes, ``train_ppo_demo``
+    one across an iteration's episodes. ``_play`` hands in ``_task``, the
+    record's cue index and ``_gold_finds``, as its memo holds them.
     """
 
-    def __init__(self, table: _StepTable, cue: int | None, rng: np.random.Generator | None):
-        self.table = table
+    def __init__(
+        self,
+        policy: ToyPolicy,
+        record: ProblemRecord,
+        rng: np.random.Generator | None = None,
+        *,
+        table: _StepTable | None = None,
+        _task: tuple[int | None, list] | None = None,
+    ):
+        self._cue, self.gold_finds = (
+            (_cue_index(record.question), _gold_finds(record)) if _task is None else _task
+        )
+        self.table = _StepTable(policy) if table is None else table
+        self.record = record
         self.rng = rng
         self.features: list[np.ndarray] = []
         self.actions: list[int] = []
         self.logprobs: list[float] = []
         self.values: list[float] = []
-        self._forced: Sequence[int] = ()
-        self._cue = cue
-        self._finds = 0
-        self._ops = 0
+        self._finds = self._ops = self._written = 0
         self._done = False
+        self._pending: str | None = None
 
     def _step(self) -> int:
         row = self.table.row(self._cue, len(self.actions), self._finds, self._ops)
-        if len(self.actions) < len(self._forced):
-            action = self._forced[len(self.actions)]
-        else:
-            action = row.argmax if self.rng is None else row.draw(self.rng)
+        action = row.argmax if self.rng is None else row.draw(self.rng)
         self.features.append(row.phi)
         self.actions.append(action)
         self.logprobs.append(self.table.logprob(row, action))
@@ -382,81 +409,33 @@ class _Steps:
         else:
             self._done = True
 
-
-def _gold_finds(record: ProblemRecord) -> list[tuple]:
-    """Description and declared value of each [find] in the record's gold program."""
-    finds = [
-        (s.args[0], s.annotation.declared_value if s.annotation else None)
-        for s in record.parsed_gold().statements
-        if s.is_find
-    ]
-    if not finds:
-        raise ValueError(f"reference program for '{record.id}' declares no quantities")
-    return finds
-
-
-class PolicySession(_Steps):
-    """Generator that turns policy actions into pseudocode lines.
-
-    Quantities come from the reference program's [find] comments; structure
-    comes from the policy. An arithmetic line is emitted up to its ')', and
-    its newline on the next pull: the split stands for a model that is
-    stopped at ')' while the session injects the computed comment.
-    With ``rng=None`` actions are greedy argmax.
-
-    Each step reads the policy from a step table, one row per state, since
-    the weights stay fixed while episodes run. A session builds its own
-    table unless given one built on ``policy``:
-    ``greedy_accuracy`` shares one across its episodes, ``train_ppo_demo``
-    one across an iteration's episodes. ``_play`` hands in ``_task``, the
-    record's cue index and ``_gold_finds``, as its call computed them, and
-    sets the inherited ``_forced`` prefix to hand the session actions
-    already drawn.
-    """
-
-    def __init__(
-        self,
-        policy: ToyPolicy,
-        record: ProblemRecord,
-        rng: np.random.Generator | None = None,
-        *,
-        table: _StepTable | None = None,
-        _task: tuple[int | None, list] | None = None,
-    ):
-        cue, self.gold_finds = (
-            (_cue_index(record.question), _gold_finds(record)) if _task is None else _task
-        )
-        if table is None:
-            table = _StepTable(policy)
-        super().__init__(table, cue, rng)
-        self.record = record
-        self._pending: str | None = None
-
     def next_chunk(self, context: str) -> str:
         if self._pending is not None:
             chunk, self._pending = self._pending, None
             return chunk
-        if self._done:
-            return ""
-        return self._emit(self._step())
+        n = self._written
+        if n == len(self.actions):
+            if self._done:
+                return ""
+            self._advance(self._step())
+        self._written = n + 1
+        return self._line(n)
 
-    def _emit(self, action: int) -> str:
-        self._advance(action)
-        var = self._finds + self._ops
+    def _line(self, n: int) -> str:
+        action = self.actions[n]
         if action in (0, 1):
-            index = min(action, len(self.gold_finds) - 1)
-            desc, quantity = self.gold_finds[index]
-            line = f"var{var} = [find]({desc})"
+            desc, quantity = self.gold_finds[min(action, len(self.gold_finds) - 1)]
+            line = f"var{n + 1} = [find]({desc})"
             if quantity is not None:
                 line += f" # {format_number(quantity)}"
             return line + "\n"
         if action in OP_ACTIONS:
             self._pending = "\n"
-            return f"var{var} = [{OP_ACTIONS[action].value}](var1, var2)"
-        return f"[return](var{max(var, 1)})\n"
+            return f"var{n + 1} = [{OP_ACTIONS[action].value}](var1, var2)"
+        return f"[return](var{max(n, 1)})\n"
 
 
-def _trajectory(episodes: Sequence[tuple[_Steps, float]]) -> Trajectory:
+def _trajectory(episodes: Sequence[tuple[PolicySession, float]]) -> Trajectory:
     """Episodes end to end, each with its whole reward on its last step.
 
     The values carry one bootstrap entry, zero, after the last step.
@@ -474,43 +453,39 @@ def _trajectory(episodes: Sequence[tuple[_Steps, float]]) -> Trajectory:
 
 def _play(
     memo: dict,
-    finds: dict,
     table: _StepTable,
     position: int,
-    cue: int | None,
     record: ProblemRecord,
     reward_cfg: RewardConfig,
     rng: np.random.Generator,
-) -> tuple[_Steps, float]:
-    """One training episode and its total reward, through ``memo``.
+) -> tuple[PolicySession, float]:
+    """One training episode, a session, and its total reward, through ``memo``.
 
-    ``memo`` maps a task position to a tree of the action sequences played
-    on it: a dict of the next actions where the runtime went on to ask for
-    another action, else the episode's total reward. While the episode's
-    prefix is in the tree it only takes steps: one row read and one draw per
-    action. At the first unknown prefix the runtime runs a session whose
-    forced prefix is the actions drawn so far: it steps through them again
-    on table reads alone, then draws on. The episode is scored and recorded.
-    ``finds`` maps a task position to its ``_gold_finds``, taken on the
-    position's first session.
+    ``memo`` maps a task position to the ``_task`` pair of its record and a
+    tree of the action sequences played on it: a dict of the next actions
+    where the runtime went on to ask for another action, else the episode's
+    total reward. The position's first episode makes its entry. While the
+    episode's prefix is in the tree the session only takes steps: one row
+    read and one draw per action. At the first unknown prefix the runtime
+    runs that same session, which writes the lines of the actions taken so
+    far, then draws on. The episode is scored and recorded.
     """
-    steps = _Steps(table, cue, rng)
-    node = memo.get(position)
+    entry = memo.get(position)
+    if entry is None:
+        entry = memo[position] = ((_cue_index(record.question), _gold_finds(record)), {})
+    task, tree = entry
+    session = PolicySession(table.policy, record, rng, table=table, _task=task)
+    node = tree
     while type(node) is dict:
-        action = steps._step()
-        steps._advance(action)
+        action = session._step()
+        session._advance(action)
         node = node.get(action)
     if node is not None:
-        return steps, node
-    gold_finds = finds.get(position)
-    if gold_finds is None:
-        gold_finds = finds[position] = _gold_finds(record)
-    session = PolicySession(table.policy, record, rng, table=table, _task=(cue, gold_finds))
-    session._forced = steps.actions
+        return session, node
     transcript = run_session(session, record.question, budget=DEMO_BUDGET)
     total = float(_score_transcript(transcript, record, reward_cfg).total)
     *prefix, last = session.actions
-    node = memo.setdefault(position, {})
+    node = tree
     for action in prefix:
         node = node.setdefault(action, {})
     node[last] = total
@@ -565,19 +540,22 @@ def train_ppo_demo(
     them. Advantages are normalized per batch for the policy step only. The
     recorded ``beta`` is the adapted coefficient entering the next
     iteration, and ``prob_sum_err`` the largest over the states the
-    iteration read. A ``policy_loss``, ``value_loss`` or ``mean_kl`` that is
-    not finite stops the run with ``ValueError`` naming the iteration.
+    iteration read. An update that raises ``ValueError`` or leaves a
+    ``policy_loss``, ``value_loss`` or ``mean_kl`` that is not finite stops
+    the run with ``ValueError`` naming the iteration; numpy's floating-point
+    warnings are silenced in the update, since it checks for itself.
 
-    Each (task, action sequence) is played through the session runtime and
-    scored once per call; an episode that repeats one only draws its actions
-    from the iteration's step table, builds no session and no text, and
-    reads the total reward from a memo that lives for this call. That is
-    exact: ``PolicySession`` ignores its context, so its chunks are a function
-    of its actions and the record, and the budget and ``reward_cfg`` are fixed
-    for the call. Each state's features and each task's cue and gold
-    quantities are computed once per call. The frozen copy enters only the
-    KL penalty, through its action distributions at the batch's states.
-    Draws, stats and weights match playing every episode afresh.
+    Each episode is one ``PolicySession``. Each (task, action sequence) is
+    played through the session runtime and scored once per call; an episode
+    that repeats one only draws its actions from the iteration's step table,
+    writes no line text and runs no session, and reads the total reward from
+    a memo that lives for this call. That is exact: ``PolicySession`` ignores
+    its context, so its chunks are a function of its actions and the record,
+    and the budget and ``reward_cfg`` are fixed for the call. Each state's
+    features and each task's cue and gold quantities are computed once per
+    call. The frozen copy enters only the KL penalty, through its action
+    distributions at the batch's states. Draws, stats and weights match
+    playing every episode afresh.
     """
     if ppo_cfg is None:
         ppo_cfg = demo_config()
@@ -590,9 +568,6 @@ def train_ppo_demo(
     beta = ppo_cfg.beta
     lr = ppo_cfg.learning_rate
     history: list[IterationStats] = []
-    # Indexed, not iterated: iterating ``tasks`` counts as taking a batch.
-    cues = [_cue_index(tasks[i].question) for i in range(len(tasks))]
-    finds: dict = {}
     states: dict = {}
     memo: dict = {}
     table = None
@@ -606,28 +581,34 @@ def train_ppo_demo(
         # The states the last iteration read are filled in one batch.
         table = _StepTable(policy, states, [] if table is None else list(table._rows))
         episodes = [
-            _play(memo, finds, table, position, cues[position], rec, reward_cfg, rng)
+            _play(memo, table, position, rec, reward_cfg, rng)
             for position, rec in zip(positions, batch)
         ]
         flat = _trajectory(episodes)
         episode_advantages: list[float] = []
-        for steps, total in episodes:
-            rewards = [0.0] * (len(steps.actions) - 1) + [total]
-            episode_advantages += _gae(rewards, steps.values + [0.0], ppo_cfg)
+        for session, total in episodes:
+            rewards = [0.0] * (len(session.actions) - 1) + [total]
+            episode_advantages += _gae(rewards, session.values + [0.0], ppo_cfg)
         advantages = np.array(episode_advantages)
         returns = advantages + flat.values[:-1]
         norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         phi = flat.state_features
         ref_probs = softmax(phi @ ref.weights.T)
         update = _PreparedBatch(flat, replace(ppo_cfg, beta=beta), policy.n_actions)
-        for _ in range(ppo_cfg.epochs):
-            weights_step, value_step = update.gradients(norm_adv, returns, policy, ref_probs)
-            policy.weights += lr * weights_step
-            policy.value_weights -= lr * VALUE_LR_SCALE * value_step
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for _ in range(ppo_cfg.epochs):
+                    weights_step, value_step = update.gradients(
+                        norm_adv, returns, policy, ref_probs
+                    )
+                    policy.weights += lr * weights_step
+                    policy.value_weights -= lr * VALUE_LR_SCALE * value_step
 
-        probs = softmax(phi @ policy.weights.T)
-        objective = update.objective(advantages, update.logprobs(probs), ref_probs, probs)
-        vloss = update.value_loss(returns, phi @ policy.value_weights)
+                probs = softmax(phi @ policy.weights.T)
+                objective = update.objective(advantages, update.logprobs(probs), ref_probs, probs)
+                vloss = update.value_loss(returns, phi @ policy.value_weights)
+        except ValueError as error:
+            raise ValueError(f"training diverged at iteration {iteration}: {error}") from error
         for name, value in (
             ("policy_loss", objective.policy_loss), ("value_loss", vloss),
             ("mean_kl", objective.mean_kl),

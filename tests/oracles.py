@@ -568,7 +568,9 @@ class ReferencePolicySession(PolicySession):
         self.actions.append(action)
         self.logprobs.append(float(np.log(probs[action])))
         self.values.append(policy.value(phi))
-        return self._emit(action)
+        self._advance(action)
+        self._written += 1
+        return self._line(self._written - 1)
 
 
 def reference_step_row(probs: np.ndarray) -> dict:

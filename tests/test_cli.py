@@ -428,6 +428,25 @@ class TestPpoDemoCommand:
         assert "NaN" not in out and "Infinity" not in out
         assert err.splitlines()[-1] == "error: training diverged at iteration 14: value_loss is inf"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--learning-rate", "1e3", "--iterations", "20"],
+             "training diverged at iteration 14: value_loss is inf"),
+            (["--learning-rate", "1e4"],
+             "training diverged at iteration 0: log-probabilities must be finite"),
+        ],
+    )
+    def test_diverging_run_fails_in_one_line(self, flags, message):
+        # No numpy warning reaches stderr: the update checks for itself.
+        src = str(Path(flsolve.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "flsolve", "ppo-demo", *flags],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+
     def test_zero_iterations_rejected(self, capsys):
         code, _, err = run_cli(["ppo-demo", "--iterations", "0"], capsys)
         assert code == 1

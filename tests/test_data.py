@@ -74,6 +74,26 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r":2: invalid JSON"):
             load_dataset(path)
 
+    # A line ends at "\n" only; "\r" between JSON tokens is whitespace.
+    CR_RECORD = '{"id": "a",\r "question": "q", "program": "p", "answer": "1"}'
+
+    def test_carriage_return_whitespace_loads(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        path.write_bytes((self.CR_RECORD + "\n").encode())
+        assert [r.id for r in load_dataset(path).records] == ["a"]
+
+    def test_crlf_lines_load(self, tmp_path):
+        records = [{"id": i, "question": "q", "program": "p", "answer": "1"} for i in "ab"]
+        path = tmp_path / "ds.jsonl"
+        path.write_bytes("".join(json.dumps(r) + "\r\n" for r in records).encode())
+        assert [r.id for r in load_dataset(path).records] == ["a", "b"]
+
+    def test_carriage_return_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        path.write_bytes((self.CR_RECORD + "\nnot json\n").encode())
+        with pytest.raises(DatasetError, match=r":2: invalid JSON"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("missing", ["id", "question", "program", "answer"])
     def test_missing_field(self, tmp_path, missing):
         record = {"id": "a", "question": "q", "program": "p", "answer": "1"}

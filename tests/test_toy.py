@@ -226,6 +226,27 @@ class TestRollout:
         assert not first.endswith("\n")
         assert session.next_chunk("") == "\n"
 
+    @pytest.mark.parametrize(
+        "plan, source",
+        [
+            ([6], "[return](var1)"),
+            ([0, 6], "var1 = [find](the number of rolls the baker made) # 16\n[return](var1)"),
+            (
+                [0, 1, 3, 6],
+                "var1 = [find](the number of rolls the baker made) # 16\n"
+                "var2 = [find](the number of rolls sold) # 14\n"
+                "var3 = [subtract](var1, var2) # 16 - 14 = 2\n[return](var3)",
+            ),
+        ],
+    )
+    def test_line_text_follows_index_and_action(self, plan, source, single_op_tasks):
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        for step, action in enumerate(plan):
+            policy.weights[action, 4 + step] = 100.0  # the step one-hot picks the action
+        session, transcript = play(policy, single_op_tasks[1])
+        assert session.actions == plan
+        assert transcript.generated_source == source
+
     def test_zero_policy_wanders_and_scores_nothing(self, single_op_tasks):
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         assert greedy_accuracy(policy, single_op_tasks) == 0.0
@@ -256,6 +277,45 @@ class TestRollout:
     def test_greedy_accuracy_requires_records(self):
         with pytest.raises(ValueError):
             greedy_accuracy(optimal_policy(), [])
+
+
+class TestWalkedSession:
+    """A session that takes steps before the runtime reads it writes their
+    lines first, so the runtime sees what a fresh session would give it."""
+
+    @staticmethod
+    def episode(policy, record, seed, walk=0):
+        rng = None if seed is None else np.random.default_rng(seed)
+        session = PolicySession(policy, record, rng)
+        for _ in range(walk):
+            session._advance(session._step())
+        transcript = run_session(session, record.question, budget=DEMO_BUDGET)
+        return session, transcript, None if rng is None else rng.bit_generator.state
+
+    # Scale 1 plays perfectly, 0.03 wanders into every ending: a return, an
+    # unbound variable, the line budget. Greedy at scale 0 fills the budget.
+    @pytest.mark.parametrize("scale", [1.0, 0.03, 0.0])
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_walked_session_runs_like_a_fresh_one(self, scale, seed, single_op_tasks):
+        policy = optimal_policy()
+        policy.weights *= scale
+        lengths = set()
+        for i, record in enumerate(single_op_tasks[:6]):
+            record_seed = None if seed is None else seed + i
+            fresh, transcript, state = self.episode(policy, record, record_seed)
+            lengths.add(len(fresh.actions))
+            for k in range(len(fresh.actions) + 1):
+                walked, walked_transcript, walked_state = self.episode(
+                    policy, record, record_seed, k
+                )
+                assert walked_transcript == transcript, (record.id, k)
+                assert walked_transcript.generated_source == transcript.generated_source
+                assert walked.actions == fresh.actions
+                assert np.array_equal(walked.features, fresh.features)
+                assert walked.logprobs == fresh.logprobs
+                assert walked.values == fresh.values
+                assert walked_state == state
+        assert max(lengths) > 1
 
 
 class TestGreedyAccuracy:
@@ -796,7 +856,7 @@ class TestWorkCounts:
         greedy_accuracy(policy, single_op_tasks)
         assert len(tables) == 11
 
-    def test_one_session_per_runtime_call(self, single_op_tasks, monkeypatch):
+    def test_one_session_per_episode(self, single_op_tasks, monkeypatch):
         sessions = self.count_instances(monkeypatch, "PolicySession")
         runs = []
         real = toy.run_session
@@ -808,11 +868,20 @@ class TestWorkCounts:
         monkeypatch.setattr(toy, "run_session", spy)
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         train_ppo_demo(policy, single_op_tasks, iterations=60, seed=1)
-        assert 0 < len(runs) < 60 * len(single_op_tasks)
-        assert len(sessions) == len(runs)
+        # A memo miss hands the episode's own session to the runtime.
+        assert len(sessions) == 60 * len(single_op_tasks)
+        built = {id(session) for session in sessions}
+        assert {id(run) for run in runs} <= built
+        assert len({id(run) for run in runs}) == len(runs)
+        assert 0 < len(runs) < len(sessions)
+        sessions.clear()
+        runs.clear()
         greedy_accuracy(policy, single_op_tasks)
+        assert len(sessions) == len(single_op_tasks)
+        assert runs == sessions
         reference_episode(policy, single_op_tasks[0], np.random.default_rng(0))
-        assert len(sessions) == len(runs)
+        assert len(sessions) == len(single_op_tasks) + 1
+        assert runs == sessions
 
     def test_features_once_per_state_per_call(self, single_op_tasks, monkeypatch):
         keys = []
