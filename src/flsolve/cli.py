@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from importlib.metadata import PackageNotFoundError, version
@@ -153,39 +154,45 @@ def cmd_ppo_demo(args: argparse.Namespace) -> int:
     if args.batch_size is not None:
         _check_at_least(args.batch_size, 1, "--batch-size")
 
+    # An unwritable path fails here, before training; a run that fails
+    # after it removes the file this made.
+    created = bool(args.save_policy) and not os.path.lexists(args.save_policy)
+    if args.save_policy:
+        open(args.save_policy, "ab").close()
+
     tasks = generate_toy_tasks(args.seed, args.tasks, SINGLE_OP_TEMPLATES)
     heldout = generate_toy_tasks(args.seed + 1, args.heldout, SINGLE_OP_TEMPLATES)
     policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
-    history = train_ppo_demo(
-        policy,
-        tasks,
-        reward_cfg,
-        ppo_cfg,
-        args.iterations,
-        seed=args.seed,
-        batch_size=args.batch_size,
-    )
-    for stats in history:
-        _emit(stats.to_json())
-    accuracy = greedy_accuracy(policy, heldout)
-    summary = {
-        "initial_mean_reward": history[0].mean_total_reward,
-        "final_mean_reward": history[-1].mean_total_reward,
-        "reward_gain": history[-1].mean_total_reward - history[0].mean_total_reward,
-        "heldout_accuracy": accuracy,
-        "iterations": len(history),
-        "max_prob_sum_err": max(s.prob_sum_err for s in history),
-    }
-    _emit({"summary": summary})
-    print(
-        f"mean reward {summary['initial_mean_reward']:.3f} -> "
-        f"{summary['final_mean_reward']:.3f} (gain {summary['reward_gain']:.3f}), "
-        f"held-out accuracy {100 * accuracy:.1f}%",
-        file=sys.stderr,
-    )
-    if args.save_policy:
-        policy.save(args.save_policy)
-        print(f"policy saved to {args.save_policy}", file=sys.stderr)
+    try:
+        history = train_ppo_demo(
+            policy, tasks, reward_cfg, ppo_cfg, args.iterations,
+            seed=args.seed, batch_size=args.batch_size,
+        )
+        for stats in history:
+            _emit(stats.to_json())
+        accuracy = greedy_accuracy(policy, heldout)
+        summary = {
+            "initial_mean_reward": history[0].mean_total_reward,
+            "final_mean_reward": history[-1].mean_total_reward,
+            "reward_gain": history[-1].mean_total_reward - history[0].mean_total_reward,
+            "heldout_accuracy": accuracy,
+            "iterations": len(history),
+            "max_prob_sum_err": max(s.prob_sum_err for s in history),
+        }
+        _emit({"summary": summary})
+        print(
+            f"mean reward {summary['initial_mean_reward']:.3f} -> "
+            f"{summary['final_mean_reward']:.3f} (gain {summary['reward_gain']:.3f}), "
+            f"held-out accuracy {100 * accuracy:.1f}%",
+            file=sys.stderr,
+        )
+        if args.save_policy:
+            policy.save(args.save_policy)
+            print(f"policy saved to {args.save_policy}", file=sys.stderr)
+    except BaseException:
+        if created:
+            os.remove(args.save_policy)
+        raise
     return 0
 
 

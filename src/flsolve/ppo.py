@@ -180,21 +180,24 @@ class _PreparedBatch:
     def surrogate_terms(self, advantages, new_logprobs) -> tuple:
         """The importance ratio against the behaviour log-probs, and the two
         branches of the clipped surrogate, ratio*A and clip(ratio)*A."""
-        if not (np.all(np.isfinite(new_logprobs)) and self.old_finite):
+        if not (self.old_finite and np.isfinite(new_logprobs).all()):
             raise ValueError("log-probabilities must be finite")
         ratio = np.exp(new_logprobs - self.batch.logprobs_policy)
-        clipped = np.clip(ratio, *self.ratio_band) * advantages
+        low, high = self.ratio_band
+        clipped = np.minimum(np.maximum(ratio, low), high) * advantages
         return ratio, ratio * advantages, clipped
 
     def value_errors(self, returns, new_values) -> tuple:
         """Squared errors of the new values and of their copy clipped to the
         value band."""
-        return (new_values - returns) ** 2, (np.clip(new_values, *self.value_band) - returns) ** 2
+        low, high = self.value_band
+        banded = np.minimum(np.maximum(new_values, low), high)
+        return (new_values - returns) ** 2, (banded - returns) ** 2
 
     def objective(self, advantages, new_logprobs, ref_dists=None, new_dists=None) -> PpoObjective:
         ratio, unclipped, clipped = self.surrogate_terms(advantages, new_logprobs)
         surrogate = float(np.minimum(unclipped, clipped).mean())
-        clip_fraction = float(np.mean(np.abs(ratio - 1.0) > self.cfg.clip_range))
+        clip_fraction = np.count_nonzero(np.abs(ratio - 1.0) > self.cfg.clip_range) / ratio.size
         mean_kl = kl_penalty = 0.0
         if ref_dists is not None and new_dists is not None:
             mean_kl = float(np.mean(kl_divergence(ref_dists, new_dists)))
@@ -282,7 +285,7 @@ def adaptive_kl_update(beta: float, observed_kl: float, cfg: PpoConfig, batch_si
     The error is clipped to +/-20% so a single wild batch cannot swing the
     coefficient; the returned beta stays strictly positive.
     """
-    error = float(np.clip((observed_kl - cfg.kl_target) / cfg.kl_target, -0.2, 0.2))
+    error = min(max((observed_kl - cfg.kl_target) / cfg.kl_target, -0.2), 0.2)
     multiplier = 1.0 + error * batch_size / cfg.kl_horizon
     return float(beta * max(multiplier, 1e-6))
 
@@ -338,7 +341,9 @@ class ToyPolicy:
         return ToyPolicy(self.weights.copy(), self.value_weights.copy())
 
     def save(self, path: str) -> None:
-        np.savez(path, weights=self.weights, value_weights=self.value_weights)
+        """Write the weights to ``path``; ``np.savez(path)`` would add ``.npz``."""
+        with open(path, "wb") as file:
+            np.savez(file, weights=self.weights, value_weights=self.value_weights)
 
     @classmethod
     def load(cls, path: str | BinaryIO) -> "ToyPolicy":

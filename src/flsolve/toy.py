@@ -312,16 +312,18 @@ class _StepTable:
         return row
 
     def _build(self, keys: Sequence[tuple]) -> list[_StepRow]:
-        """Rows for ``keys``, with one ``W @ phi`` and ``V @ phi`` per row as in
-        ``ToyPolicy``: one matrix product for all would change some bits."""
+        """Rows for ``keys``: ``W`` and ``V`` times the stacked features as
+        columns, one broadcast matmul each, whose C loop runs ``ToyPolicy``'s
+        gemv and dot per row; one ``Phi @ W.T`` gemm would change some bits."""
         states = self.states
         for key in keys:
             if key not in states:
                 states[key] = _features(*key)
         phis = [states[key] for key in keys]
+        columns = np.array(phis)[:, :, None]
         W, V = self.policy.weights, self.policy.value_weights
         return _StepRow.batch(
-            phis, softmax(np.array([W @ phi for phi in phis])), [float(V @ phi) for phi in phis]
+            phis, softmax((W @ columns)[:, :, 0]), (V @ columns)[:, 0].tolist()
         )
 
     def logprob(self, row: _StepRow, action: int) -> float:
@@ -435,20 +437,26 @@ class PolicySession:
         return f"[return](var{max(n, 1)})\n"
 
 
-def _trajectory(episodes: Sequence[tuple[PolicySession, float]]) -> Trajectory:
-    """Episodes end to end, each with its whole reward on its last step.
-
-    The values carry one bootstrap entry, zero, after the last step.
-    """
-    steps = [s for s, _ in episodes]
-    rewards = [r for s, total in episodes for r in [0.0] * (len(s.actions) - 1) + [total]]
+def _trajectory(episodes: Sequence[tuple[PolicySession, float]], cfg: PpoConfig) -> tuple:
+    """Episodes end to end, each with its whole reward on its last step, the
+    values with one bootstrap zero after the last; and their advantages, taken
+    per episode."""
+    tokens, features, logprobs, rewards, values, advantages = [], [], [], [], [], []
+    for session, total in episodes:
+        episode_rewards = [0.0] * (len(session.actions) - 1) + [total]
+        tokens += session.actions
+        features += session.features
+        logprobs += session.logprobs
+        rewards += episode_rewards
+        values += session.values
+        advantages += _gae(episode_rewards, session.values + [0.0], cfg)
     return Trajectory(
-        tokens=np.array([a for s in steps for a in s.actions], dtype=int),
-        state_features=np.array([phi for s in steps for phi in s.features]),
-        logprobs_policy=np.array([lp for s in steps for lp in s.logprobs]),
+        tokens=np.array(tokens, dtype=int),
+        state_features=np.array(features),
+        logprobs_policy=np.array(logprobs),
         rewards=np.array(rewards),
-        values=np.array([v for s in steps for v in s.values] + [0.0]),
-    )
+        values=np.array(values + [0.0]),
+    ), np.array(advantages)
 
 
 def _play(
@@ -584,12 +592,7 @@ def train_ppo_demo(
             _play(memo, table, position, rec, reward_cfg, rng)
             for position, rec in zip(positions, batch)
         ]
-        flat = _trajectory(episodes)
-        episode_advantages: list[float] = []
-        for session, total in episodes:
-            rewards = [0.0] * (len(session.actions) - 1) + [total]
-            episode_advantages += _gae(rewards, session.values + [0.0], ppo_cfg)
-        advantages = np.array(episode_advantages)
+        flat, advantages = _trajectory(episodes, ppo_cfg)
         returns = advantages + flat.values[:-1]
         norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         phi = flat.state_features

@@ -670,7 +670,13 @@ def reference_episode(table, record, reward_cfg=DEFAULT_REWARD_CONFIG, rng=None)
     session = toy.PolicySession(table.policy, record, rng, table=table)
     transcript = toy.run_session(session, record.question, budget=toy.DEMO_BUDGET)
     breakdown = toy._score_transcript(transcript, record, reward_cfg)
-    trajectory = toy._trajectory([(session, float(breakdown.total))])
+    trajectory = Trajectory(
+        tokens=np.array(session.actions, dtype=int),
+        state_features=np.array(session.features),
+        logprobs_policy=np.array(session.logprobs),
+        rewards=np.array([0.0] * (len(session.actions) - 1) + [float(breakdown.total)]),
+        values=np.array(session.values + [0.0]),
+    )
     return ReferenceEpisode(trajectory, breakdown, session, transcript)
 
 

@@ -389,6 +389,41 @@ class TestPpoDemoCommand:
         assert policy.weights.shape == (7, 13)
         assert "policy saved" in err
 
+    def test_save_policy_writes_the_named_path(self, tmp_path, capsys):
+        out_path = tmp_path / "out"
+        code, _, err = run_cli(self.DEMO_ARGS + ["--save-policy", str(out_path)], capsys)
+        assert code == 0
+        assert os.listdir(tmp_path) == ["out"]
+        assert ToyPolicy.load(str(out_path)).weights.shape == (7, 13)
+        assert f"policy saved to {out_path}\n" in err
+
+    @staticmethod
+    def run_demo(*flags):
+        src = str(Path(flsolve.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, "-m", "flsolve", "ppo-demo", *flags],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    @pytest.mark.parametrize("where", ["missing/x.npz", "."])
+    def test_unwritable_save_path_fails_before_training(self, tmp_path, where):
+        path = str(tmp_path / where)
+        done = self.run_demo("--iterations", "2", "--save-policy", path)
+        assert (done.returncode, done.stdout) == (1, "")
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and path in line
+
+    def test_diverging_run_leaves_no_file_at_the_save_path(self, tmp_path):
+        kept = tmp_path / "kept.npz"
+        kept.write_bytes(b"earlier weights")
+        for path in (tmp_path / "new.npz", kept):
+            done = self.run_demo("--learning-rate", "1e4", "--save-policy", str(path))
+            assert (done.returncode, done.stdout) == (1, "")
+            assert done.stderr.startswith("error: training diverged at iteration 0")
+        assert os.listdir(tmp_path) == ["kept.npz"]
+        assert kept.read_bytes() == b"earlier weights"
+
     def test_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

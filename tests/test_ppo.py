@@ -1,11 +1,12 @@
 """Optimization core: GAE, clipped objectives, KL control, exact gradients."""
 
 import math
+import os
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flsolve import (
@@ -302,6 +303,37 @@ class TestAdaptiveKl:
         assert updated == pytest.approx(0.03 * 1e-6)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        beta=st.floats(0.0, 10.0),
+        kl_target=st.floats(1e-6, 1e6),
+        kl_horizon=st.integers(1, 10**6),
+        batch_size=st.integers(1, 10**6),
+        observed=st.floats(),
+        edge=st.sampled_from(
+            [None, 0.8, 1.2, math.nextafter(0.8, 0.0), math.nextafter(1.2, 2.0), 1.0]
+        ),
+        as_numpy=st.booleans(),
+    )
+    @example(0.03, 5.0, 10_000, 100, 6.0, None, False)  # error exactly 0.2
+    @example(0.03, 5.0, 10_000, 100, 4.0, None, True)  # error exactly -0.2
+    @example(0.03, 6.0, 10_000, 100, math.nan, None, True)
+    @example(0.03, 6.0, 10_000, 100, -math.inf, None, False)
+    def test_matches_np_clip_bit_for_bit(
+        self, beta, kl_target, kl_horizon, batch_size, observed, edge, as_numpy
+    ):
+        # ``edge`` puts the observed KL at that multiple of the target, on
+        # or next to the saturation bounds.
+        kl = observed if edge is None else edge * kl_target
+        kl = np.float64(kl) if as_numpy else kl
+        cfg = PpoConfig(kl_target=kl_target, kl_horizon=kl_horizon)
+        error = float(np.clip((kl - cfg.kl_target) / cfg.kl_target, -0.2, 0.2))
+        expected = float(beta * max(1.0 + error * batch_size / cfg.kl_horizon, 1e-6))
+        updated = adaptive_kl_update(beta, kl, cfg, batch_size)
+        assert type(updated) is float
+        assert (math.isnan(updated) and math.isnan(expected)) or bits(updated) == bits(expected)
+
+
 class TestSoftmax:
     def test_extreme_logits_stay_normalized(self):
         probs = softmax(np.array([1000.0, 0.0, -1000.0]))
@@ -346,6 +378,15 @@ class TestToyPolicy:
         policy = ToyPolicy(rng.normal(size=(5, 9)), rng.normal(size=9))
         path = str(tmp_path / "policy.npz")
         policy.save(path)
+        loaded = ToyPolicy.load(path)
+        assert np.array_equal(loaded.weights, policy.weights)
+        assert np.array_equal(loaded.value_weights, policy.value_weights)
+
+    def test_save_writes_the_path_it_is_given(self, tmp_path):
+        policy = ToyPolicy(np.arange(6.0).reshape(2, 3), np.ones(3))
+        path = str(tmp_path / "weights")
+        policy.save(path)
+        assert os.listdir(tmp_path) == ["weights"]  # no ".npz" added
         loaded = ToyPolicy.load(path)
         assert np.array_equal(loaded.weights, policy.weights)
         assert np.array_equal(loaded.value_weights, policy.value_weights)
@@ -444,3 +485,60 @@ class TestPreparedBatch:
             expected = bits(oracles.reference_value_loss(batch, returns, predicted, cfg))
             assert bits(prepared.value_loss(returns, predicted)) == expected
             assert bits(value_loss(batch, returns, predicted, cfg)) == expected
+
+    @pytest.mark.parametrize("clip_range, clip_range_value", [(0.2, 0.2), (1.0, 0.5)])
+    def test_band_edges_match_the_reference(self, clip_range, clip_range_value):
+        """Ratios exactly on ``1 ± clip_range`` and new values exactly on
+        ``old ± clip_range_value``, with zeros of both signs at a zero band
+        edge: where min/max and ``np.clip`` could part, on the sign of a
+        zero. No band edge is -0.0: ``old ± clip_range_value`` is -0.0 for
+        no ``old``, and ``1 - clip_range`` is +0.0 at ``clip_range = 1``,
+        which a ratio ``exp(-800)`` (+0.0, never -0.0) lands on."""
+        cfg = PpoConfig(clip_range=clip_range, clip_range_value=clip_range_value)
+        low, high = 1.0 - clip_range, 1.0 + clip_range
+        log_low = math.log(low) if low > 0 else -800.0
+        log_ratios = np.array([math.log(high), log_low, 0.0, -800.0, math.log(high), log_low])
+        assert np.exp(log_ratios)[:2].tolist() == [high, low]
+        crv = clip_range_value
+        old_values = np.array([0.3, 0.3, crv, -crv, -0.0, 0.0])
+        edges = np.array([0.3 + crv, 0.3 - crv, crv - crv, -crv + crv, -0.0 - crv, 0.0 + crv])
+        advantages = np.array([1.0, -1.0, -0.0, 0.0, -2.0, 2.0])
+        returns = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -0.0])
+
+        # The policy puts all its mass on action 0, so every new log-prob is
+        # 0.0 and the ratio is exp(-anchor); the value head reads feature 1.
+        policy = ToyPolicy(np.zeros((5, 2)), np.array([0.0, 1.0]))
+        policy.weights[0, 0] = 1000.0
+        batch = Trajectory(
+            tokens=np.zeros(6, dtype=int),
+            state_features=np.column_stack([np.ones(6), edges]),
+            logprobs_policy=-log_ratios,
+            rewards=np.zeros(6),
+            values=np.append(old_values, 0.0),
+        )
+        prepared = _PreparedBatch(batch, cfg, policy.n_actions)
+        probs = softmax(batch.state_features @ policy.weights.T)
+        new_logprobs = prepared.logprobs(probs)
+        predicted = batch.state_features @ policy.value_weights
+        assert new_logprobs.tolist() == [0.0] * 6 and bits(predicted) == bits(edges + 0.0)
+        ref_probs = probs.copy()
+
+        for new_values in (predicted, np.array([0.5, -0.0, -0.0, 0.0, -0.0, 0.0])):
+            assert bits(*prepared.value_errors(returns, new_values)) == bits(
+                *oracles._reference_value_errors(batch, returns, new_values, cfg)
+            )
+            assert bits(prepared.value_loss(returns, new_values)) == bits(
+                oracles.reference_value_loss(batch, returns, new_values, cfg)
+            )
+        assert bits(*prepared.surrogate_terms(advantages, new_logprobs)) == bits(
+            *oracles._reference_surrogate_terms(batch, advantages, new_logprobs, cfg)
+        )
+        assert bits(*astuple(prepared.objective(advantages, new_logprobs, ref_probs, probs))) == (
+            bits(*astuple(oracles.reference_ppo_objective(
+                batch, advantages, new_logprobs, cfg, ref_dists=ref_probs, new_dists=probs
+            )))
+        )
+        args = (advantages, returns, policy, ref_probs)
+        assert bits(*prepared.gradients(*args)) == bits(
+            *oracles.reference_ppo_gradients(batch, *args, cfg)
+        )
