@@ -156,8 +156,9 @@ def cmd_ppo_demo(args: argparse.Namespace) -> int:
 
     # An unwritable path fails here, before training; a run that fails
     # after it removes the file this made.
-    created = bool(args.save_policy) and not os.path.lexists(args.save_policy)
-    if args.save_policy:
+    saving = args.save_policy is not None
+    created = saving and not os.path.lexists(args.save_policy)
+    if saving:
         open(args.save_policy, "ab").close()
 
     tasks = generate_toy_tasks(args.seed, args.tasks, SINGLE_OP_TEMPLATES)
@@ -186,7 +187,7 @@ def cmd_ppo_demo(args: argparse.Namespace) -> int:
             f"held-out accuracy {100 * accuracy:.1f}%",
             file=sys.stderr,
         )
-        if args.save_policy:
+        if saving:
             policy.save(args.save_policy)
             print(f"policy saved to {args.save_policy}", file=sys.stderr)
     except BaseException:

@@ -406,9 +406,9 @@ class TestPpoDemoCommand:
             capture_output=True, text=True, env=env, timeout=120,
         )
 
-    @pytest.mark.parametrize("where", ["missing/x.npz", "."])
+    @pytest.mark.parametrize("where", ["missing/x.npz", ".", None])
     def test_unwritable_save_path_fails_before_training(self, tmp_path, where):
-        path = str(tmp_path / where)
+        path = "" if where is None else str(tmp_path / where)
         done = self.run_demo("--iterations", "2", "--save-policy", path)
         assert (done.returncode, done.stdout) == (1, "")
         (line,) = done.stderr.splitlines()
