@@ -46,8 +46,6 @@ from .interpreter import (
     answers_match,
     apply_operator,
     evaluate,
-    evaluate_statement,
-    resolve_operands,
 )
 from .parser import (
     PARSE_ERROR_KINDS,

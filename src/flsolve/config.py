@@ -104,10 +104,10 @@ def load_config(path: str | None = None) -> ToolkitConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+    except ValueError as exc:  # malformed JSON, or an integer past the str-conversion limit
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: not UTF-8 text") from None
     return config_from_json(obj)

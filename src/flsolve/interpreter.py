@@ -2,8 +2,7 @@
 
 A [find] binds its comment's declared value (or the UNKNOWN sentinel), the
 computing operators work on exact rationals, and [return] yields the answer.
-Each evaluation binds into one store of its own, in place; the environments
-``bind`` and ``evaluate_statement`` return are never changed afterwards.
+Each evaluation steps every statement into one store of its own, in place.
 """
 
 from __future__ import annotations
@@ -71,18 +70,13 @@ class EvalError(Exception):
 
 
 class Environment:
-    """Variable store that an evaluation binds into in place; ``bind`` returns
-    a new snapshot instead. Stores with the same bindings are equal."""
+    """Variable store that an evaluation binds into in place. Stores with the
+    same bindings are equal."""
 
     __slots__ = ("_bindings",)
 
     def __init__(self, bindings: Iterable[tuple[str, Value]] = ()):
         self._bindings: dict[str, Value] = dict(bindings)
-
-    def bind(self, name: str, value: Value) -> "Environment":
-        env = Environment(self.items())
-        env._set(name, value)
-        return env
 
     def _set(self, name: str, value: Value) -> None:
         """Bind in place; a duplicate or a value past the bound changes nothing."""
@@ -134,21 +128,6 @@ def _check_bound(value: Fraction, what: str) -> Fraction:
     if num.bit_length() > MAX_VALUE_BITS or den.bit_length() > MAX_VALUE_BITS:
         raise EvalError("value-overflow", f"{what} is past the {MAX_VALUE_BITS}-bit value bound")
     return value
-
-
-def resolve_operands(stmt: Statement, env: Environment) -> list[Fraction]:
-    """Argument values of an arithmetic statement, with UNKNOWN and literals
-    past the value bound rejected."""
-    operands: list[Fraction] = []
-    for arg in stmt.args:
-        value = env.lookup(arg.name) if isinstance(arg, VarRef) else _check_bound(arg, "a literal")
-        if value is UNKNOWN:
-            raise EvalError(
-                "unknown-operand",
-                f"cannot compute with '{arg.name}': its value is unknown",
-            )
-        operands.append(value)
-    return operands
 
 
 def _require_integers(name: str, *operands: Fraction) -> list[int]:
@@ -219,17 +198,17 @@ def _step(stmt: Statement, env: Environment) -> tuple[list[Fraction] | None, Val
                 "return-of-unknown", f"cannot return '{ref.name}': its value is unknown"
             )
         return None, value
-    operands = resolve_operands(stmt, env)
+    operands: list[Fraction] = []
+    for arg in stmt.args:
+        value = env.lookup(arg.name) if isinstance(arg, VarRef) else _check_bound(arg, "a literal")
+        if value is UNKNOWN:
+            raise EvalError(
+                "unknown-operand", f"cannot compute with '{arg.name}': its value is unknown"
+            )
+        operands.append(value)
     result = apply_operator(stmt.op, operands)
     env._set(stmt.target, result)
     return operands, result
-
-
-def evaluate_statement(stmt: Statement, env: Environment) -> tuple[Value, Environment]:
-    """Evaluate one statement against ``env``; returns (value, new env) and
-    leaves ``env`` unchanged, also when the statement fails."""
-    env = Environment(env.items())
-    return _step(stmt, env)[1], env
 
 
 def evaluate(program: Program, *, strict_annotations: bool = False) -> EvalOutcome:

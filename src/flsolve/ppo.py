@@ -10,6 +10,7 @@ sequences, not language-model token streams.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -46,10 +47,17 @@ class PpoConfig:
             value = getattr(self, name)
             if type(value) is bool or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("beta", "kl_target", "clip_range", "clip_range_value", "learning_rate"):
+        for name in ("beta", "kl_target", "clip_range", "clip_range_value", "learning_rate", "gamma", "lam"):
             value, clip = getattr(self, name), name.startswith("clip")
-            # inf is a clip range's documented "no clipping" setting.
-            if math.isnan(value) or (math.isinf(value) and not clip):
+            if type(value) is bool or not isinstance(value, (float, numbers.Real)):  # float: fast path
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            try:  # the math is float64; an int past float range may have no repr either
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"{name} must be finite, got a number past float range") from None
+            object.__setattr__(self, name, value)
+            # gamma and lam have a range check below; inf is a clip range's "no clipping".
+            if name not in ("gamma", "lam") and (math.isnan(value) or (math.isinf(value) and not clip)):
                 raise ValueError(f"{name} must be finite{' or inf' if clip else ''}, got {value!r}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")

@@ -53,6 +53,8 @@ class RewardConfig:
                 continue
             if type(value) is bool or not isinstance(value, (int, Fraction)):
                 raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+        if type(self.clamp_components) is not bool:
+            raise ValueError(f"clamp_components must be a bool, got {self.clamp_components!r}")
         if self.r_max <= 0:
             raise ValueError("r_max must be positive")
         floor = -self.r_max if self.clamp_floor is None else self.clamp_floor

@@ -267,7 +267,6 @@ def run_session(
     emitted: list[EmittedLine] = []
     entries: list[tuple[int, Statement]] = []
     halted = 0
-    statement_index = 0
     # Operand text of each variable rendered so far, by name.
     rendered: dict[str, str] = {}
     feed = _SessionFeed(gen, budget.max_chars)
@@ -316,12 +315,11 @@ def run_session(
                 operands, value = _step(stmt, env)
             except EvalError as err:
                 if err.statement_index is None:
-                    err.statement_index = statement_index
+                    err.statement_index = len(entries)  # one per statement run so far
                 if stmt.is_arithmetic:
                     stmt = Statement(stmt.op, stmt.args, stmt.target)
                 emit("generator", stmt_text, stmt)
                 raise
-            statement_index += 1
             if operands is None:
                 emit("generator", stmt_text, stmt)
                 context += stmt_text + "\n"

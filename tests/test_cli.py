@@ -540,6 +540,18 @@ class TestPpoDemoCommand:
         assert err.startswith(f"error: {field} must be finite")
 
     @pytest.mark.parametrize(
+        "field", ["beta", "learning_rate", "kl_target", "clip_range", "clip_range_value"]
+    )
+    def test_number_past_float_range_in_config_file_rejected_by_name(self, tmp_path, capsys, field):
+        # A 401-digit integer passes the file's type check and would otherwise end in a traceback.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"ppo": {"%s": 1%s}}' % (field, "0" * 400), encoding="utf-8")
+        code, out, err = run_cli(["ppo-demo", "--iterations", "2", "--config", str(cfg_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {field} must be finite")
+        assert err.endswith(", got a number past float range\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "config, message",
         [
             ({"ppo": 5}, "ppo: expected a JSON object"),
@@ -860,6 +872,15 @@ class TestUnreadableFiles:
         assert cli_in_process(argv + ["--config", str(config)]) == expected
         monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
         assert cli_in_process(argv) == expected
+
+    def test_config_integer_past_the_str_limit(self, tmp_path):
+        digits = "1" + "0" * 5000
+        with pytest.raises(ValueError) as excinfo:
+            int(digits)
+        config = tmp_path / "cfg.json"
+        config.write_text('{"ppo": {"epochs": %s}}' % digits, encoding="utf-8")
+        argv = ["ppo-demo", "--iterations", "1", "--config", str(config)]
+        assert cli_in_process(argv) == (1, "", f"error: {config}: invalid JSON: {excinfo.value}\n")
 
     def test_program_not_utf8(self, tmp_path, fixture_path):
         program = tmp_path / "p.txt"

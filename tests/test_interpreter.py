@@ -30,7 +30,6 @@ from flsolve import (
     apply_operator,
     bundled_examples,
     evaluate,
-    evaluate_statement,
     format_number,
     parse_program,
     run_session,
@@ -152,8 +151,8 @@ class TestApplyOperator:
 class TestEvaluate:
     def test_find_without_value_binds_unknown(self):
         stmt = parsed("var1 = [find](mystery) # ?\n[return](var1)").statements[0]
-        value, env = evaluate_statement(stmt, Environment())
-        assert value is UNKNOWN
+        env = Environment()
+        assert interpreter._step(stmt, env) == (None, UNKNOWN)
         assert env.lookup("var1") is UNKNOWN
 
     def test_arithmetic_on_unknown_operand(self):
@@ -183,15 +182,12 @@ class TestEvaluate:
         outcome = evaluate(Program((stmt,)))
         assert outcome.error.kind == "unbound-variable"
 
-    def test_environments_are_snapshots(self):
-        env = Environment()
-        bound = env.bind("var1", Fraction(3))
-        assert len(env) == 0
-        assert len(bound) == 1
-        assert "var1" not in env
+    def test_duplicate_binding_leaves_the_store(self):
+        env = Environment([("var1", Fraction(3))])
         with pytest.raises(EvalError) as excinfo:
-            bound.bind("var1", Fraction(4))
+            env._set("var1", Fraction(4))
         assert excinfo.value.kind == "duplicate-binding"
+        assert env == Environment([("var1", Fraction(3))])
 
     def test_all_error_kinds_catalogued(self):
         sources = {
@@ -260,11 +256,13 @@ class TestValueEquality:
             assert first == second and hash(first) == hash(second)
 
     def test_environments_compare_their_bindings(self):
-        env = Environment().bind("a", Fraction(1)).bind("b", UNKNOWN)
+        env = Environment()
+        env._set("a", Fraction(1))
+        env._set("b", UNKNOWN)
         assert env == Environment([("b", UNKNOWN), ("a", Fraction(1))])
         assert hash(env) == hash(Environment([("b", UNKNOWN), ("a", Fraction(1))]))
-        assert env != Environment().bind("a", Fraction(1))
-        assert env != Environment().bind("a", Fraction(2)).bind("b", UNKNOWN)
+        assert env != Environment([("a", Fraction(1))])
+        assert env != Environment([("a", Fraction(2)), ("b", UNKNOWN)])
         assert env != dict(env.items())
 
     def test_errors_compare_kind_message_and_index(self):
@@ -288,17 +286,23 @@ class TestValueBound:
         [Fraction(AT), Fraction(-AT), Fraction(1, AT), Fraction(-AT, AT - 1)],
     )
     def test_values_at_the_bound_bind(self, value):
-        assert Environment().bind("v", value).lookup("v") == value
+        env = Environment()
+        env._set("v", value)
+        assert env.lookup("v") == value
 
     @pytest.mark.parametrize("value", [Fraction(PAST), Fraction(-PAST), Fraction(1, PAST)])
     def test_values_past_the_bound_do_not_bind(self, value):
+        env = Environment()
         with pytest.raises(EvalError) as excinfo:
-            Environment().bind("v", value)
+            env._set("v", value)
         assert excinfo.value.kind == "value-overflow"
         assert "'v'" in excinfo.value.message
+        assert len(env) == 0
 
     def test_unknown_binds(self):
-        assert Environment().bind("v", UNKNOWN).lookup("v") is UNKNOWN
+        env = Environment()
+        env._set("v", UNKNOWN)
+        assert env.lookup("v") is UNKNOWN
 
     def test_find_value_past_the_bound(self):
         outcome = evaluate(parsed(f"var1 = [find](a) # {self.PAST}\n[return](var1)"))
@@ -511,19 +515,17 @@ ERROR_PROGRAMS = {
 
 
 def folded(program: Program, strict: bool) -> EvalOutcome:
-    """``evaluate`` as evaluate_statement folded over the program from an
-    empty store, checking that no call changes the env it is given."""
+    """``evaluate`` as ``_step`` folded over the program into one store,
+    checking that a failing step leaves the store as it was."""
     env = Environment()
     for index, stmt in enumerate(program.statements):
         before = Environment(env.items())
         try:
-            value, after = evaluate_statement(stmt, env)
+            value = interpreter._step(stmt, env)[1]
         except EvalError as err:
             assert env == before
             err.statement_index = index
             return EvalOutcome(None, env, err)
-        assert env == before
-        env = after
         ann = stmt.annotation
         if strict and not stmt.is_find and ann is not None and ann.declared_value not in (None, value):
             message = (
@@ -558,8 +560,14 @@ class TestEvaluateIsAFold:
                 assert evaluate(program, strict_annotations=strict) == folded(program, strict)
 
 
-class TestEvaluateStatementLeavesItsArgument:
-    ENV = Environment([("known", Fraction(3)), ("zero", Fraction(0)), ("mystery", UNKNOWN)])
+class TestStep:
+    """``_step`` runs one statement on the store itself: a failing statement
+    leaves it as it was, a succeeding one binds its target and nothing else."""
+
+    ENV = Environment([
+        ("known", Fraction(3)), ("zero", Fraction(0)), ("mystery", UNKNOWN),
+        ("wide", Fraction(2**4000)),
+    ])
 
     @pytest.mark.parametrize(
         "stmt, kind",
@@ -569,24 +577,32 @@ class TestEvaluateStatementLeavesItsArgument:
                 Statement(Operator.FIND, (), "big", annotation=CommentAnnotation("", Fraction(2**5000))),
                 "value-overflow",
             ),
+            (Statement(Operator.MULTIPLY, (VarRef("wide"), VarRef("wide")), "x"), "value-overflow"),
+            (Statement(Operator.ADD, (VarRef("known"), Fraction(2**5000)), "x"), "value-overflow"),
             (Statement(Operator.ADD, (VarRef("known"), VarRef("mystery")), "x"), "unknown-operand"),
             (Statement(Operator.DIVIDE, (VarRef("known"), VarRef("zero")), "x"), "division-by-zero"),
+            (Statement(Operator.MOD, (VarRef("known"), Fraction(1, 2)), "x"), "non-integer-operand"),
             (Statement(Operator.ADD, (VarRef("known"), VarRef("ghost")), "x"), "unbound-variable"),
             (Statement(Operator.ADD, (VarRef("known"), VarRef("known")), "zero"), "duplicate-binding"),
+            (Statement(Operator.RETURN, (VarRef("ghost"),)), "unbound-variable"),
             (Statement(Operator.RETURN, (VarRef("mystery"),)), "return-of-unknown"),
+        ],
+        ids=[
+            "find-duplicate-binding", "find-value-overflow", "result-value-overflow",
+            "literal-value-overflow", "unknown-operand", "division-by-zero",
+            "non-integer-operand", "operand-unbound-variable", "result-duplicate-binding",
+            "return-unbound-variable", "return-of-unknown",
         ],
     )
     def test_failing_statement(self, stmt, kind):
         env = Environment(self.ENV.items())
         with pytest.raises(EvalError) as excinfo:
-            evaluate_statement(stmt, env)
+            interpreter._step(stmt, env)
         assert excinfo.value.kind == kind
         assert env == self.ENV
 
     def test_succeeding_statement(self):
         env = Environment(self.ENV.items())
-        value, after = evaluate_statement(
-            Statement(Operator.MULTIPLY, (VarRef("known"), Fraction(2)), "six"), env
-        )
-        assert (value, after.lookup("six")) == (6, 6)
-        assert env == self.ENV and "six" not in env
+        stmt = Statement(Operator.MULTIPLY, (VarRef("known"), Fraction(2)), "six")
+        assert interpreter._step(stmt, env) == ([3, 2], 6)
+        assert env == Environment([*self.ENV.items(), ("six", Fraction(6))])

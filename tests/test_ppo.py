@@ -3,6 +3,7 @@
 import math
 import os
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,14 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flsolve import (
+    ACTION_NAMES,
+    N_FEATURES,
     PpoConfig,
     ToyPolicy,
     Trajectory,
     adaptive_kl_update,
     compute_gae,
+    generate_toy_tasks,
     kl_divergence,
     ppo_objective,
     softmax,
+    train_ppo_demo,
     value_loss,
 )
 from flsolve.ppo import _PreparedBatch, ppo_gradients
@@ -110,6 +115,36 @@ class TestConfigs:
             PpoConfig(**{name: value})
         with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
             replace(PpoConfig(), **{name: value})
+
+    FLOAT_FIELDS = ["beta", "kl_target", "clip_range", "clip_range_value", "learning_rate", "gamma", "lam"]
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", ["x", None, True, 1j])
+    def test_float_fields_reject_non_numbers_by_name(self, name, value):
+        # The range checks would otherwise raise TypeError, without the field's name.
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, got {value!r}$"):
+            PpoConfig(**{name: value})
+        with pytest.raises(ValueError, match=rf"^{name} must be a number"):
+            replace(PpoConfig(), **{name: value})
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), 10**5000, Fraction(10**400, 3)], ids=["401", "-401", "5001", "fraction"]
+    )
+    def test_numbers_past_float_range_are_not_finite(self, name, value):
+        # An int past CPython's 4300-digit str limit must not break the message.
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got a number past float range$"):
+            PpoConfig(**{name: value})
+
+    def test_float_fields_are_stored_as_floats(self):
+        # A Fraction learning rate or beta would otherwise fail inside the float64 update.
+        cfg = PpoConfig(
+            beta=Fraction(3, 100), kl_target=6, learning_rate=Fraction(1, 10), gamma=1, lam=Fraction(1, 2)
+        )
+        assert [type(getattr(cfg, name)) for name in self.FLOAT_FIELDS] == [float] * 7
+        assert (cfg.beta, cfg.kl_target, cfg.learning_rate, cfg.gamma, cfg.lam) == (0.03, 6.0, 0.1, 1.0, 0.5)
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        assert len(train_ppo_demo(policy, generate_toy_tasks(0, 4), ppo_cfg=cfg, iterations=2)) == 2
 
     def test_learning_rate_must_be_non_negative(self):
         with pytest.raises(ValueError, match="^learning_rate must be non-negative"):

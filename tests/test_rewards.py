@@ -352,6 +352,15 @@ class TestRewardConfig:
         with pytest.raises(ValueError, match=message):
             replace(RewardConfig(), **{name: value})
 
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, None])
+    def test_clamp_components_must_be_a_bool(self, value):
+        # r2, r3 and r4 read the field as a truth value, so "no" would switch clamping on.
+        message = rf"^clamp_components must be a bool, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            RewardConfig(clamp_components=value)
+        with pytest.raises(ValueError, match=message):
+            replace(RewardConfig(), clamp_components=value)
+
     def test_bounds_take_ints_and_no_floor(self):
         cfg = RewardConfig(r_max=2, clamp_floor=-1)
         assert cfg.floor == -1
