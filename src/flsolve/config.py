@@ -1,15 +1,17 @@
 """JSON config files for the toolkit's tunable knobs.
 
 A config file may specify any subset of fields; everything missing keeps
-its default, ``ppo-demo``'s own for the ``ppo`` section. Reward values are
-read exactly, from JSON numbers or number strings such as ``"1/3"``. GAE's
-gamma and lambda are ``ppo.gamma`` and ``ppo.lam``; a ``gae`` section is
-rejected rather than ignored.
+its default, ``ppo-demo``'s own for the ``ppo`` section. ``PpoConfig`` and
+``RewardConfig`` check every value, so a bad one fails as it does in Python.
+Reward values are read exactly, from JSON numbers or number strings such as
+``"1/3"``. GAE's gamma and lambda are ``ppo.gamma`` and ``ppo.lam``; a
+``gae`` section is rejected rather than ignored.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -32,24 +34,18 @@ def default_config() -> ToolkitConfig:
     return ToolkitConfig(demo_config(), RewardConfig())
 
 
-def _exact_number(value: object, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, int):
+def _exact_number(value: object) -> object:
+    """A JSON reward number or number string as a Fraction, a float read from
+    its repr; any other value unchanged, for RewardConfig to reject by name."""
+    if type(value) is int:
         return Fraction(value)
-    if isinstance(value, (float, str)):
-        parsed = parse_number(str(value))
+    if type(value) is float and math.isfinite(value):
+        return Fraction(repr(value))
+    if type(value) is str:
+        parsed = parse_number(value)
         if parsed is not None:
             return parsed
-    raise ValueError(f"{where}: expected a number, got {value!r}")
-
-
-# The JSON type a field of each annotated type must arrive as; bool is no number.
-_JSON_TYPES = {
-    "float": ("a number", (int, float)),
-    "int": ("an integer", int),
-    "bool": ("a boolean", bool),
-}
+    return value
 
 
 def _section(obj: dict, name: str) -> dict:
@@ -60,17 +56,9 @@ def _section(obj: dict, name: str) -> dict:
 
 
 def _plain_section(default, obj: dict, where: str):
-    types = {f.name: f.type for f in fields(default) if f.init}
-    unknown = set(obj) - set(types)
+    unknown = set(obj) - {f.name for f in fields(default) if f.init}
     if unknown:
         raise ValueError(f"{where}: unknown fields {sorted(unknown)}")
-    for name, value in obj.items():
-        expected = _JSON_TYPES.get(types[name])
-        if expected is None:
-            continue
-        label, accepted = expected
-        if not isinstance(value, accepted) or isinstance(value, bool) != (accepted is bool):
-            raise ValueError(f"{where}.{name}: expected {label}, got {value!r}")
     return replace(default, **obj)
 
 
@@ -88,10 +76,9 @@ def config_from_json(obj: dict) -> ToolkitConfig:
     ppo = _plain_section(defaults.ppo, _section(obj, "ppo"), "ppo")
 
     reward = dict(_section(obj, "reward"))
-    if "r_max" in reward:
-        reward["r_max"] = _exact_number(reward["r_max"], "reward.r_max")
-    if reward.get("clamp_floor") is not None:
-        reward["clamp_floor"] = _exact_number(reward["clamp_floor"], "reward.clamp_floor")
+    for name in ("r_max", "clamp_floor"):
+        if name in reward:
+            reward[name] = _exact_number(reward[name])
     return ToolkitConfig(ppo, _plain_section(defaults.reward, reward, "reward"))
 
 

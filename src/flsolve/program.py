@@ -139,8 +139,7 @@ class ProblemRecord:
 
         Raises ValueError when it does not parse. The cache sits outside the
         dataclass fields, so equality, hashing and pickling ignore it, as they
-        ignore every attribute whose name starts with an underscore (the
-        reward stack caches the gold's counts that way).
+        ignore every attribute whose name starts with an underscore.
         """
         parsed = self.__dict__.get(_GOLD_CACHE)
         if parsed is None:
@@ -151,11 +150,19 @@ class ProblemRecord:
             raise ValueError(f"gold program for '{self.id}' does not parse: {parsed[0]}")
         return parsed
 
+    def gold_tally(self) -> tuple[int, bool, dict]:
+        """``tally`` of the parsed gold, cached on the record beside it."""
+        counts = self.__dict__.get(_GOLD_TALLY)
+        if counts is None:
+            counts = self.__dict__[_GOLD_TALLY] = tally(self.parsed_gold())
+        return counts
+
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 _GOLD_CACHE = "_parsed_gold"
+_GOLD_TALLY = "_gold_tally"
 
 
 def tally(program: Program) -> tuple[int, bool, dict]:

@@ -107,21 +107,6 @@ class RewardBreakdown:
         }
 
 
-_GOLD_TALLY = "_gold_tally"
-
-
-def _gold_tally(gold: ProblemRecord) -> tuple[int, bool, dict]:
-    """``tally`` of the parsed gold, cached on the record beside it.
-
-    Like the parsed gold, the cache sits outside the dataclass fields, so
-    equality, hashing and pickling ignore it.
-    """
-    counts = gold.__dict__.get(_GOLD_TALLY)
-    if counts is None:
-        counts = gold.__dict__[_GOLD_TALLY] = tally(gold.parsed_gold())
-    return counts
-
-
 def _part(cfg: RewardConfig, num: int, den: int) -> Fraction:
     """``r_max * num / den`` as one Fraction."""
     r_max = cfg.r_max
@@ -227,7 +212,7 @@ def _score(
     gen: Program | None, outcome: EvalOutcome | None, gold: ProblemRecord, cfg: RewardConfig
 ) -> RewardBreakdown:
     """The scoring body; ``outcome`` is ``gen``'s evaluation."""
-    v_gold, _, gold_counts = _gold_tally(gold)
+    v_gold, _, gold_counts = gold.gold_tally()
     if v_gold < 1:
         raise ValueError(f"gold program for '{gold.id}' declares no [find] variables")
     if gen is None:

@@ -292,10 +292,8 @@ def run_session(
                 raise EvalError(
                     "generator-stalled", "generator ended before a [return] statement"
                 )
-            if not line.strip():
-                continue
             stmt = parse_line(line, len(emitted) + 1)
-            if stmt is None:  # a comment-only line; parse_program skips it too
+            if stmt is None:  # a blank or comment-only line; parse_program skips it too
                 continue
             if isinstance(stmt, ParseError):
                 prefix = _arithmetic_prefix(line)

@@ -556,9 +556,9 @@ class TestPpoDemoCommand:
         [
             ({"ppo": 5}, "ppo: expected a JSON object"),
             ({"reward": 5}, "reward: expected a JSON object"),
-            ({"ppo": {"epochs": "4"}}, "ppo.epochs: expected an integer"),
-            ({"ppo": {"beta": None}}, "ppo.beta: expected a number"),
-            ({"reward": {"clamp_components": "no"}}, "reward.clamp_components: expected a boolean"),
+            ({"ppo": {"epochs": "4"}}, "epochs must be an integer"),
+            ({"ppo": {"beta": None}}, "beta must be a number"),
+            ({"reward": {"clamp_components": "no"}}, "clamp_components must be a bool"),
         ],
     )
     def test_mistyped_config_is_an_error_not_a_traceback(self, tmp_path, config, message):

@@ -1,14 +1,16 @@
 """Config files: reading and validation."""
 
 import json
+import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
 from flsolve import (
     CONFIG_ENV_VAR,
+    PpoConfig,
     RewardConfig,
     ToolkitConfig,
     config_from_json,
@@ -72,8 +74,15 @@ class TestFromJson:
             config_from_json({"reward": {"floor": 1}})
 
     def test_boolean_is_not_a_number(self):
-        with pytest.raises(ValueError, match="expected a number"):
+        with pytest.raises(ValueError, match=r"^r_max must be an int or a Fraction, got True$"):
             config_from_json({"reward": {"r_max": True}})
+
+    def test_reward_floats_with_an_exponent_load(self):
+        # str() of these floats has an exponent, which the number grammar lacks.
+        obj = json.loads('{"reward": {"r_max": 0.00001, "clamp_floor": -10000000000000000.0}}')
+        cfg = config_from_json(obj)
+        assert cfg.reward.r_max == Fraction(1, 100000)
+        assert cfg.reward.clamp_floor == -(10**16)
 
     @pytest.mark.parametrize("section", ["ppo", "reward"])
     @pytest.mark.parametrize("value", [5, "ppo", [], None, True])
@@ -101,12 +110,12 @@ class TestFromJson:
         ],
     )
     def test_ppo_field_must_have_its_json_type(self, field, value, expected):
-        with pytest.raises(ValueError, match=rf"^ppo\.{field}: expected {expected}, got "):
+        with pytest.raises(ValueError, match=rf"^{field} must be {expected}, got "):
             config_from_json({"ppo": {field: value}})
 
     @pytest.mark.parametrize("value", ["no", "false", 0, 1, None, []])
     def test_clamp_components_must_be_a_boolean(self, value):
-        with pytest.raises(ValueError, match=r"^reward\.clamp_components: expected a boolean"):
+        with pytest.raises(ValueError, match=r"^clamp_components must be a bool, got "):
             config_from_json({"reward": {"clamp_components": value}})
 
     def test_integers_are_numbers(self):
@@ -141,6 +150,41 @@ class TestFromJson:
         obj = json.loads('{"ppo": {"clip_range": Infinity, "clip_range_value": Infinity}}')
         cfg = config_from_json(obj)
         assert cfg.ppo.clip_range == cfg.ppo.clip_range_value == float("inf")
+
+
+# One JSON value of each kind, as a file spells it.
+JSON_VALUES = ["null", "true", '"x"', "[]", "{}", "4", "4.0", "NaN", "Infinity", "1" + "0" * 400]
+SETTINGS = [("ppo", f.name) for f in fields(PpoConfig) if f.init] + [
+    ("reward", f.name) for f in fields(RewardConfig) if f.init
+]
+
+
+def in_python(field: str, text: str):
+    """The value Python code would pass for ``text``: a finite reward number as
+    the Fraction it spells, anything else as JSON reads it."""
+    value = json.loads(text)
+    finite = type(value) is int or (type(value) is float and math.isfinite(value))
+    if field in ("r_max", "clamp_floor") and finite:
+        return Fraction(text)
+    return value
+
+
+class TestSameRulesAsPython:
+    """A file's value is checked by the dataclass it lands in, with its words."""
+
+    @pytest.mark.parametrize("text", JSON_VALUES, ids=lambda t: t[:8])
+    @pytest.mark.parametrize("section, field", SETTINGS, ids=lambda v: v)
+    def test_file_and_python_agree(self, section, field, text):
+        default = getattr(default_config(), section)
+        obj = {section: {field: json.loads(text)}}
+        try:
+            expected = replace(default, **{field: in_python(field, text)})
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                config_from_json(obj)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert getattr(config_from_json(obj), section) == expected
 
 
 class TestFullFiles:

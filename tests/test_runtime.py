@@ -245,6 +245,18 @@ class TestChunkInvariance:
         error = transcript.outcome.error
         assert (None if error is None else error.kind) == kind
 
+    @pytest.mark.parametrize("chunk_size", [0, 1, 7])
+    def test_blank_lines_change_nothing(self, chunk_size):
+        # Blank, whitespace-only and ','-only lines are skipped, emitted nowhere.
+        plain = "var1 = [find](a) # 3\nvar2 = [find](b) # 4\nvar3 = [add](var1, var2)\n[return](var3)\n"
+        padded = (
+            "\n \t\nvar1 = [find](a) # 3\n,\n\nvar2 = [find](b) # 4\n  ,  \n"
+            "var3 = [add](var1, var2)\n\r\n \n[return](var3)\n"
+        )
+        expected = session_result(run_session(ScriptedGenerator(plain, chunk_size), "q"))
+        assert expected[1:3] == (1, 7)
+        assert session_result(run_session(ScriptedGenerator(padded, chunk_size), "q")) == expected
+
     def test_a_partial_line_fails_once_it_passes_the_cap(self):
         pulls = []
 
