@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from importlib.metadata import PackageNotFoundError, version
 
 from .config import load_config
 from .data import DatasetError, load_dataset, operator_stats, ordered_stats, validate_dataset
@@ -41,6 +40,20 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+class _Version(argparse.Action):
+    """``--version``: prints the installed release, looked up only when asked."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            release = version("flsolve")
+        except PackageNotFoundError:
+            release = "unreleased"
+        print(f"{parser.prog} {release}")
+        parser.exit()
 
 
 def _read_source(path: str) -> str:
@@ -225,12 +238,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> _Parser:
-    try:
-        release = version("flsolve")
-    except PackageNotFoundError:
-        release = "unreleased"
     parser = _Parser(prog="flsolve", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"%(prog)s {release}")
+    parser.add_argument(
+        "--version", action=_Version, nargs=0, dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
+        help="show program's version number and exit",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="check a pseudocode file, reporting every error")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .ppo import PpoConfig
 from .rewards import RewardConfig
 from .toy import demo_config
-from .values import parse_number
+from .values import _brief_repr, parse_number
 
 CONFIG_ENV_VAR = "FLSOLVE_CONFIG"
 
@@ -51,7 +51,7 @@ def _exact_number(value: object) -> object:
 def _section(obj: dict, name: str) -> dict:
     section = obj.get(name, {})
     if not isinstance(section, dict):
-        raise ValueError(f"{name}: expected a JSON object, got {section!r}")
+        raise ValueError(f"{name}: expected a JSON object, got {_brief_repr(section)}")
     return section
 
 

@@ -7,7 +7,6 @@ Datasets are line-delimited JSON, one record per line with fields
 from __future__ import annotations
 
 import json
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -170,6 +169,8 @@ def _fan_out(fn: Callable, jobs: Sequence, workers: int) -> list:
     """``[fn(job) for job in jobs]``, across ``workers`` processes when there
     are more than one of each; ``fn`` and the jobs must pickle."""
     if workers > 1 and len(jobs) > 1:
+        import multiprocessing  # imported here: ~10 ms that a one-process run never needs
+
         with multiprocessing.Pool(workers) as pool:
             return pool.map(fn, jobs)
     return [fn(job) for job in jobs]

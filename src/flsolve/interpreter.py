@@ -15,6 +15,8 @@ from typing import Iterable, Iterator, Union
 
 from .program import (
     BASIC_SYMBOLS,
+    FIND,
+    RETURN,
     Operator,
     Program,
     Statement,
@@ -82,15 +84,20 @@ class Environment:
         """Bind in place; a duplicate or a value past the bound changes nothing."""
         if name in self._bindings:
             raise EvalError("duplicate-binding", f"variable '{name}' is already bound")
-        if value is not UNKNOWN:
-            _check_bound(value, f"variable '{name}'")
+        if value is not UNKNOWN and (
+            value.numerator.bit_length() > MAX_VALUE_BITS
+            or value.denominator.bit_length() > MAX_VALUE_BITS
+        ):
+            _check_bound(value, f"variable '{name}'")  # raises; the name is formatted only here
         self._bindings[name] = value
 
     def lookup(self, name: str) -> Value:
         try:
             return self._bindings[name]
         except KeyError:
-            raise EvalError("unbound-variable", f"variable '{name}' is not bound") from None
+            pass
+        # Raised outside the handler, so the error holds no KeyError context.
+        raise EvalError("unbound-variable", f"variable '{name}' is not bound")
 
     def __contains__(self, name: str) -> bool:
         return name in self._bindings
@@ -185,12 +192,13 @@ def _step(stmt: Statement, env: Environment) -> tuple[list[Fraction] | None, Val
     """Evaluate one statement into ``env`` in place: (operands, value), with
     operands None for [find] and [return]; a failing statement binds nothing.
     Arithmetic never consults the comment: the solver is the numeric truth."""
-    if stmt.is_find:
+    op = stmt.op
+    if op is FIND:
         ann = stmt.annotation
         value = UNKNOWN if ann is None or ann.declared_value is None else ann.declared_value
         env._set(stmt.target, value)
         return None, value
-    if stmt.is_return:
+    if op is RETURN:
         ref = stmt.args[0]
         value = env.lookup(ref.name)
         if value is UNKNOWN:
@@ -206,7 +214,7 @@ def _step(stmt: Statement, env: Environment) -> tuple[list[Fraction] | None, Val
                 "unknown-operand", f"cannot compute with '{arg.name}': its value is unknown"
             )
         operands.append(value)
-    result = apply_operator(stmt.op, operands)
+    result = apply_operator(op, operands)
     env._set(stmt.target, result)
     return operands, result
 
@@ -234,6 +242,8 @@ def evaluate(program: Program, *, strict_annotations: bool = False) -> EvalOutco
         except EvalError as err:
             if err.statement_index is None:
                 err.statement_index = index
+            # Kept as data: its traceback would hold this call's frames alive.
+            err.__traceback__ = None
             return EvalOutcome(None, env, err)
         if stmt.is_return:
             return EvalOutcome(value, env, None)

@@ -16,6 +16,8 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .values import _brief_repr
+
 
 @dataclass(frozen=True)
 class PpoConfig:
@@ -46,11 +48,11 @@ class PpoConfig:
         for name in ("epochs", "kl_horizon"):
             value = getattr(self, name)
             if type(value) is bool or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {_brief_repr(value)}")
         for name in ("beta", "kl_target", "clip_range", "clip_range_value", "learning_rate", "gamma", "lam"):
             value, clip = getattr(self, name), name.startswith("clip")
             if type(value) is bool or not isinstance(value, (float, numbers.Real)):  # float: fast path
-                raise ValueError(f"{name} must be a number, got {value!r}")
+                raise ValueError(f"{name} must be a number, got {_brief_repr(value)}")
             try:  # the math is float64; an int past float range may have no repr either
                 value = float(value)
             except OverflowError:
@@ -163,17 +165,27 @@ class _PreparedBatch:
     """A batch and a config, with what no gradient step changes built once:
     row indices, whether the behaviour log-probs are all finite, the ratio's
     clip bounds, the value band ``old ± clip_range_value`` and, given
-    ``n_actions``, the one-hot actions. Training prepares each iteration's
-    batch once and takes every epoch and the stats after them from it;
-    ``ppo_gradients``, ``ppo_objective`` and ``value_loss`` prepare the
-    batch they are given.
+    ``n_actions``, the one-hot actions. The KL coefficient is ``beta``, by
+    default ``cfg.beta``. Training prepares each iteration's batch once, with
+    that iteration's adapted beta, and takes every epoch and the stats after
+    them from it; ``ppo_gradients``, ``ppo_objective`` and ``value_loss``
+    prepare the batch they are given.
     """
 
-    __slots__ = ("batch", "cfg", "rows", "old_finite", "ratio_band", "value_band", "onehot")
+    __slots__ = (
+        "batch", "cfg", "beta", "rows", "old_finite", "ratio_band", "value_band", "onehot"
+    )
 
-    def __init__(self, batch: Trajectory, cfg: PpoConfig, n_actions: int | None = None):
+    def __init__(
+        self,
+        batch: Trajectory,
+        cfg: PpoConfig,
+        n_actions: int | None = None,
+        beta: float | None = None,
+    ):
         self.batch = batch
         self.cfg = cfg
+        self.beta = cfg.beta if beta is None else beta
         self.rows = np.arange(batch.steps)
         self.old_finite = bool(np.all(np.isfinite(batch.logprobs_policy)))
         self.ratio_band = (1.0 - cfg.clip_range, 1.0 + cfg.clip_range)
@@ -209,7 +221,7 @@ class _PreparedBatch:
         mean_kl = kl_penalty = 0.0
         if ref_dists is not None and new_dists is not None:
             mean_kl = float(np.mean(kl_divergence(ref_dists, new_dists)))
-            kl_penalty = self.cfg.beta * mean_kl
+            kl_penalty = self.beta * mean_kl
         return PpoObjective(-(surrogate - kl_penalty), kl_penalty, clip_fraction, mean_kl)
 
     def value_loss(self, returns, new_values) -> float:
@@ -229,7 +241,7 @@ class _PreparedBatch:
         predicted = phi @ policy.value_weights
         raw, banded = self.value_errors(returns, predicted)
         grad_value = (2.0 * (predicted - returns) * (raw >= banded)) @ phi / n
-        return grad_surrogate - self.cfg.beta * grad_kl, grad_value
+        return grad_surrogate - self.beta * grad_kl, grad_value
 
 
 def ppo_objective(

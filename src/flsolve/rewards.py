@@ -21,9 +21,9 @@ clamping reproduces the raw formulas.
 ``total_reward`` scores text and ``score_program`` an already parsed
 program; the breakdown either returns carries r1-r4 and their total. A
 session's own ``generated_source`` is scored through its transcript, so
-``total_reward(t.generated_source, gold)`` costs what
-``score_program(t.program, gold)`` does; file text and text derived from that
-source are parsed.
+``total_reward(t.generated_source, gold)`` equals
+``score_program(t.program, gold)`` but builds no program and evaluates
+nothing; file text and text derived from that source are parsed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .interpreter import EvalOutcome, evaluate
 from .parser import parse_program
 from .program import BASIC_OPERATORS, BASIC_SYMBOLS, ProblemRecord, Program, tally
 from .runtime import SessionTranscript, _SessionSource
-from .values import format_number
+from .values import _brief_repr, format_number
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,11 @@ class RewardConfig:
             if value is None and name == "clamp_floor":
                 continue
             if type(value) is bool or not isinstance(value, (int, Fraction)):
-                raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+                raise ValueError(f"{name} must be an int or a Fraction, got {_brief_repr(value)}")
         if type(self.clamp_components) is not bool:
-            raise ValueError(f"clamp_components must be a bool, got {self.clamp_components!r}")
+            raise ValueError(
+                f"clamp_components must be a bool, got {_brief_repr(self.clamp_components)}"
+            )
         if self.r_max <= 0:
             raise ValueError("r_max must be positive")
         floor = -self.r_max if self.clamp_floor is None else self.clamp_floor
@@ -195,30 +197,40 @@ def score_program(
     ``total_reward(t.generated_source, record)`` for a session transcript
     ``t``. A gold program that does not parse raises ValueError.
     """
-    return _score(gen, None if gen is None else evaluate(gen), gold, cfg)
+    if gen is None:
+        return _score(None, None, gold, cfg)
+    return _score(tally(gen), evaluate(gen), gold, cfg)
 
 
 def _score_transcript(
     transcript: SessionTranscript, gold: ProblemRecord, cfg: RewardConfig
 ) -> RewardBreakdown:
-    """``score_program(transcript.program, gold, cfg)``, with r4 read off the
-    session's own outcome, whose answer is the program's.
+    """``score_program(transcript.program, gold, cfg)``, without building its
+    annotated statements: tallied from the statements the session parsed,
+    whose ops are the program's, with r4 read off the session's own outcome,
+    whose answer is the program's.
     """
-    gen = transcript.program
-    return _score(gen, None if gen is None else transcript.outcome, gold, cfg)
+    if not transcript._compiles():
+        return _score(None, None, gold, cfg)
+    parsed = Program(tuple(stmt for _, stmt in transcript.entries))
+    return _score(tally(parsed), transcript.outcome, gold, cfg)
 
 
 def _score(
-    gen: Program | None, outcome: EvalOutcome | None, gold: ProblemRecord, cfg: RewardConfig
+    counts: tuple[int, bool, dict] | None,
+    outcome: EvalOutcome | None,
+    gold: ProblemRecord,
+    cfg: RewardConfig,
 ) -> RewardBreakdown:
-    """The scoring body; ``outcome`` is ``gen``'s evaluation."""
+    """The scoring body; ``counts`` is the generation's ``tally`` and
+    ``outcome`` its evaluation, both None when it failed to parse."""
     v_gold, _, gold_counts = gold.gold_tally()
     if v_gold < 1:
         raise ValueError(f"gold program for '{gold.id}' declares no [find] variables")
-    if gen is None:
+    if counts is None:
         v_gen, compiled, gen_counts = 0, False, {}
     else:
-        v_gen, compiled, gen_counts = tally(gen)
+        v_gen, compiled, gen_counts = counts
 
     r1 = cfg.r_max if compiled else Fraction(0)
     r2 = _r2(v_gen, v_gold, cfg)

@@ -102,9 +102,11 @@ class SessionTranscript:
     """What a session emitted and how it ended.
 
     ``entries`` holds the statement the session parsed for each emitted line
-    that parsed, keyed by its line number in ``generated_source``. The parser
-    splits that text into exactly the emitted lines, so ``program`` is built
-    from ``entries``, and a program's answer is ``outcome.answer``.
+    that parsed, keyed by its line number in ``generated_source``; an
+    arithmetic statement there may carry the generator's own comment, which
+    its emitted line drops. The parser splits that text into exactly the
+    emitted lines, so ``program`` is built from ``entries`` and the solver's
+    comments, and a program's answer is ``outcome.answer``.
     """
 
     prompt: str
@@ -112,6 +114,8 @@ class SessionTranscript:
     outcome: EvalOutcome
     halted_count: int
     entries: tuple[tuple[int, Statement], ...] = field(compare=False, repr=False)
+    # The solver's (comment, value) for each computed line, in order.
+    _solved: tuple[tuple[str, Fraction], ...] = field(compare=False, repr=False)
 
     @property
     def generated_source(self) -> str:
@@ -123,15 +127,29 @@ class SessionTranscript:
     def program(self) -> Program | None:
         """``parse_program(generated_source)`` if that gives a Program, else None.
 
-        Built from the statements the session already parsed, so the text is
-        not parsed twice. The parser's static check (define before use,
-        assign once, nothing after [return]) runs only when the session ended
-        in an error: a session that answered has enforced each of its rules.
+        Built when read, from the statements the session already parsed, so
+        the text is not parsed twice: each computed statement gets the
+        solver's comment, and an arithmetic statement that failed gets none.
         """
-        error = self.outcome.error
-        if error is not None and (error.kind == "parse-error" or _static_check(self.entries)):
+        if not self._compiles():
             return None
-        return Program(tuple(stmt for _, stmt in self.entries))
+        solved = iter(self._solved)
+        statements = []
+        for _, stmt in self.entries:
+            if stmt.is_arithmetic:
+                pair = next(solved, None)
+                annotation = None if pair is None else CommentAnnotation(*pair)
+                stmt = Statement(stmt.op, stmt.args, stmt.target, annotation)
+            statements.append(stmt)
+        return Program(tuple(statements))
+
+    def _compiles(self) -> bool:
+        """Whether ``program`` is a Program. The parser's static check (define
+        before use, assign once, nothing after [return]) runs only when the
+        session ended in an error: a session that answered has enforced each
+        of its rules."""
+        error = self.outcome.error
+        return error is None or (error.kind != "parse-error" and not _static_check(self.entries))
 
 
 class _SessionSource(str):
@@ -266,33 +284,24 @@ def run_session(
     env = Environment()
     emitted: list[EmittedLine] = []
     entries: list[tuple[int, Statement]] = []
-    halted = 0
+    solved: list[tuple[str, Fraction]] = []  # one per halt
     # Operand text of each variable rendered so far, by name.
     rendered: dict[str, str] = {}
     feed = _SessionFeed(gen, budget.max_chars)
-
-    def finish(answer: Fraction | None, error: EvalError | None) -> SessionTranscript:
-        return SessionTranscript(
-            prompt, tuple(emitted), EvalOutcome(answer, env, error), halted, tuple(entries)
-        )
-
-    def emit(source: str, text: str, stmt: Statement) -> None:
-        emitted.append(EmittedLine(source, text))
-        entries.append((len(emitted), stmt))
+    max_lines = budget.max_lines
 
     try:
         while True:
-            if len(emitted) >= budget.max_lines:
-                raise EvalError(
-                    "budget-exhausted", f"line budget of {budget.max_lines} exhausted"
-                )
+            line_no = len(emitted) + 1
+            if line_no > max_lines:
+                raise EvalError("budget-exhausted", f"line budget of {max_lines} exhausted")
 
             line = feed.read_line(context)
             if line is None:
                 raise EvalError(
                     "generator-stalled", "generator ended before a [return] statement"
                 )
-            stmt = parse_line(line, len(emitted) + 1)
+            stmt = parse_line(line, line_no)
             if stmt is None:  # a blank or comment-only line; parse_program skips it too
                 continue
             if isinstance(stmt, ParseError):
@@ -305,24 +314,26 @@ def run_session(
             if stmt.is_arithmetic:
                 # The statement ends at its first ')'. The emitted line drops
                 # the rest, the generator's comment included, and on success
-                # carries the solver's; its entry does the same.
+                # carries the solver's.
                 stmt_text = line[: line.index(")") + 1].strip()
             else:
                 stmt_text = line.strip()
+            entries.append((line_no, stmt))
             try:
                 operands, value = _step(stmt, env)
             except EvalError as err:
                 if err.statement_index is None:
-                    err.statement_index = len(entries)  # one per statement run so far
-                if stmt.is_arithmetic:
-                    stmt = Statement(stmt.op, stmt.args, stmt.target)
-                emit("generator", stmt_text, stmt)
+                    err.statement_index = len(entries) - 1  # this statement, counted from 0
+                emitted.append(EmittedLine("generator", stmt_text))
                 raise
             if operands is None:
-                emit("generator", stmt_text, stmt)
+                emitted.append(EmittedLine("generator", stmt_text))
                 context += stmt_text + "\n"
                 if stmt.is_return:
-                    return finish(value, None)
+                    return SessionTranscript(
+                        prompt, tuple(emitted), EvalOutcome(value, env, None), len(solved),
+                        tuple(entries), tuple(solved),
+                    )
                 continue
             # The comment is annotation_text(stmt, operands, value), with
             # each variable operand's text rendered once per session. It
@@ -341,12 +352,13 @@ def run_session(
             rendered[stmt.target] = _operand_text(value, value_text)
             comment = _annotation(stmt.op, texts, value_text)
             annotated = f"{stmt_text} # {comment}"
-            emit(
-                "solver-injected",
-                annotated,
-                Statement(stmt.op, stmt.args, stmt.target, CommentAnnotation(comment, value)),
-            )
-            halted += 1
+            emitted.append(EmittedLine("solver-injected", annotated))
+            solved.append((comment, value))
             context += annotated + "\n"
     except EvalError as err:
-        return finish(None, err)
+        # Kept as data: its traceback would hold this call's frames alive.
+        err.__traceback__ = None
+        return SessionTranscript(
+            prompt, tuple(emitted), EvalOutcome(None, env, err), len(solved),
+            tuple(entries), tuple(solved),
+        )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -597,7 +597,7 @@ def train_ppo_demo(
         norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         phi = flat.state_features
         ref_probs = softmax(phi @ ref.weights.T)
-        update = _PreparedBatch(flat, replace(ppo_cfg, beta=beta), policy.n_actions)
+        update = _PreparedBatch(flat, ppo_cfg, policy.n_actions, beta)
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for _ in range(ppo_cfg.epochs):

@@ -132,3 +132,22 @@ def format_number(value: Fraction) -> str:
     whole, frac = text[:-digits], text[-digits:].rstrip("0")
     sign = "-" if num < 0 else ""
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+
+
+# Characters of a rejected value's repr that an error message shows.
+_REPR_LIMIT = 60
+
+
+def _brief_repr(value: object) -> str:
+    """``repr(value)`` for an error message; past _REPR_LIMIT characters, cut
+    there and followed by the value's type and length."""
+    if type(value) is int and value.bit_length() > 4 * _REPR_LIMIT:
+        return f"an int of {value.bit_length()} bits"  # its repr may pass the digit limit
+    text = repr(value)
+    if len(text) <= _REPR_LIMIT:
+        return text
+    try:
+        size = f"length {len(value)}"
+    except TypeError:
+        size = f"repr length {len(text)}"
+    return f"{text[:_REPR_LIMIT]}... ({type(value).__name__}, {size})"

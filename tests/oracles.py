@@ -27,17 +27,24 @@ from flsolve import (
     evaluate,
 )
 from flsolve import toy
-from flsolve.interpreter import EvalError
-from flsolve.parser import ParseError, _split_line, parse_comment_value
+from flsolve.interpreter import Environment, EvalError, _step, annotation_text
+from flsolve.parser import ParseError, _split_line, _static_check, parse_comment_value, parse_line
 from flsolve.program import (
     OPERATOR_ARITY,
     OPERATOR_BY_NAME,
     CommentAnnotation,
     Operator,
+    Program,
     Statement,
     VarRef,
 )
-from flsolve.runtime import SessionTranscript, _SessionFeed
+from flsolve.runtime import (
+    ScriptedGenerator,
+    SessionBudget,
+    SessionTranscript,
+    _arithmetic_prefix,
+    _SessionFeed,
+)
 from flsolve.values import NUMBER_PATTERN, format_number, parse_number
 from flsolve.ppo import (
     PpoConfig,
@@ -540,6 +547,49 @@ class ReferenceSessionFeed(_SessionFeed):
                 "budget-exhausted", f"generator output exceeded {self.max_chars} characters"
             )
         return line if newline else line or None
+
+
+def reference_session_program(
+    text: str, chunk_size: int, budget: SessionBudget = SessionBudget()
+) -> Program | None:
+    """The program of a session that reads ``text`` in ``chunk_size`` chunks,
+    annotated eagerly: each computed statement gets its ``annotation_text``
+    comment and value as it is evaluated, and an arithmetic statement that
+    fails keeps no comment. None when a line fails to parse or the statements
+    fail the parser's static check, as ``parse_program`` gives."""
+    feed = _SessionFeed(ScriptedGenerator(text, chunk_size), budget.max_chars)
+    env = Environment()
+    entries: list[tuple[int, Statement]] = []
+    while len(entries) < budget.max_lines:
+        try:
+            line = feed.read_line("")
+        except EvalError:  # past the character budget
+            break
+        if line is None:
+            break
+        stmt = parse_line(line, len(entries) + 1)
+        if stmt is None:
+            continue
+        if isinstance(stmt, ParseError):
+            stmt = _arithmetic_prefix(line)
+            if stmt is None:
+                return None
+        if stmt.is_arithmetic:
+            stmt = Statement(stmt.op, stmt.args, stmt.target)
+        try:
+            operands, value = _step(stmt, env)
+        except EvalError:
+            entries.append((len(entries) + 1, stmt))
+            break
+        if operands is not None:
+            comment = annotation_text(stmt, operands, value)
+            stmt = Statement(stmt.op, stmt.args, stmt.target, CommentAnnotation(comment, value))
+        entries.append((len(entries) + 1, stmt))
+        if stmt.is_return:
+            break
+    if _static_check(entries):
+        return None
+    return Program(tuple(stmt for _, stmt in entries))
 
 
 class ReferencePolicySession(PolicySession):

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, JSON on stdout, summaries on stderr."""
 
+import importlib.metadata
 import io
 import json
 import os
@@ -618,6 +619,15 @@ class TestEvalCommand:
         assert code == 0
         assert json_lines(out)[0]["syntax_error_rate"] == 0.0
 
+    def test_two_workers_report_what_one_does(self, tmp_path, capsys, fixture_path):
+        failing = tmp_path / "gen.txt"
+        failing.write_text("var1 = [find](a) # 3\nvar2 = [divide](var1, 0)\n", encoding="utf-8")
+        for flags in ([], ["--generator", f"scripted:{failing}"]):
+            args = ["eval", "--dataset", fixture_path, *flags]
+            one = run_cli([*args, "--workers", "1"], capsys)
+            assert one[0] == 0
+            assert run_cli([*args, "--workers", "2"], capsys) == one
+
     def test_chunked_replay(self, capsys, fixture_path):
         code, out, _ = run_cli(
             ["eval", "--dataset", fixture_path, "--chunk-size", "3"], capsys
@@ -694,6 +704,35 @@ class TestTopLevel:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "flsolve" in capsys.readouterr().out
+
+    def test_version_prints_the_release(self, capsys):
+        try:
+            release = importlib.metadata.version("flsolve")
+        except importlib.metadata.PackageNotFoundError:
+            release = "unreleased"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--version"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr() == (f"flsolve {release}\n", "")
+
+    def test_only_version_looks_the_release_up(self):
+        # Package metadata is imported for --version alone.
+        code = (
+            "import sys\n"
+            "from flsolve.cli import main\n"
+            "main(['prompt', '--question', 'q'])\n"
+            "assert 'importlib.metadata' not in sys.modules\n"
+            "try:\n"
+            "    main(['--version'])\n"
+            "except SystemExit:\n"
+            "    assert 'importlib.metadata' in sys.modules\n"
+        )
+        src = str(Path(flsolve.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_no_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -187,6 +187,68 @@ class TestSameRulesAsPython:
             assert getattr(config_from_json(obj), section) == expected
 
 
+LONG = "1" + "0" * 5000  # 5001 characters, past what parse_number reads
+
+
+class TestLongValuesAreCut:
+    """A rejected value's repr is cut in the message, which gives its length."""
+
+    @pytest.mark.parametrize(
+        "obj, start",
+        [
+            ({"reward": {"r_max": LONG}}, "r_max must be an int or a Fraction, got '1000"),
+            ({"reward": {"clamp_floor": LONG}},
+             "clamp_floor must be an int or a Fraction, got '1000"),
+            ({"reward": {"clamp_components": LONG}}, "clamp_components must be a bool, got '1000"),
+            ({"ppo": {"beta": LONG}}, "beta must be a number, got '1000"),
+            ({"ppo": {"epochs": LONG}}, "epochs must be an integer, got '1000"),
+            ({"ppo": LONG}, "ppo: expected a JSON object, got '1000"),
+            ({"reward": LONG}, "reward: expected a JSON object, got '1000"),
+        ],
+        ids=["r_max", "clamp_floor", "clamp_components", "beta", "epochs", "ppo", "reward"],
+    )
+    def test_from_a_file(self, obj, start):
+        with pytest.raises(ValueError) as excinfo:
+            config_from_json(obj)
+        message = str(excinfo.value)
+        assert message.startswith(start)
+        assert message.endswith("0... (str, length 5001)")
+        assert len(message) < 130
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda v: PpoConfig(beta=v), "beta must be a number, got "),
+            (lambda v: PpoConfig(kl_horizon=v), "kl_horizon must be an integer, got "),
+            (lambda v: RewardConfig(r_max=v), "r_max must be an int or a Fraction, got "),
+            (lambda v: RewardConfig(clamp_components=v), "clamp_components must be a bool, got "),
+        ],
+        ids=["beta", "kl_horizon", "r_max", "clamp_components"],
+    )
+    def test_from_python(self, build, message):
+        # A repr of up to 60 characters is given whole, as before; a longer
+        # one is cut there.
+        for value, shown in [
+            ("x" * 58, repr("x" * 58)),
+            ("x" * 59, "'" + "x" * 59 + "... (str, length 59)"),
+            ("x" * 5001, "'" + "x" * 59 + "... (str, length 5001)"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                build(value)
+            assert str(excinfo.value) == message + shown
+
+    def test_an_int_past_the_digit_limit_gives_its_bits(self):
+        # Its repr would raise ValueError, a message that names no field.
+        with pytest.raises(ValueError) as excinfo:
+            RewardConfig(clamp_components=10**5000)
+        assert str(excinfo.value) == "clamp_components must be a bool, got an int of 16610 bits"
+
+    def test_a_value_without_a_length_gives_its_repr_length(self):
+        with pytest.raises(ValueError) as excinfo:
+            PpoConfig(epochs=Fraction(10**70, 3))
+        assert str(excinfo.value).endswith("... (Fraction, repr length 84)")
+
+
 class TestFullFiles:
     """A file that spells every field reads back exactly what it says."""
 

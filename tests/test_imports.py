@@ -1,10 +1,14 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and a
+fresh import of the package loads no module it does not need yet.
 
 ``__init__`` is left out: it imports names to re-export them. A name used
 only inside a string annotation counts as used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +69,14 @@ def test_string_annotations_count_as_used():
 def test_an_unused_import_is_found():
     tree = ast.parse("import os\nfrom x import A as B, C\nprint(C)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "B"}
+
+
+def test_import_loads_no_multiprocessing():
+    # Only a run across several worker processes needs it.
+    code = "import sys, flsolve; assert 'multiprocessing' not in sys.modules"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

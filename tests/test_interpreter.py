@@ -30,6 +30,7 @@ from flsolve import (
     apply_operator,
     bundled_examples,
     evaluate,
+    parse_line,
     format_number,
     parse_program,
     run_session,
@@ -606,3 +607,33 @@ class TestStep:
         stmt = Statement(Operator.MULTIPLY, (VarRef("known"), Fraction(2)), "six")
         assert interpreter._step(stmt, env) == ([3, 2], 6)
         assert env == Environment([*self.ENV.items(), ("six", Fraction(6))])
+
+
+def _evaluation_error_kind(program: Program, strict: bool) -> str:
+    outcome = evaluate(program, strict_annotations=strict)
+    return outcome.error.kind  # the caller holds its outcome until it returns
+
+
+class TestFailingEvaluationsLeaveNoCycles:
+    """An evaluation's error is data: it keeps no traceback, whose frames
+    would reach back to the caller holding the outcome and close a cycle."""
+
+    @pytest.mark.parametrize(
+        "source, strict, kind",
+        [
+            ("var1 = [find](a) # 3\nvar2 = [divide](var1, 0)\n[return](var2)", False,
+             "division-by-zero"),
+            ("var1 = [find](a) # ?\nvar2 = [add](var1, 1)\n[return](var2)", False,
+             "unknown-operand"),
+            ("var2 = [add](var9, 1)\n[return](var2)", False, "unbound-variable"),
+            ("var1 = [find](a) # 3\nvar1 = [find](b) # 4\n[return](var1)", False,
+             "duplicate-binding"),
+            ("var1 = [find](a) # 3\nvar2 = [add](var1, 1) # 5\n[return](var2)", True,
+             "annotation-mismatch"),
+            ("var1 = [find](a) # 3", False, "missing-return"),
+        ],
+    )
+    def test_no_garbage(self, garbage_left, source, strict, kind):
+        program = Program(tuple(parse_line(line) for line in source.splitlines()))
+        assert _evaluation_error_kind(program, strict) == kind
+        assert garbage_left(_evaluation_error_kind, program, strict) == 0

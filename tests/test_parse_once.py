@@ -29,6 +29,7 @@ from flsolve import (
     strip_computed_comments,
     tally,
     total_reward,
+    train_ppo_demo,
 )
 from flsolve import parser, rewards, runtime
 from flsolve.toy import ACTION_NAMES, N_FEATURES, _StepTable
@@ -203,6 +204,84 @@ class TestSessionSource:
             assert total_reward(copied.generated_source, GOLD) == total_reward(
                 t.generated_source, GOLD
             )
+
+
+# Sessions whose text carries the generator's own comments on computed lines,
+# right and wrong, and one that fails after two computed lines.
+COMMENTED_TEXTS = (
+    "var1 = [find](a) # 3\nvar2 = [add](var1, 4) # 7\nvar3 = [add](var2, 1) # 99\n"
+    "[return](var3) # 8",
+    "var1 = [find](a) # 3\nvar2 = [add](var1, 4) # 7\nvar3 = [add](var2, 1)\n"
+    "var4 = [divide](var3, 0) # 0\n[return](var4)",
+)
+
+
+@pytest.fixture
+def program_reads(monkeypatch):
+    """Transcripts whose ``program`` was read."""
+    reads = []
+    real = runtime.SessionTranscript.program
+
+    def spy(self):
+        reads.append(self)
+        return real.fget(self)
+
+    monkeypatch.setattr(runtime.SessionTranscript, "program", property(spy))
+    return reads
+
+
+class TestProgramBuiltWhenRead:
+    """A transcript keeps the statements its session parsed and the solver's
+    comments; ``program`` annotates them when read, and scoring never reads it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(generator_text | st.text(max_size=60), st.integers(0, 13))
+    @example(GOLD.gold_program, 0)
+    @example("var1 = [find](a) # 3\nvar2 = [divide](var1, 0) # 1\n[return](var2)", 2)
+    @example("var1 = [find](a) # 3\nvar2 = [add](var1, 2) # 9)\n[return](var2)", 13)
+    def test_equals_the_eagerly_annotated_program(self, text, chunk_size):
+        t = run_session(ScriptedGenerator(text, chunk_size), GOLD.question)
+        assert t.program == oracles.reference_session_program(text, chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [0, 1, 4, 13])
+    @pytest.mark.parametrize("text", SESSION_TEXTS + COMMENTED_TEXTS)
+    def test_answered_and_failed_sessions(self, text, chunk_size):
+        t = run_session(ScriptedGenerator(text, chunk_size), GOLD.question)
+        program = t.program
+        assert program == oracles.reference_session_program(text, chunk_size)
+        assert program == reparsed(str(t.generated_source))
+        if program is not None:
+            computed = [s.annotation for s in program.statements if s.is_arithmetic]
+            assert sum(a is not None for a in computed) == t.halted_count
+
+    def test_gold_replays_of_the_bundled_examples(self):
+        for record in bundled_examples().records:
+            for chunk_size in (0, 3):
+                t = run_session(ScriptedGenerator(record.gold_program, chunk_size), "q")
+                assert t.outcome.error is None
+                assert t.program == oracles.reference_session_program(
+                    record.gold_program, chunk_size
+                )
+
+    def test_total_reward_of_a_generated_source_reads_no_program(self, program_reads):
+        for text in SESSION_TEXTS + COMMENTED_TEXTS:
+            for chunk_size in (0, 3):
+                t = run_session(ScriptedGenerator(text, chunk_size), GOLD.question)
+                total_reward(t.generated_source, GOLD)
+        assert program_reads == []
+
+    def test_evaluate_corpus_reads_no_program(self, program_reads):
+        dataset = bundled_examples()
+        assert evaluate_corpus(dataset, GeneratorSpec("gold-replay", chunk_size=5)).correct
+        for text in SESSION_TEXTS[1:] + COMMENTED_TEXTS:
+            evaluate_corpus(dataset, GeneratorSpec("scripted", text))
+        assert program_reads == []
+
+    def test_train_ppo_demo_reads_no_program(self, program_reads):
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        history = train_ppo_demo(policy, generate_toy_tasks(3, 4), iterations=3, seed=3)
+        assert len(history) == 3
+        assert program_reads == []
 
 
 class TestParsedGold:

@@ -577,3 +577,21 @@ class TestPreparedBatch:
         assert bits(*prepared.gradients(*args)) == bits(
             *oracles.reference_ppo_gradients(batch, *args, cfg)
         )
+
+
+class TestPreparedBatchBeta:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_given_beta_acts_as_that_config_beta(self, seed):
+        rng = np.random.default_rng(seed)
+        batch, advantages, returns, policy, ref_probs, cfg = oracles.random_ppo_case(rng)
+        beta = float(rng.uniform(0.0, 2.0))
+        given = _PreparedBatch(batch, cfg, policy.n_actions, beta)
+        configured = _PreparedBatch(batch, replace(cfg, beta=beta), policy.n_actions)
+        assert given.beta == configured.beta == beta
+        args = (advantages, returns, policy, ref_probs)
+        assert bits(*given.gradients(*args)) == bits(*configured.gradients(*args))
+        probs = softmax(batch.state_features @ policy.weights.T)
+        new_logprobs = given.logprobs(probs)
+        assert astuple(given.objective(advantages, new_logprobs, ref_probs, probs)) == astuple(
+            configured.objective(advantages, new_logprobs, ref_probs, probs)
+        )

@@ -493,6 +493,47 @@ class TestSessionErrors:
         assert injected == ["var3 = [add](var1, var2) # 3 + 4 = 7"]
 
 
+FINDS = "".join(f"var{i} = [find](a) # {i}\n" for i in range(1, 6))
+
+
+def _session_error_kind(text: str, chunk_size: int, budget: SessionBudget) -> str:
+    transcript = run_session(ScriptedGenerator(text, chunk_size), "q", budget=budget)
+    return transcript.outcome.error.kind  # the caller holds its transcript until it returns
+
+
+class TestFailingSessionsLeaveNoCycles:
+    """A session's error is data: it keeps no traceback, whose frames would
+    reach back to the caller holding the transcript and close a cycle."""
+
+    @pytest.mark.parametrize("chunk_size", [0, 3])
+    @pytest.mark.parametrize(
+        "text, budget, kind",
+        [
+            ("var1 = [find](a) # 3\nvar2 = [divide](var1, 0)\n[return](var2)",
+             SessionBudget(), "division-by-zero"),
+            ("var1 = [find](a) # ?\nvar2 = [add](var1, 1)\n[return](var2)",
+             SessionBudget(), "unknown-operand"),
+            ("var1 = [find](a) # 3\nvar2 = [add](var9, 1)\n[return](var2)",
+             SessionBudget(), "unbound-variable"),
+            ("var1 = [find](a) # 3\n[return](var9)", SessionBudget(), "unbound-variable"),
+            ("var1 = [find](a) # 3\nvar1 = [find](b) # 4\n[return](var1)",
+             SessionBudget(), "duplicate-binding"),
+            ("var1 = [find](a) # ?\n[return](var1)", SessionBudget(), "return-of-unknown"),
+            ("var1 = [find](a) # 1/2\nvar2 = [mod](var1, 2)\n[return](var2)",
+             SessionBudget(), "non-integer-operand"),
+            (f"var1 = [find](a) # {2 ** 5000}\n[return](var1)", SessionBudget(),
+             "value-overflow"),
+            ("var1 = [find](a) # 3\nvar2 = [frob](var1)\n", SessionBudget(), "parse-error"),
+            ("var1 = [find](a) # 3\n", SessionBudget(), "generator-stalled"),
+            (FINDS, SessionBudget(max_lines=2), "budget-exhausted"),
+            (FINDS, SessionBudget(max_chars=30), "budget-exhausted"),
+        ],
+    )
+    def test_no_garbage(self, garbage_left, text, budget, kind, chunk_size):
+        assert _session_error_kind(text, chunk_size, budget) == kind
+        assert garbage_left(_session_error_kind, text, chunk_size, budget) == 0
+
+
 class TestAssemblePrompt:
     def exemplar(self, n: int) -> ProblemRecord:
         return ProblemRecord(

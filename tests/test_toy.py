@@ -910,6 +910,23 @@ class TestWorkCounts:
         train_ppo_demo(policy, single_op_tasks, ppo_cfg=cfg, iterations=4, seed=0, batch_size=5)
         assert len(prepared) == 11
 
+    def test_no_config_is_checked_per_iteration(self, single_op_tasks, monkeypatch):
+        # The adapted beta goes to the prepared batch as it is, not through a
+        # new PpoConfig, whose checks would run again each iteration.
+        checks = []
+        real = PpoConfig.__post_init__
+
+        def spy(cfg):
+            checks.append(cfg)
+            real(cfg)
+
+        cfg = replace(demo_config(), epochs=2)
+        monkeypatch.setattr(PpoConfig, "__post_init__", spy)
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        history = train_ppo_demo(policy, single_op_tasks, ppo_cfg=cfg, iterations=6, seed=0)
+        assert checks == []
+        assert len({stats.beta for stats in history}) == 6
+
     def test_training_sessions_take_cue_and_finds_from_the_call(self, single_op_tasks, monkeypatch):
         sessions, inside, calls = [], [], []
 
