@@ -12,7 +12,7 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +27,15 @@ from flsolve import (
     evaluate,
 )
 from flsolve import toy
-from flsolve.interpreter import Environment, EvalError, _step, annotation_text
+from flsolve.interpreter import (
+    Environment,
+    EvalError,
+    EvalOutcome,
+    _annotation,
+    _operand_text,
+    _step,
+    annotation_text,
+)
 from flsolve.parser import ParseError, _split_line, _static_check, parse_comment_value, parse_line
 from flsolve.program import (
     OPERATOR_ARITY,
@@ -39,11 +47,15 @@ from flsolve.program import (
     VarRef,
 )
 from flsolve.runtime import (
+    DEFAULT_INSTRUCTIONS,
+    EmittedLine,
+    GeneratorInterface,
     ScriptedGenerator,
     SessionBudget,
     SessionTranscript,
     _arithmetic_prefix,
     _SessionFeed,
+    assemble_prompt,
 )
 from flsolve.values import NUMBER_PATTERN, format_number, parse_number
 from flsolve.ppo import (
@@ -590,6 +602,133 @@ def reference_session_program(
     if _static_check(entries):
         return None
     return Program(tuple(stmt for _, stmt in entries))
+
+
+@dataclass(frozen=True)
+class ReferenceTranscript:
+    """A transcript whose lines were rendered as the session handled them.
+    Its ``generated_source`` is a plain str."""
+
+    prompt: str
+    emitted_lines: tuple[EmittedLine, ...]
+    outcome: EvalOutcome
+    halted_count: int
+    entries: tuple[tuple[int, Statement], ...] = field(compare=False, repr=False)
+    # The solver's (comment, value) for each computed line, in order.
+    _solved: tuple[tuple[str, Fraction], ...] = field(compare=False, repr=False)
+
+    @property
+    def generated_source(self) -> str:
+        return "\n".join(line.text for line in self.emitted_lines)
+
+    @property
+    def program(self) -> Program | None:
+        error = self.outcome.error
+        if error is not None and (error.kind == "parse-error" or _static_check(self.entries)):
+            return None
+        solved = iter(self._solved)
+        statements = []
+        for _, stmt in self.entries:
+            if stmt.is_arithmetic:
+                pair = next(solved, None)
+                annotation = None if pair is None else CommentAnnotation(*pair)
+                stmt = Statement(stmt.op, stmt.args, stmt.target, annotation)
+            statements.append(stmt)
+        return Program(tuple(statements))
+
+
+def reference_run_session(
+    gen: GeneratorInterface,
+    question: str,
+    instructions: str = DEFAULT_INSTRUCTIONS,
+    *,
+    budget: SessionBudget = SessionBudget(),
+) -> ReferenceTranscript:
+    """The session loop that renders each line as it is handled: each
+    computed comment, ``EmittedLine`` and context line is made at once."""
+    prompt = assemble_prompt(question, instructions)
+    context = prompt
+    env = Environment()
+    emitted: list[EmittedLine] = []
+    entries: list[tuple[int, Statement]] = []
+    solved: list[tuple[str, Fraction]] = []  # one per halt
+    # Operand text of each variable rendered so far, by name.
+    rendered: dict[str, str] = {}
+    feed = _SessionFeed(gen, budget.max_chars)
+    max_lines = budget.max_lines
+
+    try:
+        while True:
+            line_no = len(emitted) + 1
+            if line_no > max_lines:
+                raise EvalError("budget-exhausted", f"line budget of {max_lines} exhausted")
+
+            line = feed.read_line(context)
+            if line is None:
+                raise EvalError(
+                    "generator-stalled", "generator ended before a [return] statement"
+                )
+            stmt = parse_line(line, line_no)
+            if stmt is None:  # a blank or comment-only line; parse_program skips it too
+                continue
+            if isinstance(stmt, ParseError):
+                prefix = _arithmetic_prefix(line)
+                if prefix is None:
+                    emitted.append(EmittedLine("generator", line.strip()))
+                    raise EvalError("parse-error", f"{stmt.kind}: {stmt.message}")
+                stmt = prefix
+
+            if stmt.is_arithmetic:
+                # The statement ends at its first ')'. The emitted line drops
+                # the rest, the generator's comment included, and on success
+                # carries the solver's.
+                stmt_text = line[: line.index(")") + 1].strip()
+            else:
+                stmt_text = line.strip()
+            entries.append((line_no, stmt))
+            try:
+                operands, value = _step(stmt, env)
+            except EvalError as err:
+                if err.statement_index is None:
+                    err.statement_index = len(entries) - 1  # this statement, counted from 0
+                emitted.append(EmittedLine("generator", stmt_text))
+                raise
+            if operands is None:
+                emitted.append(EmittedLine("generator", stmt_text))
+                context += stmt_text + "\n"
+                if stmt.is_return:
+                    return ReferenceTranscript(
+                        prompt, tuple(emitted), EvalOutcome(value, env, None), len(solved),
+                        tuple(entries), tuple(solved),
+                    )
+                continue
+            # The comment is annotation_text(stmt, operands, value), with
+            # each variable operand's text rendered once per session. It
+            # ends in "= format_number(value)", so parse_comment_value
+            # would read back this annotation.
+            texts = []
+            for arg, operand in zip(stmt.args, operands):
+                if isinstance(arg, VarRef):
+                    text = rendered.get(arg.name)
+                    if text is None:  # a [find] value, on its first use
+                        text = rendered[arg.name] = _operand_text(operand)
+                else:
+                    text = _operand_text(operand)
+                texts.append(text)
+            value_text = format_number(value)
+            rendered[stmt.target] = _operand_text(value, value_text)
+            comment = _annotation(stmt.op, texts, value_text)
+            annotated = f"{stmt_text} # {comment}"
+            emitted.append(EmittedLine("solver-injected", annotated))
+            solved.append((comment, value))
+            context += annotated + "\n"
+    except EvalError as err:
+        # Kept as data: its traceback would hold this call's frames alive.
+        err.__traceback__ = None
+        return ReferenceTranscript(
+            prompt, tuple(emitted), EvalOutcome(None, env, err), len(solved),
+            tuple(entries), tuple(solved),
+        )
 
 
 class ReferencePolicySession(PolicySession):

@@ -194,8 +194,8 @@ class TestSessionSource:
         assert type(derived) is str
         assert derived == derive(plain)
 
-    @pytest.mark.parametrize("text", SESSION_TEXTS[1:])
-    def test_a_transcript_ending_in_an_error_pickles(self, text):
+    @pytest.mark.parametrize("text", SESSION_TEXTS)
+    def test_a_transcript_pickles_and_copies(self, text):
         t = run_session(ScriptedGenerator(text, 2), GOLD.question)
         again = pickle.loads(pickle.dumps(t))
         for copied in (again, copy.deepcopy(t)):
