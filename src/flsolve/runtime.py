@@ -13,13 +13,10 @@ session). Every line is read whole before it is parsed, and the character
 cap is charged per line read, so how output is cut into chunks changes no
 outcome.
 
-A line's text is rendered when something first needs it: before a pull,
-so that the context holds every line so far, or when the transcript is read.
-While the feed already holds the next line through its newline, the next
-read pulls nothing, so the session keeps its lines raw. Each value is
-rendered once per session: a computed comment reuses the text of each
-variable operand, kept by name from the line that computed it (or from its
-[find] value's first use), and formats only its result and its literals.
+Each value is rendered once per session: a computed comment reuses the text
+of each variable operand, kept by name from the line that computed it (or
+from its [find] value's first use), and formats only its result and its
+literals.
 
 Parse and evaluation failures are recorded in the transcript rather than
 raised, so a syntactically broken generation is data, not a crash.
@@ -28,6 +25,7 @@ raised, so a syntactically broken generation is data, not a crash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Protocol, Sequence
 
@@ -100,56 +98,7 @@ class EmittedLine:
     text: str
 
 
-@dataclass(slots=True)
-class _Lines:
-    """A session's emitted lines, each kept raw until something needs its text.
-
-    ``raw`` holds each line's text, or for a computed line its statement text
-    and ``(stmt, operands, value)``. ``render`` renders them in line order:
-    ``texts`` holds the text of ``raw[:len(texts)]``, ``solved`` the solver's
-    ``(comment, value)`` for each computed line among them, and
-    ``operand_texts`` the operand text of each variable rendered so far, by
-    name, so each value is formatted once per session.
-    """
-
-    raw: list
-    texts: list[str]
-    solved: list[tuple[str, Fraction]]
-    operand_texts: dict[str, str]
-
-    def render(self) -> str:
-        """Render the lines not yet rendered; their text, each line followed
-        by a newline."""
-        raw, texts, rendered = self.raw, self.texts, self.operand_texts
-        out = ""
-        for i in range(len(texts), len(raw)):
-            line = raw[i]
-            if line.__class__ is not str:
-                stmt_text, stmt, operands, value = line
-                # The comment is annotation_text(stmt, operands, value), with
-                # each variable operand's text rendered once per session. It
-                # ends in "= format_number(value)", so parse_comment_value
-                # would read back this annotation.
-                parts = []
-                for arg, operand in zip(stmt.args, operands):
-                    if isinstance(arg, VarRef):
-                        text = rendered.get(arg.name)
-                        if text is None:  # a [find] value, on its first use
-                            text = rendered[arg.name] = _operand_text(operand)
-                    else:
-                        text = _operand_text(operand)
-                    parts.append(text)
-                value_text = format_number(value)
-                rendered[stmt.target] = _operand_text(value, value_text)
-                comment = _annotation(stmt.op, parts, value_text)
-                self.solved.append((comment, value))
-                line = f"{stmt_text} # {comment}"
-            texts.append(line)
-            out += line + "\n"
-        return out
-
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class SessionTranscript:
     """What a session emitted and how it ended.
 
@@ -160,68 +109,37 @@ class SessionTranscript:
     emitted lines, so ``program`` is built from ``entries`` and the solver's
     comments, and a program's answer is ``outcome.answer``.
 
-    The session keeps the lines it did not render; ``emitted_lines``,
-    ``generated_source`` and ``program`` render them when first read, once,
-    and keep the text. A transcript compares, hashes, prints, pickles and
-    copies by ``(prompt, emitted_lines, outcome, halted_count)``.
+    The session keeps each emitted line's text and source; ``emitted_lines``
+    is built from them when first read, and kept. A transcript compares,
+    hashes, prints, pickles and copies by ``(prompt, emitted_lines, outcome,
+    halted_count)``.
     """
 
     prompt: str
     outcome: EvalOutcome
     halted_count: int
-    entries: tuple[tuple[int, Statement], ...]
-    _lines: _Lines
-    # The text of each emitted line and the solver's (comment, value) for
-    # each computed line, once rendered.
-    _rendered: tuple[tuple[str, ...], tuple[tuple[str, Fraction], ...]] | None = field(
-        default=None, init=False
-    )
+    # Each emitted line's text, and its source: "generator" or "solver-injected".
+    _texts: tuple[str, ...]
+    _sources: tuple[str, ...]
+    entries: tuple[tuple[int, Statement], ...] = field(compare=False)
+    # The solver's (comment, value) for each computed line, in order.
+    _solved: tuple[tuple[str, Fraction], ...] = field(compare=False)
 
-    def _text(self) -> tuple[tuple[str, ...], tuple[tuple[str, Fraction], ...]]:
-        rendered = self._rendered
-        if rendered is None:
-            lines = self._lines
-            if len(lines.texts) < len(lines.raw):
-                # Rendered into a copy and published once, so that two threads
-                # reading one transcript never render onto the same lists.
-                lines = _Lines(
-                    lines.raw, lines.texts[:], lines.solved[:], dict(lines.operand_texts)
-                )
-                lines.render()
-            rendered = tuple(lines.texts), tuple(lines.solved)
-            object.__setattr__(self, "_rendered", rendered)
-        return rendered
-
-    @property
+    @cached_property
     def emitted_lines(self) -> tuple[EmittedLine, ...]:
-        return tuple(
-            EmittedLine("generator" if raw.__class__ is str else "solver-injected", text)
-            for raw, text in zip(self._lines.raw, self._text()[0])
-        )
-
-    def _key(self) -> tuple:
-        return (self.prompt, self.emitted_lines, self.outcome, self.halted_count)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        return tuple(map(EmittedLine, self._sources, self._texts))
 
     def __repr__(self) -> str:
-        prompt, emitted_lines, outcome, halted_count = self._key()
         return (
-            f"SessionTranscript(prompt={prompt!r}, emitted_lines={emitted_lines!r}, "
-            f"outcome={outcome!r}, halted_count={halted_count!r})"
+            f"SessionTranscript(prompt={self.prompt!r}, emitted_lines={self.emitted_lines!r}, "
+            f"outcome={self.outcome!r}, halted_count={self.halted_count!r})"
         )
 
     @property
     def generated_source(self) -> str:
         """The emitted lines joined by newlines, a string that ``total_reward``
         scores through this transcript; text derived from it is a plain str."""
-        return _SessionSource("\n".join(self._text()[0]), self)
+        return _SessionSource("\n".join(self._texts), self)
 
     @property
     def program(self) -> Program | None:
@@ -233,7 +151,7 @@ class SessionTranscript:
         """
         if not self._compiles():
             return None
-        solved = iter(self._text()[1])
+        solved = iter(self._solved)
         statements = []
         for _, stmt in self.entries:
             if stmt.is_arithmetic:
@@ -382,22 +300,21 @@ def run_session(
     prompt = assemble_prompt(question, instructions)
     context = prompt
     env = Environment()
-    lines = _Lines([], [], [], {})
-    raw = lines.raw
+    texts: list[str] = []  # one per emitted line
+    sources: list[str] = []
     entries: list[tuple[int, Statement]] = []
-    halts = 0
+    solved: list[tuple[str, Fraction]] = []  # one per halt
+    # Operand text of each variable rendered so far, by name.
+    rendered: dict[str, str] = {}
     feed = _SessionFeed(gen, budget.max_chars)
     max_lines = budget.max_lines
 
     try:
         while True:
-            line_no = len(raw) + 1
+            line_no = len(texts) + 1
             if line_no > max_lines:
                 raise EvalError("budget-exhausted", f"line budget of {max_lines} exhausted")
 
-            if "\n" not in feed.buffer:
-                # This read may pull, and the generator sees every line so far.
-                context += lines.render()
             line = feed.read_line(context)
             if line is None:
                 raise EvalError(
@@ -409,7 +326,8 @@ def run_session(
             if isinstance(stmt, ParseError):
                 prefix = _arithmetic_prefix(line)
                 if prefix is None:
-                    raw.append(line.strip())
+                    texts.append(line.strip())
+                    sources.append("generator")
                     raise EvalError("parse-error", f"{stmt.kind}: {stmt.message}")
                 stmt = prefix
 
@@ -426,20 +344,44 @@ def run_session(
             except EvalError as err:
                 if err.statement_index is None:
                     err.statement_index = len(entries) - 1  # this statement, counted from 0
-                raw.append(stmt_text)
+                texts.append(stmt_text)
+                sources.append("generator")
                 raise
             if operands is None:
-                raw.append(stmt_text)
+                texts.append(stmt_text)
+                sources.append("generator")
+                context += stmt_text + "\n"
                 if stmt.is_return:
                     return SessionTranscript(
-                        prompt, EvalOutcome(value, env, None), halts, tuple(entries), lines
+                        prompt, EvalOutcome(value, env, None), len(solved),
+                        tuple(texts), tuple(sources), tuple(entries), tuple(solved),
                     )
-            else:
-                raw.append((stmt_text, stmt, operands, value))
-                halts += 1
+                continue
+            # The comment is annotation_text(stmt, operands, value), with
+            # each variable operand's text rendered once per session. It
+            # ends in "= format_number(value)", so parse_comment_value
+            # would read back this annotation.
+            parts = []
+            for arg, operand in zip(stmt.args, operands):
+                if isinstance(arg, VarRef):
+                    text = rendered.get(arg.name)
+                    if text is None:  # a [find] value, on its first use
+                        text = rendered[arg.name] = _operand_text(operand)
+                else:
+                    text = _operand_text(operand)
+                parts.append(text)
+            value_text = format_number(value)
+            rendered[stmt.target] = _operand_text(value, value_text)
+            comment = _annotation(stmt.op, parts, value_text)
+            annotated = f"{stmt_text} # {comment}"
+            texts.append(annotated)
+            sources.append("solver-injected")
+            solved.append((comment, value))
+            context += annotated + "\n"
     except EvalError as err:
         # Kept as data: its traceback would hold this call's frames alive.
         err.__traceback__ = None
         return SessionTranscript(
-            prompt, EvalOutcome(None, env, err), halts, tuple(entries), lines
+            prompt, EvalOutcome(None, env, err), len(solved),
+            tuple(texts), tuple(sources), tuple(entries), tuple(solved),
         )

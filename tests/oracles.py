@@ -606,8 +606,8 @@ def reference_session_program(
 
 @dataclass(frozen=True)
 class ReferenceTranscript:
-    """A transcript whose lines were rendered as the session handled them.
-    Its ``generated_source`` is a plain str."""
+    """A transcript holding an ``EmittedLine`` built for each line as the
+    session handled it. Its ``generated_source`` is a plain str."""
 
     prompt: str
     emitted_lines: tuple[EmittedLine, ...]

@@ -1,11 +1,11 @@
-"""A session renders its lines only when a pull or a reader needs them.
+"""A session keeps each line's text and builds no ``EmittedLine`` until read.
 
-The session keeps each emitted line raw. It renders the lines not yet in the
-generator's context before a read that may pull, and the transcript renders
-what is left when first read. These tests check the generator's contexts and
-the transcript against the loop that rendered every line as it went
-(``oracles.reference_run_session``), pin where comments are rendered, and keep
-the rendering calls out of the line loop.
+The session renders each computed line as it handles it and appends it to
+the generator's context; the transcript builds ``emitted_lines`` from the
+kept texts when first read. These tests check the generator's contexts and
+the transcript against the loop that built an ``EmittedLine`` for every line
+as it went (``oracles.reference_run_session``), pin where comments are
+rendered, and keep ``EmittedLine`` calls out of the line loop.
 """
 
 import ast
@@ -147,47 +147,23 @@ def pulls(monkeypatch, renders):
 
 
 class TestWhereRenderingHappens:
-    def test_a_gold_replay_fed_whole_renders_for_its_last_pull(self, monkeypatch, pulls, renders):
+    def test_a_gold_replay_fed_whole_renders_each_comment_once(self, pulls, renders):
         # The replay text ends without a newline, so the session pulls once
-        # more to finish its last line; every comment is rendered for that
-        # pull, after every other line was read, and none after it.
-        parsed = []
-        real_parse_line = runtime.parse_line
-
-        def counting(raw, line_no=1):
-            parsed.append(raw)
-            return real_parse_line(raw, line_no)
-
-        monkeypatch.setattr(runtime, "parse_line", counting)
-        parsed_when_rendered = []
-        real_annotation = runtime._annotation
-        monkeypatch.setattr(
-            runtime,
-            "_annotation",
-            lambda *args: parsed_when_rendered.append(len(parsed)) or real_annotation(*args),
-        )
+        # more to finish its last line, and that pull's context holds every
+        # computed line, each rendered once.
         for record in bundled_examples().records:
-            del pulls[:], renders[:], parsed[:], parsed_when_rendered[:]
+            del pulls[:], renders[:]
             report = evaluate_corpus(DatasetFile((record,), "one"), GeneratorSpec("gold-replay"))
             assert report.correct == 1
             n = sum(1 for stmt in record.parsed_gold().statements if stmt.is_arithmetic)
             assert pulls == [(0, 0), (n, n)]
             assert len(renders) == n
-            assert set(parsed_when_rendered) == {len(parsed) - 1}
-
-    @pytest.mark.parametrize("text", SESSION_TEXTS[:3] + COMMENTED_TEXTS)
-    def test_text_read_without_a_second_pull_renders_nothing(self, pulls, renders, text):
-        # Each session ends on its [return] or an error, and with every line
-        # ending in a newline, the one pull reads all it needs.
-        spec = GeneratorSpec("scripted", text + "\n")
-        evaluate_corpus(DatasetFile((GOLD,), "one"), spec)
-        assert pulls == [(0, 0)]
-        assert renders == []
 
     @pytest.mark.parametrize("chunk_size", [0, 1, 3])
     @pytest.mark.parametrize("text", SESSION_TEXTS + COMMENTED_TEXTS)
-    def test_reading_the_transcript_renders_each_line_once(self, renders, text, chunk_size):
+    def test_reading_the_transcript_renders_nothing_more(self, renders, text, chunk_size):
         t = run_session(ScriptedGenerator(text, chunk_size), GOLD.question)
+        assert len(renders) == t.halted_count
         for _ in range(2):
             assert str(t.generated_source) == "\n".join(line.text for line in t.emitted_lines)
             t.program
@@ -214,17 +190,20 @@ class TestTranscriptSemantics:
         def session():
             return run_session(ScriptedGenerator(text, chunk_size), GOLD.question)
 
-        # Each of these is taken from a transcript whose text was never read.
+        # Each of these is taken from a transcript whose emitted_lines were
+        # never read.
         hashed = hash(session())
         pickled = pickle.loads(pickle.dumps(session()))
         copied = copy.deepcopy(session())
         shown = repr(session())
         unread = session()
         read = session()
-        read.generated_source
+        read.emitted_lines
         ref = oracles.reference_run_session(ScriptedGenerator(text, chunk_size), GOLD.question)
+        assert "emitted_lines" not in vars(unread)
+        assert read.emitted_lines is read.emitted_lines  # built once, then kept
         assert unread == read and pickled == read and copied == read
-        assert hashed == hash(read) == hash(ref)
+        assert hashed == hash(read) == hash(pickled) == hash(copied)
         assert shown == repr(read) == repr(ref).replace("ReferenceTranscript", "SessionTranscript")
         assert "emitted_lines=(EmittedLine(" in shown
         assert (read.prompt, read.emitted_lines, read.outcome, read.halted_count) == (
@@ -233,8 +212,6 @@ class TestTranscriptSemantics:
 
     def test_threads_reading_one_fresh_transcript_agree(self):
         record = max(bundled_examples().records, key=lambda r: len(r.gold_program))
-        # Ending in a newline, the text is read in one pull, so no line is
-        # rendered until the threads read the transcript.
         text = strip_computed_comments(record.gold_program) + "\n"
         expected = oracles.reference_run_session(ScriptedGenerator(text), record.question)
         interval = sys.getswitchinterval()
@@ -242,7 +219,7 @@ class TestTranscriptSemantics:
         try:
             for _ in range(300):
                 t = run_session(ScriptedGenerator(text), record.question)
-                assert t._lines.texts == []
+                assert "emitted_lines" not in vars(t)
                 start = threading.Barrier(4, timeout=10)
                 results = [None] * 4
 
@@ -261,17 +238,14 @@ class TestTranscriptSemantics:
             sys.setswitchinterval(interval)
 
 
-# The line loop keeps each line raw; only the renderer and the transcript
-# turn lines into text.
-RENDERING_CALLS = frozenset(
-    {"EmittedLine", "format_number", "_annotation", "_operand_text", "annotation_text"}
-)
+# The line loop keeps each line's text; only the transcript builds the
+# EmittedLine tuple, when it is read.
 RUNTIME = Path(runtime.__file__)
 
 
-def rendering_calls(source: str, function: str) -> list[int]:
-    """Lines that call a rendering function by name inside ``function``,
-    which ``source`` defines once."""
+def emitted_line_calls(source: str, function: str) -> list[int]:
+    """Lines that call ``EmittedLine`` by name inside ``function``, which
+    ``source`` defines once."""
     [node] = [
         node
         for node in ast.walk(ast.parse(source))
@@ -282,24 +256,23 @@ def rendering_calls(source: str, function: str) -> list[int]:
         for call in ast.walk(node)
         if isinstance(call, ast.Call)
         and isinstance(call.func, ast.Name)
-        and call.func.id in RENDERING_CALLS
+        and call.func.id == "EmittedLine"
     )
 
 
-def test_run_session_calls_no_renderer():
-    assert rendering_calls(RUNTIME.read_text(encoding="utf-8"), "run_session") == []
+def test_run_session_builds_no_emitted_line():
+    assert emitted_line_calls(RUNTIME.read_text(encoding="utf-8"), "run_session") == []
 
 
-def test_a_rendering_call_in_the_loop_is_found():
+def test_an_emitted_line_call_in_the_loop_is_found():
     source = (
         "def run_session(gen):\n"
-        "    text = format_number(1)\n"
         "    line = EmittedLine('generator', text)\n"
         "    def inner():\n"
-        "        return _annotation(op, [], text)\n"
-        "    return lines.render(), values.format_number(2)\n"
-        "def render():\n"
-        "    return format_number(3)\n"
+        "        return EmittedLine('solver-injected', text)\n"
+        "    return runtime.EmittedLine('generator', text), format_number(2)\n"
+        "def emitted_lines():\n"
+        "    return EmittedLine('generator', text)\n"
     )
-    assert rendering_calls(source, "run_session") == [2, 3, 5]
-    assert rendering_calls(source, "render") == [8]
+    assert emitted_line_calls(source, "run_session") == [2, 4]
+    assert emitted_line_calls(source, "emitted_lines") == [7]
