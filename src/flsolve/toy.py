@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .ppo import (
 from .program import ADD, DIVIDE, SUBTRACT, Operator, ProblemRecord
 from .rewards import DEFAULT_REWARD_CONFIG, RewardConfig, _score_transcript
 from .runtime import ScriptedGenerator, SessionBudget, run_session
-from .values import format_number
+from .values import UNSIGNED_NUMBER_PATTERN, _brief_repr, format_number, parse_number
 
 ACTION_NAMES = (
     "find-first",
@@ -163,6 +164,20 @@ def _cue_index(question: str) -> int | None:
         if keyword in text:
             return CUE_OPERATORS.index(op)
     return None
+
+
+_QUANTITY_RE = re.compile(UNSIGNED_NUMBER_PATTERN)
+
+
+def _read_question(question: str) -> tuple[int | None, list[str]]:
+    """The question's cue index, and for its i-th number (a '-' in prose is
+    no sign) the tail of its [find] line, `` = [find](quantity i) # value``."""
+    values = [parse_number(text) for text in _QUANTITY_RE.findall(question)]
+    if not values or None in values:
+        problem = "a number that does not parse" if values else "no quantities"
+        raise ValueError(f"question {_brief_repr(question)} holds {problem}")
+    finds = [f" = [find](quantity {i}) # {format_number(v)}\n" for i, v in enumerate(values, 1)]
+    return _cue_index(question), finds
 
 
 def _features(cue: int | None, lines: int, finds: int, ops: int) -> np.ndarray:
@@ -334,25 +349,13 @@ class _StepTable:
         return logprob
 
 
-def _gold_finds(record: ProblemRecord) -> list[tuple]:
-    """Description and declared value of each [find] in the record's gold program."""
-    finds = [
-        (s.args[0], s.annotation.declared_value if s.annotation else None)
-        for s in record.parsed_gold().statements
-        if s.is_find
-    ]
-    if not finds:
-        raise ValueError(f"reference program for '{record.id}' declares no quantities")
-    return finds
-
-
 class PolicySession:
     """Generator that turns policy actions into pseudocode lines.
 
-    Quantities come from the reference program's [find] comments; structure
-    comes from the policy. An arithmetic line is emitted up to its ')', and
-    its newline on the next pull: the split stands for a model that is
-    stopped at ')' while the session injects the computed comment.
+    Quantities come from the question, structure from the policy; the gold
+    program is only the scorer's label. An arithmetic line is emitted up to
+    its ')', and its newline on the next pull: the split stands for a model
+    that is stopped at ')' while the session injects the computed comment.
 
     ``_step`` reads the current state's row and picks an action, argmax with
     ``rng=None``, else a draw; the session keeps each step's features,
@@ -368,7 +371,7 @@ class PolicySession:
     table unless given one built on ``policy``:
     ``greedy_accuracy`` shares one across its episodes, ``train_ppo_demo``
     one across an iteration's episodes. ``_play`` hands in ``_task``, the
-    record's cue index and ``_gold_finds``, as its memo holds them.
+    question's ``_read_question`` pair, as its memo holds it.
     """
 
     def __init__(
@@ -378,11 +381,9 @@ class PolicySession:
         rng: np.random.Generator | None = None,
         *,
         table: _StepTable | None = None,
-        _task: tuple[int | None, list] | None = None,
+        _task: tuple[int | None, list[str]] | None = None,
     ):
-        self._cue, self.gold_finds = (
-            (_cue_index(record.question), _gold_finds(record)) if _task is None else _task
-        )
+        self._cue, self._find_tails = _read_question(record.question) if _task is None else _task
         self.table = _StepTable(policy) if table is None else table
         self.record = record
         self.rng = rng
@@ -426,11 +427,7 @@ class PolicySession:
     def _line(self, n: int) -> str:
         action = self.actions[n]
         if action in (0, 1):
-            desc, quantity = self.gold_finds[min(action, len(self.gold_finds) - 1)]
-            line = f"var{n + 1} = [find]({desc})"
-            if quantity is not None:
-                line += f" # {format_number(quantity)}"
-            return line + "\n"
+            return f"var{n + 1}" + self._find_tails[min(action, len(self._find_tails) - 1)]
         if action in OP_ACTIONS:
             self._pending = "\n"
             return f"var{n + 1} = [{OP_ACTIONS[action].value}](var1, var2)"
@@ -480,7 +477,7 @@ def _play(
     """
     entry = memo.get(position)
     if entry is None:
-        entry = memo[position] = ((_cue_index(record.question), _gold_finds(record)), {})
+        entry = memo[position] = (_read_question(record.question), {})
     task, tree = entry
     session = PolicySession(table.policy, record, rng, table=table, _task=task)
     node = tree
@@ -560,10 +557,10 @@ def train_ppo_demo(
     a memo that lives for this call. That is exact: ``PolicySession`` ignores
     its context, so its chunks are a function of its actions and the record,
     and the budget and ``reward_cfg`` are fixed for the call. Each state's
-    features and each task's cue and gold quantities are computed once per
-    call. The frozen copy enters only the KL penalty, through its action
-    distributions at the batch's states. Draws, stats and weights match
-    playing every episode afresh.
+    features and each task's cue and quantities, read from its question,
+    are computed once per call. The frozen copy enters only the KL penalty,
+    through its action distributions at the batch's states. Draws, stats and
+    weights match playing every episode afresh.
     """
     if ppo_cfg is None:
         ppo_cfg = demo_config()

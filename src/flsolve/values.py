@@ -32,8 +32,9 @@ UNKNOWN = Unknown()
 # p/2**k shown as p*5**k, has about 0.30*bits(p) + 0.70*k <= 4096 digits.
 MAX_VALUE_BITS = 4096
 
-# Integer, decimal, or p/q literal with an optional sign.
-NUMBER_PATTERN = r"[+-]?(?:\d+\.\d+|\.\d+|\d+(?:/\d+)?)"
+# Integer, decimal, or p/q literal; NUMBER_PATTERN adds an optional sign.
+UNSIGNED_NUMBER_PATTERN = r"(?:\d+\.\d+|\.\d+|\d+(?:/\d+)?)"
+NUMBER_PATTERN = rf"[+-]?{UNSIGNED_NUMBER_PATTERN}"
 _NUMBER_RE = re.compile(rf"^{NUMBER_PATTERN}$")
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, JSON on stdout, summaries on stderr."""
 
+import hashlib
 import importlib.metadata
 import io
 import json
@@ -363,6 +364,38 @@ class TestPpoDemoCommand:
         "--learning-rate",
         "0.05",
     ]
+
+    # The keys of today's lines: a stats line's IterationStats fields and the
+    # summary's. A key added later leaves the projection, and the pin, as is.
+    STATS_KEYS = (
+        "iteration", "mean_total_reward", "mean_kl", "clip_fraction", "beta",
+        "policy_loss", "value_loss", "prob_sum_err",
+    )
+    SUMMARY_KEYS = (
+        "initial_mean_reward", "final_mean_reward", "reward_gain", "heldout_accuracy",
+        "iterations", "max_prob_sum_err",
+    )
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            ("0", "1727c4bc594f7453a582c1a8bc7f1c3100a62e2eeb0ab8a1db421245de75e850"),
+            ("31337", "3a1a5dedf06146902db9cea49ab96c27249861d6f07dc3a87ed49f117626f193"),
+        ],
+    )
+    def test_training_output_is_pinned(self, seed, digest, capsys):
+        # A default run: 16 tasks, 300 iterations, 32 held out.
+        code, out, _ = run_cli(["ppo-demo", "--seed", seed], capsys)
+        assert code == 0
+        projected = []
+        for line in json_lines(out):
+            if "summary" in line:
+                line = {"summary": {key: line["summary"][key] for key in self.SUMMARY_KEYS}}
+            else:
+                line = {key: line[key] for key in self.STATS_KEYS}
+            projected.append(json.dumps(line))
+        assert len(projected) == 301
+        assert hashlib.sha256("\n".join(projected).encode()).hexdigest() == digest
 
     def test_reports_iterations_and_summary(self, capsys):
         code, out, err = run_cli(self.DEMO_ARGS, capsys)

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from flsolve import (
     ACTION_NAMES,
+    DEFAULT_REWARD_CONFIG,
     N_FEATURES,
     SINGLE_OP_TEMPLATES,
     Operator,
     PpoConfig,
+    ProblemRecord,
     Program,
     ToyPolicy,
     answers_match,
@@ -25,6 +27,7 @@ from flsolve import (
     format_number,
     generate_toy_tasks,
     greedy_accuracy,
+    parse_line,
     parse_program,
     run_session,
     total_reward,
@@ -37,11 +40,13 @@ from flsolve.toy import (
     CUE_OPERATORS,
     DEMO_BUDGET,
     DEMO_LEARNING_RATE,
+    DEFAULT_TEMPLATES,
     PolicySession,
     _StepRow,
     _StepTable,
     _cue_index,
     _features,
+    _read_question,
 )
 
 import oracles
@@ -156,6 +161,58 @@ class TestTaskGeneration:
         assert generate_toy_tasks(0, 0) == []
 
 
+class TestReadQuestion:
+    """The policy's quantities are the question's numbers, in order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=0)
+    def test_question_numbers_are_the_gold_quantities(self, seed):
+        # Templates are taken round-robin: one task of each, the chain too.
+        for task in generate_toy_tasks(seed, len(DEFAULT_TEMPLATES), DEFAULT_TEMPLATES):
+            gold = [s.annotation.declared_value for s in task.parsed_gold().statements if s.is_find]
+            cue, tails = _read_question(task.question)
+            assert cue == _cue_index(task.question)
+            assert len(tails) == len(gold) > 0, task.id
+            for i, (tail, value) in enumerate(zip(tails, gold), start=1):
+                assert tail.endswith("\n")
+                stmt = parse_line(f"var{i}" + tail[:-1])
+                assert stmt.is_find and stmt.target == f"var{i}", (task.id, tail)
+                assert stmt.args == (f"quantity {i}",)
+                assert stmt.annotation.declared_value == value, (task.id, tail)
+
+    @pytest.mark.parametrize(
+        "question, values",
+        [
+            ("Children of ages 3-5 may join.", [3, 5]),  # a hyphen, not a sign
+            ("It is -3 degrees outside.", [3]),  # a dash: the toy writes no negative
+            ("Apples are $2.50 each.", [Fraction(5, 2)]),
+            ("Take 1/4 of 12 cakes.", [Fraction(1, 4), 12]),
+            ("Sold 12. Kept 3.", [12, 3]),
+        ],
+    )
+    def test_reads_unsigned_literals_in_order(self, question, values):
+        cue, tails = _read_question(question)
+        assert cue is None
+        declared = [parse_line("var1" + tail[:-1]).annotation.declared_value for tail in tails]
+        assert declared == values
+
+    def test_renders_the_shortest_value(self):
+        assert _read_question("Apples are $2.50 each.")[1] == [" = [find](quantity 1) # 2.5\n"]
+
+    @pytest.mark.parametrize(
+        "question, message",
+        [
+            ("How many apples altogether?", r"'How many apples altogether\?' holds no quantities"),
+            ("", "'' holds no quantities"),
+            ("Share 3/0 of it", "holds a number that does not parse"),
+        ],
+    )
+    def test_rejects_a_question_without_readable_quantities(self, question, message):
+        with pytest.raises(ValueError, match=message):
+            _read_question(question)
+
+
 class TestCuesAndFeatures:
     def test_each_single_op_question_has_exactly_one_cue(self):
         for template in SINGLE_OP_TEMPLATES:
@@ -230,11 +287,11 @@ class TestRollout:
         "plan, source",
         [
             ([6], "[return](var1)"),
-            ([0, 6], "var1 = [find](the number of rolls the baker made) # 16\n[return](var1)"),
+            ([0, 6], "var1 = [find](quantity 1) # 16\n[return](var1)"),
             (
                 [0, 1, 3, 6],
-                "var1 = [find](the number of rolls the baker made) # 16\n"
-                "var2 = [find](the number of rolls sold) # 14\n"
+                "var1 = [find](quantity 1) # 16\n"
+                "var2 = [find](quantity 2) # 14\n"
                 "var3 = [subtract](var1, var2) # 16 - 14 = 2\n[return](var3)",
             ),
         ],
@@ -251,28 +308,37 @@ class TestRollout:
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         assert greedy_accuracy(policy, single_op_tasks) == 0.0
 
-    def test_session_rejects_reference_without_quantities(self):
-        from flsolve import ProblemRecord
-
-        findless = ProblemRecord(
-            id="no-finds",
-            question="sum of constants?",
-            gold_program="var1 = [add](1, 2)\n[return](var1)",
+    def test_session_rejects_question_without_quantities(self):
+        # The gold program declares two quantities; the question holds none.
+        numberless = ProblemRecord(
+            id="no-numbers",
+            question="Maya picked some apples and her brother picked a few. How many altogether?",
+            gold_program="var1 = [find](a) # 1\nvar2 = [find](b) # 2\nvar3 = [add](var1, var2)\n"
+            "[return](var3)",
             gold_answer=Fraction(3),
         )
+        assert numberless.parsed_gold().statements[0].is_find
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
-        with pytest.raises(ValueError, match="no quantities"):
-            PolicySession(policy, findless)
+        with pytest.raises(ValueError, match="'Maya picked some.* holds no quantities"):
+            PolicySession(policy, numberless)
 
-    def test_session_rejects_broken_reference(self):
-        from flsolve import ProblemRecord
-
+    def test_session_plays_a_record_whose_gold_does_not_parse(self):
+        # Only the scorer reads the gold program.
         broken = ProblemRecord(
-            id="broken", question="?", gold_program="var1 = [oops](a)", gold_answer=Fraction(1)
+            id="broken",
+            question="A baker made 16 bread rolls and sold 14 of them. How many rolls are left?",
+            gold_program="var1 = [oops](a)",
+            gold_answer=Fraction(2),
         )
-        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
-        with pytest.raises(ValueError, match="does not parse"):
-            PolicySession(policy, broken)
+        session, transcript = play(optimal_policy(), broken)
+        assert session.actions == [0, 1, 3, 6]
+        assert transcript.generated_source.endswith("[return](var3)")
+        assert transcript.outcome.answer == Fraction(2)
+        assert greedy_accuracy(optimal_policy(), [broken]) == 1.0
+        with pytest.raises(ValueError, match="'broken' does not parse"):
+            total_reward(transcript.generated_source, broken)
+        with pytest.raises(ValueError, match="'broken' does not parse"):
+            toy._score_transcript(transcript, broken, DEFAULT_REWARD_CONFIG)
 
     def test_greedy_accuracy_requires_records(self):
         with pytest.raises(ValueError):
@@ -927,8 +993,10 @@ class TestWorkCounts:
         assert checks == []
         assert len({stats.beta for stats in history}) == 6
 
-    def test_training_sessions_take_cue_and_finds_from_the_call(self, single_op_tasks, monkeypatch):
-        sessions, inside, calls = [], [], []
+    def test_training_sessions_take_cue_and_finds_from_the_call(self, monkeypatch):
+        # Fresh records, so that their gold programs are not parsed yet.
+        tasks = generate_toy_tasks(seed=7, count=16, templates=SINGLE_OP_TEMPLATES)
+        sessions, inside, scoring, calls = [], [], [], []
 
         class Watched(PolicySession):
             def __init__(self, *args, **kwargs):
@@ -941,22 +1009,34 @@ class TestWorkCounts:
 
         def spy(name, real):
             def spied(*args):
-                calls.append((name, bool(inside)))
+                calls.append((name, bool(inside), bool(scoring)))
                 return real(*args)
             return spied
 
+        def score(*args):
+            scoring.append(True)
+            try:
+                return real_score(*args)
+            finally:
+                scoring.pop()
+
+        real_score = toy._score_transcript
         monkeypatch.setattr(toy, "PolicySession", Watched)
-        monkeypatch.setattr(toy, "_cue_index", spy("cue", toy._cue_index))
+        monkeypatch.setattr(toy, "_score_transcript", score)
+        monkeypatch.setattr(toy, "_read_question", spy("read", toy._read_question))
         monkeypatch.setattr(
             toy.ProblemRecord, "parsed_gold", spy("gold", toy.ProblemRecord.parsed_gold)
         )
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
-        train_ppo_demo(policy, single_op_tasks, iterations=30, seed=1)
-        assert sessions and not any(within for _, within in calls)
-        assert calls.count(("cue", False)) == len(single_op_tasks)
+        train_ppo_demo(policy, tasks, iterations=30, seed=1)
+        assert len(sessions) == 30 * len(tasks)
+        assert calls.count(("read", False, False)) == len(tasks)
+        gold = [call for call in calls if call[0] == "gold"]
+        assert gold and all(call == ("gold", False, True) for call in gold)
+        assert len(calls) == len(tasks) + len(gold)
         calls.clear()
-        greedy_accuracy(policy, single_op_tasks[:1])
-        assert ("cue", True) in calls and ("gold", True) in calls  # a session on its own
+        greedy_accuracy(policy, tasks[:1])
+        assert calls == [("read", True, False)]  # a session on its own, and no scoring
 
     @pytest.mark.parametrize("batch_size", [None, 5])
     def test_each_iteration_fills_the_states_the_last_one_read(self, batch_size, monkeypatch):
