@@ -13,7 +13,9 @@ gold program's operator count):
 * r4, answer closeness: ``r_max * (1 - |y_gen - y_gold| / |y_gold|)``,
   0 when the generation produced no answer at all.
 
-Components are exact rationals so golden tests compare with ``==``. With
+Components are exact rationals, always ``Fraction``, so golden tests
+compare with ``==``. Each part and the total are worked out as integer
+numerator/denominator pairs, clamps included, and made Fractions once. With
 clamping enabled (the default) r2 and r4 are floored at ``clamp_floor`` and
 r3 at ``-r_max * G`` where G is the gold four-operator count; disabling
 clamping reproduces the raw formulas.
@@ -109,65 +111,6 @@ class RewardBreakdown:
         }
 
 
-def _part(cfg: RewardConfig, num: int, den: int) -> Fraction:
-    """``r_max * num / den`` as one Fraction."""
-    r_max = cfg.r_max
-    return Fraction(r_max.numerator * num, r_max.denominator * den)
-
-
-def _r2(v_gen: int, v_gold: int, cfg: RewardConfig) -> Fraction:
-    # r_max * (1 - |v_gen - v_gold| / v_gold)
-    score = _part(cfg, v_gold - abs(v_gen - v_gold), v_gold)
-    return max(score, cfg.floor) if cfg.clamp_components else score
-
-
-def _r3(gen_counts: dict, gold_counts: dict, cfg: RewardConfig) -> Fraction:
-    matched = missing = extra = 0
-    for op in BASIC_OPERATORS:
-        gen_n = gen_counts.get(op, 0)
-        gold_n = gold_counts.get(op, 0)
-        if gen_n < gold_n:
-            matched += gen_n
-            missing += gold_n - gen_n
-        else:
-            matched += gold_n
-            extra += gen_n - gold_n
-    # r_max * (matched - missing) - r_max * extra / 2
-    score = _part(cfg, 2 * (matched - missing) - extra, 2)
-    if cfg.clamp_components:
-        return max(score, _part(cfg, -sum(gold_counts.values()), 1))
-    return score
-
-
-def _r4(y_gen: Fraction | None, y_gold: Fraction, cfg: RewardConfig) -> Fraction:
-    """Answer-closeness reward; a generation with no answer scores 0.
-
-    "No answer" (parse failure or runtime error) is distinct from a wrong
-    answer, which is scored by distance and can go negative down to the
-    clamp floor.
-    """
-    if y_gen is None:
-        return Fraction(0)
-    if y_gold == 0:
-        return cfg.r_max if y_gen == 0 else cfg.floor
-    # r_max * (1 - |y_gen - y_gold| / |y_gold|) with y_gen = p/q, y_gold = r/s
-    p, q = y_gen.numerator, y_gen.denominator
-    r, s = y_gold.numerator, y_gold.denominator
-    scale = q * abs(r)
-    score = _part(cfg, scale - abs(p * s - r * q), scale)
-    return max(score, cfg.floor) if cfg.clamp_components else score
-
-
-def _sum(parts: tuple[Fraction, ...]) -> Fraction:
-    """The sum of ``parts`` as one Fraction."""
-    num, den = 0, 1
-    for part in parts:
-        part_den = part.denominator
-        num = num * part_den + part.numerator * den
-        den *= part_den
-    return Fraction(num, den)
-
-
 def total_reward(
     gen_source: str,
     gold: ProblemRecord,
@@ -232,11 +175,53 @@ def _score(
     else:
         v_gen, compiled, gen_counts = counts
 
-    r1 = cfg.r_max if compiled else Fraction(0)
-    r2 = _r2(v_gen, v_gold, cfg)
-    r3 = _r3(gen_counts, gold_counts, cfg)
+    # Each part is a pair (num, den) of ints over a positive den, built as
+    # a Fraction only at the end: r_max * a / b is (rn * a, rd * b), and a
+    # part below its floor (fn, fd) is clamped, where n / d < fn / fd iff
+    # n * fd < fn * d.
+    r_max, floor, clamp = cfg.r_max, cfg.floor, cfg.clamp_components
+    rn, rd = r_max.numerator, r_max.denominator
+    fn, fd = floor.numerator, floor.denominator
+    n1, d1 = (rn, rd) if compiled else (0, 1)
+    # r2 = r_max * (1 - |v_gen - v_gold| / v_gold)
+    n2, d2 = rn * (v_gold - abs(v_gen - v_gold)), rd * v_gold
+    if clamp and n2 * fd < fn * d2:
+        n2, d2 = fn, fd
+    # r3 = r_max * (matched - missing) - r_max * extra / 2, floored at
+    # -r_max * G, G the gold four-operator count
+    matched = missing = extra = 0
+    for op in BASIC_OPERATORS:
+        gen_n = gen_counts.get(op, 0)
+        gold_n = gold_counts.get(op, 0)
+        if gen_n < gold_n:
+            matched += gen_n
+            missing += gold_n - gen_n
+        else:
+            matched += gold_n
+            extra += gen_n - gold_n
+    n3, d3 = rn * (2 * (matched - missing) - extra), 2 * rd
+    if clamp:
+        n3 = max(n3, -2 * rn * sum(gold_counts.values()))
+    # r4 = r_max * (1 - |y_gen - y_gold| / |y_gold|), 0 with no answer (a
+    # parse failure or runtime error), which is not a wrong answer: that is
+    # scored by distance and can go down to the floor.
     y_gen = None if outcome is None else outcome.answer
-    r4 = _r4(y_gen, gold.gold_answer, cfg)
+    y_gold = gold.gold_answer
+    if y_gen is None:
+        n4, d4 = 0, 1
+    elif y_gold == 0:
+        n4, d4 = (rn, rd) if y_gen == 0 else (fn, fd)
+    else:
+        # y_gen = p/q, y_gold = r/s
+        p, q = y_gen.numerator, y_gen.denominator
+        r, s = y_gold.numerator, y_gold.denominator
+        scale = q * abs(r)
+        n4, d4 = rn * (scale - abs(p * s - r * q)), rd * scale
+        if clamp and n4 * fd < fn * d4:
+            n4, d4 = fn, fd
+    total = Fraction(
+        ((n1 * d2 + n2 * d1) * d3 + n3 * d1 * d2) * d4 + n4 * d1 * d2 * d3, d1 * d2 * d3 * d4
+    )
 
     diagnostics = RewardDiagnostics(
         compiled=compiled,
@@ -246,4 +231,6 @@ def _score(
         op_counts_gold=dict(gold_counts),
         y_gen=y_gen,
     )
-    return RewardBreakdown(r1, r2, r3, r4, _sum((r1, r2, r3, r4)), diagnostics)
+    return RewardBreakdown(
+        Fraction(n1, d1), Fraction(n2, d2), Fraction(n3, d3), Fraction(n4, d4), total, diagnostics
+    )

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from .interpreter import (
     Environment,
@@ -68,22 +68,22 @@ class GeneratorInterface(Protocol):
 class ScriptedGenerator:
     """Replays fixed text in fixed-size chunks, ignoring the context.
 
-    ``chunk_size <= 0`` replays everything in a single chunk.
+    ``chunk_size <= 0`` replays everything in a single chunk. The chunks are
+    cut once, when the generator is built, and handed out one per call.
     """
 
     text: str
     chunk_size: int = 0
-    _pos: int = field(default=0, init=False, repr=False)
+    _chunks: Iterator[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        text, size = self.text, self.chunk_size
+        if size <= 0:
+            size = len(text) or 1
+        self._chunks = iter([text[i : i + size] for i in range(0, len(text), size)])
 
     def next_chunk(self, context: str) -> str:
-        if self._pos >= len(self.text):
-            return ""
-        if self.chunk_size <= 0:
-            chunk = self.text[self._pos :]
-        else:
-            chunk = self.text[self._pos : self._pos + self.chunk_size]
-        self._pos += len(chunk)
-        return chunk
+        return next(self._chunks, "")
 
 
 @dataclass(frozen=True)
