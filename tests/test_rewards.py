@@ -361,6 +361,22 @@ class TestRewardConfig:
         with pytest.raises(ValueError, match=message):
             replace(RewardConfig(), clamp_components=value)
 
+    def test_int_bounds_give_fraction_parts(self):
+        # An int r_max or clamp_floor still gives Fraction parts: r1 is r_max,
+        # and r4 for a zero gold answer is r_max or the floor.
+        cfg = RewardConfig(r_max=2, clamp_floor=-3)
+        gold = record_of(finds_source(1), Fraction(0))
+        for gen, r4 in ((answering(0), 2), (answering(5), -3), (None, 0)):
+            breakdown = score_program(gen, gold, cfg)
+            assert breakdown.r4 == r4
+            for name in ("r1", "r2", "r3", "r4", "total"):
+                assert type(getattr(breakdown, name)) is Fraction, (gen, name)
+        right = score_program(answering(0), gold, cfg)
+        assert (right.r1, right.total) == (2, 6)
+        assert right.to_json() == score_program(
+            answering(0), gold, RewardConfig(Fraction(2), True, Fraction(-3))
+        ).to_json()
+
     def test_bounds_take_ints_and_no_floor(self):
         cfg = RewardConfig(r_max=2, clamp_floor=-1)
         assert cfg.floor == -1
@@ -455,20 +471,53 @@ def programs(draw, wild: bool = False, kinds=KINDS) -> Program:
     return Program(tuple(statements))
 
 
+# Answers: small ones, 0 for the zero-gold rule, huge ones of either sign,
+# and ones with no terminating decimal.
+ANSWERS = st.one_of(
+    SMALL,
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**64)),
+    st.builds(Fraction, st.integers(-100, 100), st.sampled_from((3, 7, 9, 11, 13))),
+)
+
+
+def answer_program(value: Fraction) -> Program:
+    """One [find] of ``value``, returned."""
+    annotation = CommentAnnotation(format_number(value), value)
+    find = Statement(Operator.FIND, ("q1",), "var1", annotation)
+    return Program((find, Statement(Operator.RETURN, (VarRef("var1"),))))
+
+
 @st.composite
 def gold_records(draw) -> ProblemRecord:
-    answer = draw(SMALL)  # 0 often enough for the zero-gold rule
+    answer = draw(ANSWERS)
     # Never empty, so it declares at least one [find].
     program = draw(programs(kinds=st.lists(KIND, min_size=1, max_size=8)))
     source = oracles.render_program(program)
     return ProblemRecord("gold", "?", source, answer)
 
 
+# Bounds as ints and Fractions, non-integer and 2**200-scale, with floors
+# of either sign, above r_max too, so the clamps meet every sign and size.
+HUGE = st.integers(2**199, 2**201)
 reward_configs = st.builds(
     RewardConfig,
-    r_max=st.builds(Fraction, st.integers(1, 40), st.integers(1, 8)),
+    r_max=st.one_of(
+        st.builds(Fraction, st.integers(1, 40), st.integers(1, 8)),
+        st.integers(1, 40),
+        HUGE,
+        st.builds(Fraction, HUGE, st.integers(2, 2**64)),
+    ),
     clamp_components=st.booleans(),
-    clamp_floor=st.one_of(st.none(), st.builds(Fraction, st.integers(-48, 8), st.integers(1, 8))),
+    clamp_floor=st.one_of(
+        st.none(),
+        st.builds(Fraction, st.integers(-48, 8), st.integers(1, 8)),
+        st.integers(-48, 48),
+        st.builds(Fraction, st.integers(1, 2**70), st.integers(1, 7)),
+        HUGE.map(lambda n: -n),
+        # a hair above an integer, closer than a float can tell
+        st.builds(lambda k, d: Fraction(k * d + 1, d), st.integers(-3, 1), HUGE),
+    ),
 )
 
 GOLD_SUM = "var1 = [find](a) # 3\nvar2 = [find](b) # 4\nvar3 = [add](var1, var2)\n[return](var3)"
@@ -486,13 +535,30 @@ class TestScoreProgramAgainstReference:
 
     @settings(max_examples=500, deadline=None)
     @given(
-        st.one_of(st.none(), programs(), programs(wild=True)), gold_records(), reward_configs
+        st.one_of(st.none(), programs(), programs(wild=True), ANSWERS.map(answer_program)),
+        gold_records(),
+        reward_configs,
     )
     @example(None, ProblemRecord("g", "?", GOLD_SUM, Fraction(7)), DEFAULT_REWARD_CONFIG)
     @example(  # no return; extra and missing operators; zero gold answer
         parse_program("var1 = [find](a) # 3\nvar2 = [divide](var1, var1)\nvar3 = [divide](var2, 2)"),
         ProblemRecord("g", "?", GOLD_SUM, Fraction(0)),
         RewardConfig(r_max=Fraction(3, 2), clamp_components=False),
+    )
+    @example(  # r4 = -3/4: below the floor -1/2, not below its numerator -1
+        answer_program(Fraction(11)),
+        ProblemRecord("g", "?", GOLD_SUM, Fraction(4)),
+        RewardConfig(clamp_floor=Fraction(-1, 2)),
+    )
+    @example(  # r4 = -1 - 2**-200, below the floor -1 by less than a float can tell
+        answer_program(Fraction(-(2**200) - 1)),
+        ProblemRecord("g", "?", GOLD_SUM, Fraction(2**200)),
+        RewardConfig(r_max=1, clamp_floor=-1),
+    )
+    @example(  # r2 = -1, below the floor -1 + 2**-200 by less than a float can tell
+        parse_program("var1 = [find](a) # 1\nvar2 = [find](b) # 2\nvar3 = [find](c) # 3\n[return](var3)"),
+        ProblemRecord("g", "?", "var1 = [find](a) # 3\n[return](var1)", Fraction(3)),
+        RewardConfig(r_max=1, clamp_floor=Fraction(1 - 2**200, 2**200)),
     )
     @example(  # a gold without [find]s raises in both
         parse_program(GOLD_SUM), ProblemRecord("g", "?", "var1 = [add](1, 2)\n[return](var1)", Fraction(3)), DEFAULT_REWARD_CONFIG
@@ -504,6 +570,9 @@ class TestScoreProgramAgainstReference:
             assert breakdown == expected
         if not isinstance(breakdown, RewardBreakdown):
             return
+        # `==` lets an int through where a part must be a Fraction.
+        for name in ("r1", "r2", "r3", "r4", "total"):
+            assert type(getattr(breakdown, name)) is Fraction, name
         # Count order reaches the JSON, so it must match too.
         for name in ("op_counts_gen", "op_counts_gold"):
             assert list(getattr(breakdown.diagnostics, name).items()) == list(

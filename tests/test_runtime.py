@@ -1,5 +1,7 @@
 """Session runtime: halt/compute/resume, budgets, prompt assembly."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -60,6 +62,47 @@ def records():
     from flsolve import bundled_examples
 
     return bundled_examples().records
+
+
+def drain(gen) -> list[str]:
+    """The generator's chunks up to its first ""."""
+    return list(iter(lambda: gen.next_chunk("ignored"), ""))
+
+
+# Text with CRLF line ends, non-ASCII characters, and often none at all.
+SCRIPT_TEXT = st.text(st.sampled_from("ab \n\r#()é€😀,"), max_size=40)
+
+
+class TestScriptedGenerator:
+    """The chunks are cut when the generator is built and handed out in order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SCRIPT_TEXT, st.integers(-2, 20))
+    @example("", 0)
+    @example("var1\r\n€😀", 3)
+    def test_chunks_then_empty_forever(self, text, n):
+        gen = ScriptedGenerator(text, n)
+        assert repr(gen) == f"ScriptedGenerator(text={text!r}, chunk_size={n!r})"
+        if n <= 0:
+            expected = [text] if text else []
+        else:
+            expected = [text[i : i + n] for i in range(0, len(text), n)]
+        assert drain(gen) == expected
+        assert [gen.next_chunk(text) for _ in range(3)] == ["", "", ""]
+        assert repr(gen) == f"ScriptedGenerator(text={text!r}, chunk_size={n!r})"
+
+    @settings(max_examples=200, deadline=None)
+    @given(SCRIPT_TEXT, st.integers(-2, 20), st.integers(0, 12))
+    def test_copies_resume_mid_stream(self, text, n, taken):
+        gen = ScriptedGenerator(text, n)
+        head = [gen.next_chunk("") for _ in range(taken)]
+        copies = (copy.deepcopy(gen), pickle.loads(pickle.dumps(gen)))
+        rest = drain(gen)
+        assert "".join(head) + "".join(rest) == text
+        for copied in copies:
+            assert repr(copied) == repr(gen)
+            assert drain(copied) == rest
+            assert copied.next_chunk("") == ""
 
 
 class TestReplayFidelity:
