@@ -83,6 +83,21 @@ def _as_float_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _mean(x: np.ndarray) -> np.float64:
+    """``x.mean()`` of a float64 array, bit for bit: the same pairwise sum
+    over the whole array divided by its size, without the Python-level
+    wrapper around them."""
+    return np.add.reduce(x, axis=None) / x.size
+
+
+def _normalized(x: np.ndarray) -> np.ndarray:
+    """``(x - x.mean()) / (x.std() + 1e-8)`` of a float64 array, bit for bit,
+    in the operations numpy's std runs: the mean, the squared deviations from
+    it, their mean and its square root."""
+    centered = x - _mean(x)
+    return centered / (np.sqrt(_mean(centered * centered)) + 1e-8)
+
+
 @dataclass
 class Trajectory:
     """Steps t = 0..T, one per action: one episode, or a batch of episodes
@@ -187,7 +202,7 @@ class _PreparedBatch:
         self.cfg = cfg
         self.beta = cfg.beta if beta is None else beta
         self.rows = np.arange(batch.steps)
-        self.old_finite = bool(np.all(np.isfinite(batch.logprobs_policy)))
+        self.old_finite = bool(np.logical_and.reduce(np.isfinite(batch.logprobs_policy), axis=None))
         self.ratio_band = (1.0 - cfg.clip_range, 1.0 + cfg.clip_range)
         old_values = batch.values[:-1]
         self.value_band = (old_values - cfg.clip_range_value, old_values + cfg.clip_range_value)
@@ -216,17 +231,17 @@ class _PreparedBatch:
 
     def objective(self, advantages, new_logprobs, ref_dists=None, new_dists=None) -> PpoObjective:
         ratio, unclipped, clipped = self.surrogate_terms(advantages, new_logprobs)
-        surrogate = float(np.minimum(unclipped, clipped).mean())
+        surrogate = float(_mean(np.minimum(unclipped, clipped)))
         clip_fraction = np.count_nonzero(np.abs(ratio - 1.0) > self.cfg.clip_range) / ratio.size
         mean_kl = kl_penalty = 0.0
         if ref_dists is not None and new_dists is not None:
-            mean_kl = float(np.mean(kl_divergence(ref_dists, new_dists)))
+            mean_kl = float(_mean(kl_divergence(ref_dists, new_dists)))
             kl_penalty = self.beta * mean_kl
         return PpoObjective(-(surrogate - kl_penalty), kl_penalty, clip_fraction, mean_kl)
 
     def value_loss(self, returns, new_values) -> float:
         raw, clipped = self.value_errors(returns, new_values)
-        return float(np.maximum(raw, clipped).mean())
+        return float(_mean(np.maximum(raw, clipped)))
 
     def gradients(self, advantages, returns, policy: ToyPolicy, ref_probs) -> tuple:
         """``ppo_gradients`` on the prepared batch; needs ``onehot``."""

@@ -25,6 +25,8 @@ from .ppo import (
     ToyPolicy,
     Trajectory,
     _gae,
+    _mean,
+    _normalized,
     _PreparedBatch,
     adaptive_kl_update,
     softmax,
@@ -591,7 +593,7 @@ def train_ppo_demo(
         ]
         flat, advantages = _trajectory(episodes, ppo_cfg)
         returns = advantages + flat.values[:-1]
-        norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+        norm_adv = _normalized(advantages)
         phi = flat.state_features
         ref_probs = softmax(phi @ ref.weights.T)
         update = _PreparedBatch(flat, ppo_cfg, policy.n_actions, beta)
@@ -619,7 +621,7 @@ def train_ppo_demo(
         history.append(
             IterationStats(
                 iteration=iteration,
-                mean_total_reward=float(np.mean([total for _, total in episodes])),
+                mean_total_reward=float(_mean(np.array([total for _, total in episodes]))),
                 mean_kl=objective.mean_kl,
                 clip_fraction=objective.clip_fraction,
                 beta=beta,

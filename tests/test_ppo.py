@@ -25,7 +25,7 @@ from flsolve import (
     train_ppo_demo,
     value_loss,
 )
-from flsolve.ppo import _PreparedBatch, ppo_gradients
+from flsolve.ppo import _mean, _normalized, _PreparedBatch, ppo_gradients
 
 import oracles
 
@@ -595,3 +595,59 @@ class TestPreparedBatchBeta:
         assert astuple(given.objective(advantages, new_logprobs, ref_probs, probs)) == astuple(
             configured.objective(advantages, new_logprobs, ref_probs, probs)
         )
+
+
+# Normal values, zeros of both signs, subnormals, values near the float64
+# limit, infinities and NaN, so a sum can round, overflow or turn NaN.
+REDUCED_ELEMENTS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(width=64),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    ),
+)
+REDUCED_ARRAYS = st.lists(REDUCED_ELEMENTS, min_size=1, max_size=300).map(np.array)
+REDUCED_EXAMPLES = [
+    np.array([math.nan]),
+    np.array([-0.0, -0.0]),
+    np.array([1e308, 1e308, -1e308]),
+    np.array([math.inf, -math.inf, 1.0]),
+    np.array([5e-324] * 299 + [-math.nan]),
+    np.linspace(-3.0, 7.0, 300) ** 3,
+]
+
+
+def with_examples(arrays):
+    def decorate(test):
+        for x in arrays:
+            test = example(x=x)(test)
+        return test
+
+    return decorate
+
+
+class TestReductionBits:
+    """The update's reductions through their ufuncs give numpy's own bits,
+    NaN and the sign of zero included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=REDUCED_ARRAYS)
+    @with_examples(REDUCED_EXAMPLES)
+    def test_mean_is_the_method_bit_for_bit(self, x):
+        with np.errstate(all="ignore"):
+            assert bits(_mean(x)) == bits(x.mean())
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=REDUCED_ARRAYS)
+    @with_examples(REDUCED_EXAMPLES)
+    def test_normalized_is_the_method_form_bit_for_bit(self, x):
+        with np.errstate(all="ignore"):
+            assert bits(_normalized(x)) == bits((x - x.mean()) / (x.std() + 1e-8))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=REDUCED_ARRAYS)
+    @with_examples(REDUCED_EXAMPLES)
+    def test_old_finite_is_np_all_isfinite(self, x):
+        n = len(x)
+        prepared = _PreparedBatch(make_traj(np.zeros(n), np.zeros(n + 1), x), PpoConfig())
+        assert prepared.old_finite is bool(np.all(np.isfinite(x)))
