@@ -15,6 +15,8 @@ from typing import Callable, Iterable, Sequence
 from .interpreter import answers_match, evaluate
 from .parser import parse_program
 from .program import (
+    ARITHMETIC_OPERATORS,
+    BASIC_OPERATORS,
     Operator,
     ProblemRecord,
     Program,
@@ -22,17 +24,10 @@ from .program import (
 )
 from .values import _parse_literal, _text_int, format_number
 
-# Column order for frequency tables.
-STATS_ORDER = (
-    Operator.MULTIPLY,
-    Operator.DIVIDE,
-    Operator.ADD,
-    Operator.SUBTRACT,
-    Operator.LCM,
-    Operator.GCD,
-    Operator.ROUND,
-    Operator.FLOOR,
-    Operator.MOD,
+# Column order for frequency tables: the basic four, then every other
+# computing operator in declaration order.
+STATS_ORDER = BASIC_OPERATORS + tuple(
+    op for op in Operator if op in ARITHMETIC_OPERATORS and op not in BASIC_OPERATORS
 )
 
 FAILURE_REASONS = ("parse-error", "eval-error", "answer-mismatch", "no-find")

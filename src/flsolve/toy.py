@@ -15,6 +15,7 @@ import re
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -171,18 +172,25 @@ def _cue_index(question: str) -> int | None:
 _QUANTITY_RE = re.compile(UNSIGNED_NUMBER_PATTERN)
 
 
-def _read_question(question: str) -> tuple[int | None, list[str]]:
+@lru_cache(maxsize=1024)
+def _read_question(question: str) -> tuple[int | None, tuple[str, ...]]:
     """The question's cue index, and for its i-th number (a '-' in prose is
-    no sign) the tail of its [find] line, `` = [find](quantity i) # value``."""
+    no sign) the tail of its [find] line, `` = [find](quantity i) # value``.
+    Cached, so every episode of a task after its first reads it for free."""
     values = [parse_number(text) for text in _QUANTITY_RE.findall(question)]
     if not values or None in values:
         problem = "a number that does not parse" if values else "no quantities"
         raise ValueError(f"question {_brief_repr(question)} holds {problem}")
-    finds = [f" = [find](quantity {i}) # {format_number(v)}\n" for i, v in enumerate(values, 1)]
+    finds = tuple(
+        f" = [find](quantity {i}) # {format_number(v)}\n" for i, v in enumerate(values, 1)
+    )
     return _cue_index(question), finds
 
 
+@lru_cache(maxsize=1024)
 def _features(cue: int | None, lines: int, finds: int, ops: int) -> np.ndarray:
+    """A state's feature vector, cached and read-only, so that tables and
+    trajectories share one array per state."""
     phi = np.zeros(N_FEATURES)
     if cue is not None:
         phi[cue] = 1.0
@@ -190,6 +198,7 @@ def _features(cue: int | None, lines: int, finds: int, ops: int) -> np.ndarray:
     phi[10] = finds / 3.0
     phi[11] = ops / 2.0
     phi[12] = 1.0
+    phi.flags.writeable = False
     return phi
 
 
@@ -308,13 +317,11 @@ class _StepTable:
     alone on its first read; ``_rows`` holds the rows read so far, in the
     order first read. Per-action log-probs are filled on first use. The
     table keeps no copy of the weights: build a new one after an update.
-    ``states`` maps a state to its features; tables may share it, so that
-    each state's features are computed once for all of them.
+    Features come from ``_features``' cache, shared by every table.
     """
 
-    def __init__(self, policy: ToyPolicy, states: dict | None = None, fill: Sequence[tuple] = ()):
+    def __init__(self, policy: ToyPolicy, fill: Sequence[tuple] = ()):
         self.policy = policy
-        self.states = {} if states is None else states
         self._rows: dict[tuple, _StepRow] = {}
         self._filled = dict(zip(fill, self._build(fill))) if fill else {}
 
@@ -332,11 +339,7 @@ class _StepTable:
         """Rows for ``keys``: ``W`` and ``V`` times the stacked features as
         columns, one broadcast matmul each, whose C loop runs ``ToyPolicy``'s
         gemv and dot per row; one ``Phi @ W.T`` gemm would change some bits."""
-        states = self.states
-        for key in keys:
-            if key not in states:
-                states[key] = _features(*key)
-        phis = [states[key] for key in keys]
+        phis = [_features(*key) for key in keys]
         columns = np.array(phis)[:, :, None]
         W, V = self.policy.weights, self.policy.value_weights
         return _StepRow.batch(
@@ -355,9 +358,9 @@ class PolicySession:
     """Generator that turns policy actions into pseudocode lines.
 
     Quantities come from the question, structure from the policy; the gold
-    program is only the scorer's label. An arithmetic line is emitted up to
-    its ')', and its newline on the next pull: the split stands for a model
-    that is stopped at ')' while the session injects the computed comment.
+    program is only the scorer's label. Each pull returns one whole line,
+    newline included; the runtime reads an arithmetic line to its end and
+    injects the computed comment whatever the chunking.
 
     ``_step`` reads the current state's row and picks an action, argmax with
     ``rng=None``, else a draw; the session keeps each step's features,
@@ -372,8 +375,8 @@ class PolicySession:
     the weights stay fixed while episodes run. A session builds its own
     table unless given one built on ``policy``:
     ``greedy_accuracy`` shares one across its episodes, ``train_ppo_demo``
-    one across an iteration's episodes. ``_play`` hands in ``_task``, the
-    question's ``_read_question`` pair, as its memo holds it.
+    one across an iteration's episodes. The cue and the ``[find]`` tails
+    come from ``_read_question``'s cache.
     """
 
     def __init__(
@@ -383,9 +386,8 @@ class PolicySession:
         rng: np.random.Generator | None = None,
         *,
         table: _StepTable | None = None,
-        _task: tuple[int | None, list[str]] | None = None,
     ):
-        self._cue, self._find_tails = _read_question(record.question) if _task is None else _task
+        self._cue, self._find_tails = _read_question(record.question)
         self.table = _StepTable(policy) if table is None else table
         self.record = record
         self.rng = rng
@@ -395,7 +397,6 @@ class PolicySession:
         self.values: list[float] = []
         self._finds = self._ops = self._written = 0
         self._done = False
-        self._pending: str | None = None
 
     def _step(self) -> int:
         row = self.table.row(self._cue, len(self.actions), self._finds, self._ops)
@@ -415,9 +416,6 @@ class PolicySession:
             self._done = True
 
     def next_chunk(self, context: str) -> str:
-        if self._pending is not None:
-            chunk, self._pending = self._pending, None
-            return chunk
         n = self._written
         if n == len(self.actions):
             if self._done:
@@ -431,8 +429,7 @@ class PolicySession:
         if action in (0, 1):
             return f"var{n + 1}" + self._find_tails[min(action, len(self._find_tails) - 1)]
         if action in OP_ACTIONS:
-            self._pending = "\n"
-            return f"var{n + 1} = [{OP_ACTIONS[action].value}](var1, var2)"
+            return f"var{n + 1} = [{OP_ACTIONS[action].value}](var1, var2)\n"
         return f"[return](var{max(n, 1)})\n"
 
 
@@ -468,20 +465,17 @@ def _play(
 ) -> tuple[PolicySession, float]:
     """One training episode, a session, and its total reward, through ``memo``.
 
-    ``memo`` maps a task position to the ``_task`` pair of its record and a
-    tree of the action sequences played on it: a dict of the next actions
-    where the runtime went on to ask for another action, else the episode's
-    total reward. The position's first episode makes its entry. While the
-    episode's prefix is in the tree the session only takes steps: one row
-    read and one draw per action. At the first unknown prefix the runtime
-    runs that same session, which writes the lines of the actions taken so
-    far, then draws on. The episode is scored and recorded.
+    ``memo`` maps a task position to a tree of the action sequences played
+    on it: a dict of the next actions where the runtime went on to ask for
+    another action, else the episode's total reward. The position's first
+    episode makes its entry. While the episode's prefix is in the tree the
+    session only takes steps: one row read and one draw per action. At the
+    first unknown prefix the runtime runs that same session, which writes
+    the lines of the actions taken so far, then draws on. The episode is
+    scored and recorded.
     """
-    entry = memo.get(position)
-    if entry is None:
-        entry = memo[position] = (_read_question(record.question), {})
-    task, tree = entry
-    session = PolicySession(table.policy, record, rng, table=table, _task=task)
+    tree = memo.setdefault(position, {})
+    session = PolicySession(table.policy, record, rng, table=table)
     node = tree
     while type(node) is dict:
         action = session._step()
@@ -558,11 +552,12 @@ def train_ppo_demo(
     writes no line text and runs no session, and reads the total reward from
     a memo that lives for this call. That is exact: ``PolicySession`` ignores
     its context, so its chunks are a function of its actions and the record,
-    and the budget and ``reward_cfg`` are fixed for the call. Each state's
-    features and each task's cue and quantities, read from its question,
-    are computed once per call. The frozen copy enters only the KL penalty,
-    through its action distributions at the batch's states. Draws, stats and
-    weights match playing every episode afresh.
+    and the budget and ``reward_cfg`` are fixed for the call. A state's
+    features and a task's cue and quantities come from the caches of
+    ``_features`` and ``_read_question``, so each is computed on first use
+    and read back after, in this call and later ones. The frozen copy enters
+    only the KL penalty, through its action distributions at the batch's
+    states. Draws, stats and weights match playing every episode afresh.
     """
     if ppo_cfg is None:
         ppo_cfg = demo_config()
@@ -575,7 +570,6 @@ def train_ppo_demo(
     beta = ppo_cfg.beta
     lr = ppo_cfg.learning_rate
     history: list[IterationStats] = []
-    states: dict = {}
     memo: dict = {}
     table = None
     for iteration in range(iterations):
@@ -586,7 +580,7 @@ def train_ppo_demo(
             positions = rng.permutation(len(tasks))[:batch_size].tolist()
             batch = [tasks[i] for i in positions]
         # The states the last iteration read are filled in one batch.
-        table = _StepTable(policy, states, [] if table is None else list(table._rows))
+        table = _StepTable(policy, [] if table is None else list(table._rows))
         episodes = [
             _play(memo, table, position, rec, reward_cfg, rng)
             for position, rec in zip(positions, batch)

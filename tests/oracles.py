@@ -735,8 +735,15 @@ class ReferencePolicySession(PolicySession):
     """The policy step computed afresh at every step, with ``Generator.choice``.
 
     Reads the policy through the session's step table but none of its cached
-    rows.
+    rows, and builds each state's features past ``_features``' cache. An
+    operation line goes out in two chunks, the line without its newline and
+    then the newline alone, so every comparison with this session also shows
+    that where a line is cut changes nothing.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending: str | None = None
 
     def next_chunk(self, context: str) -> str:
         if self._pending is not None:
@@ -745,7 +752,7 @@ class ReferencePolicySession(PolicySession):
         if self._done:
             return ""
         policy = self.table.policy
-        phi = _features(
+        phi = _features.__wrapped__(
             _cue_index(self.record.question), len(self.actions), self._finds, self._ops
         )
         probs = policy.action_probs(phi)
@@ -759,7 +766,10 @@ class ReferencePolicySession(PolicySession):
         self.values.append(policy.value(phi))
         self._advance(action)
         self._written += 1
-        return self._line(self._written - 1)
+        line = self._line(self._written - 1)
+        if action in toy.OP_ACTIONS:
+            line, self._pending = line[:-1], "\n"
+        return line
 
 
 def reference_step_row(probs: np.ndarray) -> dict:

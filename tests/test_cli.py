@@ -380,6 +380,8 @@ class TestPpoDemoCommand:
         "seed, digest",
         [
             ("0", "1727c4bc594f7453a582c1a8bc7f1c3100a62e2eeb0ab8a1db421245de75e850"),
+            ("7", "ab74114b5fe4a3df2003a8dd1597275c89c7e78c50ad19e194a57221913e7585"),
+            ("41", "80afad116c848f0705ea09a5469e06260d098e088b4c54e688295f44b4d8f5c4"),
             ("31337", "3a1a5dedf06146902db9cea49ab96c27249861d6f07dc3a87ed49f117626f193"),
         ],
     )

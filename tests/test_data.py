@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flsolve import (
+    ARITHMETIC_OPERATORS,
+    STATS_ORDER,
     DatasetError,
     DatasetFile,
     FAILURE_REASONS,
@@ -298,6 +300,13 @@ class TestOperatorStats:
         assert table["mod"] == 3
         assert sum(table.values()) == 3
         assert len(table) == 9
+
+    def test_stats_order_is_every_computing_operator(self):
+        assert len(STATS_ORDER) == len(set(STATS_ORDER))
+        assert set(STATS_ORDER) == ARITHMETIC_OPERATORS
+        assert [op.value for op in STATS_ORDER] == [
+            "multiply", "divide", "add", "subtract", "lcm", "gcd", "round", "floor", "mod",
+        ]
 
 
 class TestReasoningStepCount:

@@ -173,6 +173,7 @@ class TestReadQuestion:
             gold = [s.annotation.declared_value for s in task.parsed_gold().statements if s.is_find]
             cue, tails = _read_question(task.question)
             assert cue == _cue_index(task.question)
+            assert type(tails) is tuple
             assert len(tails) == len(gold) > 0, task.id
             for i, (tail, value) in enumerate(zip(tails, gold), start=1):
                 assert tail.endswith("\n")
@@ -194,11 +195,12 @@ class TestReadQuestion:
     def test_reads_unsigned_literals_in_order(self, question, values):
         cue, tails = _read_question(question)
         assert cue is None
+        assert type(tails) is tuple
         declared = [parse_line("var1" + tail[:-1]).annotation.declared_value for tail in tails]
         assert declared == values
 
     def test_renders_the_shortest_value(self):
-        assert _read_question("Apples are $2.50 each.")[1] == [" = [find](quantity 1) # 2.5\n"]
+        assert _read_question("Apples are $2.50 each.")[1] == (" = [find](quantity 1) # 2.5\n",)
 
     @pytest.mark.parametrize(
         "question, message",
@@ -209,8 +211,10 @@ class TestReadQuestion:
         ],
     )
     def test_rejects_a_question_without_readable_quantities(self, question, message):
-        with pytest.raises(ValueError, match=message):
-            _read_question(question)
+        # A failed read is not cached: every call raises.
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                _read_question(question)
 
 
 class TestCuesAndFeatures:
@@ -272,16 +276,33 @@ class TestRollout:
         assert first.actions == second.actions
         assert first_transcript == second_transcript
 
-    def test_op_lines_pause_for_the_solver(self, single_op_tasks):
-        # An operation line is emitted without its newline so the session
-        # halts at ')' and injects the computed comment.
-        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
-        policy.weights[2, 12] = 100.0  # bias: always op-add
-        session = PolicySession(policy, single_op_tasks[0])
-        first = session.next_chunk("")
-        assert first.startswith("var1 = [add](var1, var2)")
-        assert not first.endswith("\n")
-        assert session.next_chunk("") == "\n"
+    # Scale 1 plays perfectly, 0.03 wanders, 0 fills the budget greedily.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        scale=st.sampled_from([1.0, 0.03, 0.0]),
+        seed=st.none() | st.integers(0, 2**32 - 1),
+        task=st.integers(0, 15),
+        sizes=st.lists(st.integers(1, 13), min_size=1, max_size=6),
+    )
+    @example(scale=1.0, seed=None, task=0, sizes=[1])
+    @example(scale=0.03, seed=3, task=5, sizes=[13])
+    def test_cut_chunks_change_nothing(self, scale, seed, task, sizes, single_op_tasks):
+        # Where the runtime's chunks end does not matter: cutting each line
+        # into pieces gives the same transcript, steps and generator state.
+        policy = optimal_policy()
+        policy.weights *= scale
+        record = single_op_tasks[task]
+        results = []
+        for cut in (False, True):
+            rng = None if seed is None else np.random.default_rng(seed)
+            session = PolicySession(policy, record, rng)
+            generator = CutChunks(session, sizes) if cut else session
+            transcript = run_session(generator, record.question, budget=DEMO_BUDGET)
+            results.append((
+                transcript, transcript.generated_source, session.actions, session.logprobs,
+                session.values, None if rng is None else rng.bit_generator.state,
+            ))
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize(
         "plan, source",
@@ -343,6 +364,25 @@ class TestRollout:
     def test_greedy_accuracy_requires_records(self):
         with pytest.raises(ValueError):
             greedy_accuracy(optimal_policy(), [])
+
+
+class CutChunks:
+    """Cuts each of ``session``'s chunks into pieces of ``sizes[0]``,
+    ``sizes[1]``, ... characters, cycling, and pulls from the session only
+    when its pieces run out."""
+
+    def __init__(self, session, sizes):
+        self.session, self.sizes, self.turn, self.pieces = session, sizes, 0, []
+
+    def next_chunk(self, context: str) -> str:
+        if not self.pieces:
+            chunk = self.session.next_chunk(context)
+            while chunk:
+                size = self.sizes[self.turn % len(self.sizes)]
+                self.turn += 1
+                self.pieces.append(chunk[:size])
+                chunk = chunk[size:]
+        return self.pieces.pop(0) if self.pieces else ""
 
 
 class TestWalkedSession:
@@ -949,23 +989,34 @@ class TestWorkCounts:
         assert len(sessions) == len(single_op_tasks) + 1
         assert runs == sessions
 
-    def test_features_once_per_state_per_call(self, single_op_tasks, monkeypatch):
-        keys = []
-        real = toy._features
+    @pytest.mark.parametrize("batch_size", [None, 5])
+    def test_features_and_questions_once_per_state_and_question(
+        self, single_op_tasks, batch_size, monkeypatch
+    ):
+        tables = self.count_instances(monkeypatch, "_StepTable")
+        sessions = self.count_instances(monkeypatch, "PolicySession")
 
-        def spy(*key):
-            keys.append(key)
-            return real(*key)
-
-        monkeypatch.setattr(toy, "_features", spy)
-        counts = []
-        for batch_size in (None, 5, None):
+        def train():
             policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
             train_ppo_demo(policy, single_op_tasks, iterations=60, seed=1, batch_size=batch_size)
-            assert len(keys) == len(set(keys)) > 0
-            counts.append(len(keys))
-            keys.clear()
-        assert counts[0] == counts[2]  # nothing carries over from one call to the next
+            return toy._features.cache_info().misses, _read_question.cache_info().misses
+
+        toy._features.cache_clear()
+        _read_question.cache_clear()
+        misses = train()
+        states = {key for table in tables for key in table._rows}
+        questions = {session.record.question for session in sessions}
+        assert misses == (len(states), len(questions))
+        assert toy._features.cache_info().currsize == len(states) > 0
+        assert train() == misses  # a second identical call reads only the caches
+
+    def test_cached_features_are_read_only(self):
+        for key in ALL_STATES[::97]:
+            phi = toy._features(*key)
+            assert toy._features(*key) is phi
+            assert same_bits(phi, toy._features.__wrapped__(*key))
+            with pytest.raises(ValueError, match="read-only"):
+                phi[12] = 2.0
 
     def test_one_prepared_batch_per_iteration(self, single_op_tasks, monkeypatch):
         prepared = self.count_instances(monkeypatch, "_PreparedBatch")
@@ -993,7 +1044,7 @@ class TestWorkCounts:
         assert checks == []
         assert len({stats.beta for stats in history}) == 6
 
-    def test_training_sessions_take_cue_and_finds_from_the_call(self, monkeypatch):
+    def test_training_sessions_read_each_question_once(self, monkeypatch):
         # Fresh records, so that their gold programs are not parsed yet.
         tasks = generate_toy_tasks(seed=7, count=16, templates=SINGLE_OP_TEMPLATES)
         sessions, inside, scoring, calls = [], [], [], []
@@ -1007,11 +1058,9 @@ class TestWorkCounts:
                 finally:
                     inside.pop()
 
-        def spy(name, real):
-            def spied(*args):
-                calls.append((name, bool(inside), bool(scoring)))
-                return real(*args)
-            return spied
+        def gold(record):
+            calls.append((bool(inside), bool(scoring)))
+            return real_gold(record)
 
         def score(*args):
             scoring.append(True)
@@ -1020,23 +1069,20 @@ class TestWorkCounts:
             finally:
                 scoring.pop()
 
-        real_score = toy._score_transcript
+        real_score, real_gold = toy._score_transcript, toy.ProblemRecord.parsed_gold
         monkeypatch.setattr(toy, "PolicySession", Watched)
         monkeypatch.setattr(toy, "_score_transcript", score)
-        monkeypatch.setattr(toy, "_read_question", spy("read", toy._read_question))
-        monkeypatch.setattr(
-            toy.ProblemRecord, "parsed_gold", spy("gold", toy.ProblemRecord.parsed_gold)
-        )
+        monkeypatch.setattr(toy.ProblemRecord, "parsed_gold", gold)
+        _read_question.cache_clear()
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         train_ppo_demo(policy, tasks, iterations=30, seed=1)
         assert len(sessions) == 30 * len(tasks)
-        assert calls.count(("read", False, False)) == len(tasks)
-        gold = [call for call in calls if call[0] == "gold"]
-        assert gold and all(call == ("gold", False, True) for call in gold)
-        assert len(calls) == len(tasks) + len(gold)
+        assert _read_question.cache_info().misses == len({task.question for task in tasks})
+        assert calls and all(call == (False, True) for call in calls)  # only while scoring
         calls.clear()
         greedy_accuracy(policy, tasks[:1])
-        assert calls == [("read", True, False)]  # a session on its own, and no scoring
+        assert calls == []  # no scoring
+        assert _read_question.cache_info().misses == len({task.question for task in tasks})
 
     @pytest.mark.parametrize("batch_size", [None, 5])
     def test_each_iteration_fills_the_states_the_last_one_read(self, batch_size, monkeypatch):
