@@ -71,7 +71,7 @@ def _read_source(path: str) -> str:
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj))
+    print(json.dumps(obj), flush=True)
 
 
 def _check_at_least(value: int, low: int, flag: str) -> None:
@@ -181,9 +181,8 @@ def cmd_ppo_demo(args: argparse.Namespace) -> int:
         history = train_ppo_demo(
             policy, tasks, reward_cfg, ppo_cfg, args.iterations,
             seed=args.seed, batch_size=args.batch_size,
+            on_iteration=lambda stats: _emit(stats.to_json()),
         )
-        for stats in history:
-            _emit(stats.to_json())
         accuracy = greedy_accuracy(policy, heldout)
         summary = {
             "initial_mean_reward": history[0].mean_total_reward,

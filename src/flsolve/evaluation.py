@@ -27,8 +27,10 @@ class GeneratorSpec:
     """Picklable recipe for building one generator per problem.
 
     ``gold-replay`` feeds each record's own program with computed comments
-    removed, so correctness measures the solver round trip. ``scripted``
-    feeds the same fixed text to every problem, by default nothing.
+    removed, so correctness measures the solver round trip. Its text ends in
+    a newline, so a session reads its [return] line whole and ends without
+    another pull, rendering no comment that nobody reads. ``scripted`` feeds
+    the same fixed text to every problem, by default nothing.
     """
 
     kind: str
@@ -41,7 +43,7 @@ class GeneratorSpec:
 
     def build(self, record: ProblemRecord) -> GeneratorInterface:
         if self.kind == "gold-replay":
-            return ScriptedGenerator(_replay_text(record), self.chunk_size)
+            return ScriptedGenerator(_replay_text(record) + "\n", self.chunk_size)
         return ScriptedGenerator(self.text, self.chunk_size)
 
 

@@ -18,6 +18,13 @@ of each variable operand, kept by name from the line that computed it (or
 from its [find] value's first use), and formats only its result and its
 literals.
 
+A comment is rendered only when a pull or a reader needs it. Each computed
+line is queued, and the queue is rendered in order just before a read that
+asks the generator, whose context then holds every line so far, or on the
+transcript's first read. A session whose text is already in hand, such as a
+gold replay fed whole and ending in a newline, formats no comment that
+nobody reads.
+
 Parse and evaluation failures are recorded in the transcript rather than
 raised, so a syntactically broken generation is data, not a crash.
 """
@@ -98,7 +105,7 @@ class EmittedLine:
     text: str
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class SessionTranscript:
     """What a session emitted and how it ended.
 
@@ -109,10 +116,15 @@ class SessionTranscript:
     emitted lines, so ``program`` is built from ``entries`` and the solver's
     comments, and a program's answer is ``outcome.answer``.
 
-    The session keeps each emitted line's text and source; ``emitted_lines``
-    is built from them when first read, and kept. A transcript compares,
-    hashes, prints, pickles and copies by ``(prompt, emitted_lines, outcome,
-    halted_count)``.
+    The session keeps each emitted line's text and source. A computed line
+    that no pull of the generator needed may still be queued, its comment
+    not yet rendered: the first read of ``generated_source``,
+    ``emitted_lines``, ``program``, ``repr``, ``==`` or ``hash`` renders the
+    queue into copies of the session's texts and keeps them, so concurrent
+    first reads agree and an unread transcript pickles and copies.
+    ``emitted_lines`` is built from the texts when first read, and kept. A
+    transcript compares, hashes, prints, pickles and copies by ``(prompt,
+    emitted_lines, outcome, halted_count)``.
     """
 
     prompt: str
@@ -121,13 +133,38 @@ class SessionTranscript:
     # Each emitted line's text, and its source: "generator" or "solver-injected".
     _texts: tuple[str, ...]
     _sources: tuple[str, ...]
-    entries: tuple[tuple[int, Statement], ...] = field(compare=False)
-    # The solver's (comment, value) for each computed line, in order.
-    _solved: tuple[tuple[str, Fraction], ...] = field(compare=False)
+    entries: tuple[tuple[int, Statement], ...]
+    # The solver's (comment, value) for each rendered computed line, in order.
+    _solved: tuple[tuple[str, Fraction], ...]
+    # The computed lines not yet rendered, in order, as (index into _texts,
+    # statement, operands, value), and the session's operand text of each
+    # variable rendered so far, by name.
+    _queued: tuple[tuple[int, Statement, list[Fraction], Fraction], ...]
+    _rendered: dict[str, str]
+
+    @cached_property
+    def _complete(self) -> tuple[tuple[str, ...], tuple[tuple[str, Fraction], ...]]:
+        """``(_texts, _solved)`` with every queued line rendered."""
+        if not self._queued:
+            return self._texts, self._solved
+        texts, solved = list(self._texts), list(self._solved)
+        _render(self._queued, texts, solved, dict(self._rendered))
+        return tuple(texts), tuple(solved)
 
     @cached_property
     def emitted_lines(self) -> tuple[EmittedLine, ...]:
-        return tuple(map(EmittedLine, self._sources, self._texts))
+        return tuple(map(EmittedLine, self._sources, self._complete[0]))
+
+    def _key(self) -> tuple:
+        return (self.prompt, self._complete[0], self._sources, self.outcome, self.halted_count)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (
@@ -139,7 +176,7 @@ class SessionTranscript:
     def generated_source(self) -> str:
         """The emitted lines joined by newlines, a string that ``total_reward``
         scores through this transcript; text derived from it is a plain str."""
-        return _SessionSource("\n".join(self._texts), self)
+        return _SessionSource("\n".join(self._complete[0]), self)
 
     @property
     def program(self) -> Program | None:
@@ -151,7 +188,7 @@ class SessionTranscript:
         """
         if not self._compiles():
             return None
-        solved = iter(self._solved)
+        solved = iter(self._complete[1])
         statements = []
         for _, stmt in self.entries:
             if stmt.is_arithmetic:
@@ -283,6 +320,38 @@ def _arithmetic_prefix(line: str) -> Statement | None:
     return None
 
 
+def _render(
+    queued: Sequence[tuple[int, Statement, list[Fraction], Fraction]],
+    texts: list[str],
+    solved: list[tuple[str, Fraction]],
+    rendered: dict[str, str],
+) -> None:
+    """Render each queued computed line, in order: append the solver's
+    comment, ``annotation_text(stmt, operands, value)``, to its text in
+    ``texts``, and its (comment, value) to ``solved``.
+
+    ``rendered`` holds the operand text of each variable rendered so far, by
+    name, and gains each [find] value on its first use and each line's
+    target, so a session formats each value once. A comment ends in
+    "= format_number(value)", so parse_comment_value would read it back.
+    """
+    for index, stmt, operands, value in queued:
+        parts = []
+        for arg, operand in zip(stmt.args, operands):
+            if isinstance(arg, VarRef):
+                text = rendered.get(arg.name)
+                if text is None:  # a [find] value, on its first use
+                    text = rendered[arg.name] = _operand_text(operand)
+            else:
+                text = _operand_text(operand)
+            parts.append(text)
+        value_text = format_number(value)
+        rendered[stmt.target] = _operand_text(value, value_text)
+        comment = _annotation(stmt.op, parts, value_text)
+        texts[index] += f" # {comment}"
+        solved.append((comment, value))
+
+
 def run_session(
     gen: GeneratorInterface,
     question: str,
@@ -295,15 +364,17 @@ def run_session(
     Terminates on a successful [return], on generator end-of-output, on
     budget exhaustion, or on the first parse or evaluation error. The
     transcript's ``halted_count`` equals the number of solver-injected
-    comments, which equals the arithmetic statements evaluated.
+    comments, rendered or queued, which equals the arithmetic statements
+    evaluated.
     """
     prompt = assemble_prompt(question, instructions)
-    context = prompt
+    context = prompt  # it stops before the first queued line
     env = Environment()
-    texts: list[str] = []  # one per emitted line
+    texts: list[str] = []  # one per emitted line; a queued line's without its comment
     sources: list[str] = []
     entries: list[tuple[int, Statement]] = []
-    solved: list[tuple[str, Fraction]] = []  # one per halt
+    solved: list[tuple[str, Fraction]] = []  # one per rendered halt
+    queued: list[tuple[int, Statement, list[Fraction], Fraction]] = []
     # Operand text of each variable rendered so far, by name.
     rendered: dict[str, str] = {}
     feed = _SessionFeed(gen, budget.max_chars)
@@ -315,6 +386,12 @@ def run_session(
             if line_no > max_lines:
                 raise EvalError("budget-exhausted", f"line budget of {max_lines} exhausted")
 
+            if queued and not feed.ended and "\n" not in feed.buffer:
+                # This read asks the generator, which sees every line so far.
+                start = queued[0][0]
+                _render(queued, texts, solved, rendered)
+                queued = []
+                context += "\n".join(texts[start:]) + "\n"
             line = feed.read_line(context)
             if line is None:
                 raise EvalError(
@@ -347,41 +424,25 @@ def run_session(
                 texts.append(stmt_text)
                 sources.append("generator")
                 raise
+            texts.append(stmt_text)
             if operands is None:
-                texts.append(stmt_text)
                 sources.append("generator")
-                context += stmt_text + "\n"
+                if not queued:
+                    context += stmt_text + "\n"
                 if stmt.is_return:
                     return SessionTranscript(
-                        prompt, EvalOutcome(value, env, None), len(solved),
+                        prompt, EvalOutcome(value, env, None), len(solved) + len(queued),
                         tuple(texts), tuple(sources), tuple(entries), tuple(solved),
+                        tuple(queued), rendered,
                     )
                 continue
-            # The comment is annotation_text(stmt, operands, value), with
-            # each variable operand's text rendered once per session. It
-            # ends in "= format_number(value)", so parse_comment_value
-            # would read back this annotation.
-            parts = []
-            for arg, operand in zip(stmt.args, operands):
-                if isinstance(arg, VarRef):
-                    text = rendered.get(arg.name)
-                    if text is None:  # a [find] value, on its first use
-                        text = rendered[arg.name] = _operand_text(operand)
-                else:
-                    text = _operand_text(operand)
-                parts.append(text)
-            value_text = format_number(value)
-            rendered[stmt.target] = _operand_text(value, value_text)
-            comment = _annotation(stmt.op, parts, value_text)
-            annotated = f"{stmt_text} # {comment}"
-            texts.append(annotated)
             sources.append("solver-injected")
-            solved.append((comment, value))
-            context += annotated + "\n"
+            queued.append((len(texts) - 1, stmt, operands, value))
     except EvalError as err:
         # Kept as data: its traceback would hold this call's frames alive.
         err.__traceback__ = None
         return SessionTranscript(
-            prompt, EvalOutcome(None, env, err), len(solved),
+            prompt, EvalOutcome(None, env, err), len(solved) + len(queued),
             tuple(texts), tuple(sources), tuple(entries), tuple(solved),
+            tuple(queued), rendered,
         )

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -531,6 +531,7 @@ def train_ppo_demo(
     *,
     seed: int = 0,
     batch_size: int | None = None,
+    on_iteration: Callable[[IterationStats], object] | None = None,
 ) -> list[IterationStats]:
     """Optimize ``policy`` in place against the frozen copy taken on entry.
 
@@ -558,6 +559,10 @@ def train_ppo_demo(
     and read back after, in this call and later ones. The frozen copy enters
     only the KL penalty, through its action distributions at the batch's
     states. Draws, stats and weights match playing every episode afresh.
+
+    ``on_iteration``, when given, is called with each iteration's stats as
+    soon as they are recorded, so a run that stops early has reported every
+    iteration before the one that failed.
     """
     if ppo_cfg is None:
         ppo_cfg = demo_config()
@@ -624,4 +629,6 @@ def train_ppo_demo(
                 prob_sum_err=max(0.0, *(row.prob_sum_err for row in table._rows.values())),
             )
         )
+        if on_iteration is not None:
+            on_iteration(history[-1])
     return history

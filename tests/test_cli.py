@@ -492,23 +492,42 @@ class TestPpoDemoCommand:
         assert via_env == via_flag
 
     def test_diverging_run_exits_1_without_non_finite_output(self, capsys):
-        # The value head overflows within the default 300 iterations.
+        # The value head overflows within the default 300 iterations. The
+        # iterations before it are printed, every value finite.
         with np.errstate(over="ignore", invalid="ignore"):
             code, out, err = run_cli(["ppo-demo", "--learning-rate", "1e3"], capsys)
-        assert (code, out) == (1, "")
+        assert code == 1
+        assert [line["iteration"] for line in json_lines(out)] == list(range(14))
         assert "NaN" not in out and "Infinity" not in out
         assert err.splitlines()[-1] == "error: training diverged at iteration 14: value_loss is inf"
 
+    def test_diverging_run_leaves_its_trail(self, capsys):
+        # Each iteration's line is printed as it finishes, so the lines of a
+        # run that diverges are those of the same run cut short.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(
+                ["ppo-demo", "--iterations", "40", "--learning-rate", "1e3"], capsys
+            )
+            _, shorter, _ = run_cli(
+                ["ppo-demo", "--iterations", "14", "--learning-rate", "1e3"], capsys
+            )
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 14
+        assert [json.loads(line)["iteration"] for line in lines] == list(range(14))
+        assert lines == shorter.splitlines()[:14]
+        assert err == "error: training diverged at iteration 14: value_loss is inf\n"
+
     @pytest.mark.parametrize(
-        "flags, message",
+        "flags, message, printed",
         [
             (["--learning-rate", "1e3", "--iterations", "20"],
-             "training diverged at iteration 14: value_loss is inf"),
+             "training diverged at iteration 14: value_loss is inf", 14),
             (["--learning-rate", "1e4"],
-             "training diverged at iteration 0: log-probabilities must be finite"),
+             "training diverged at iteration 0: log-probabilities must be finite", 0),
         ],
     )
-    def test_diverging_run_fails_in_one_line(self, flags, message):
+    def test_diverging_run_fails_in_one_line(self, flags, message, printed):
         # No numpy warning reaches stderr: the update checks for itself.
         src = str(Path(flsolve.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
@@ -516,7 +535,8 @@ class TestPpoDemoCommand:
             [sys.executable, "-m", "flsolve", "ppo-demo", *flags],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+        assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
+        assert [line["iteration"] for line in json_lines(done.stdout)] == list(range(printed))
 
     def test_zero_iterations_rejected(self, capsys):
         code, _, err = run_cli(["ppo-demo", "--iterations", "0"], capsys)

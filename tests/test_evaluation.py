@@ -13,6 +13,7 @@ from flsolve import (
     EvalReport,
     GeneratorSpec,
     ProblemRecord,
+    SessionBudget,
     bundled_examples,
     evaluate_corpus,
     generate_toy_tasks,
@@ -49,10 +50,22 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError):
             GeneratorSpec("replay")
 
-    def test_gold_replay_strips_computed_comments(self, fixture_ds):
-        record = fixture_ds.records[0]
-        gen = GeneratorSpec("gold-replay").build(record)
-        assert gen.text == strip_computed_comments(record.gold_program)
+    def test_gold_replay_feeds_the_stripped_program_and_a_newline(self, fixture_ds):
+        for record in list(fixture_ds.records) + generate_toy_tasks(0, 10):
+            gen = GeneratorSpec("gold-replay", chunk_size=3).build(record)
+            assert gen.text == strip_computed_comments(record.gold_program) + "\n"
+
+    def test_the_replay_newline_is_charged_to_the_last_line(self):
+        # Only a replay text of exactly max_chars characters ends differently
+        # for it: the newline takes it one past the cap.
+        cap = SessionBudget().max_chars
+        head, tail = "var1 = [find](", ") # 3\n[return](var1)"
+        for length, error_kinds in ((cap - 1, {}), (cap, {"budget-exhausted": 1})):
+            program = head + "a" * (length - len(head) - len(tail)) + tail
+            record = ProblemRecord("long", "q", program, Fraction(3))
+            assert len(_replay_text(record)) == length
+            report = evaluate_corpus(DatasetFile((record,), "one"), GeneratorSpec("gold-replay"))
+            assert report.to_json()["error_kinds"] == error_kinds
 
     def test_replay_text_matches_strip_computed_comments(self, fixture_ds):
         records = list(fixture_ds.records) + generate_toy_tasks(0, 60)

@@ -1,10 +1,12 @@
-"""A session keeps each line's text and builds no ``EmittedLine`` until read.
+"""A session renders a computed line's comment only when a pull or a reader
+needs it, and builds no ``EmittedLine`` until read.
 
-The session renders each computed line as it handles it and appends it to
-the generator's context; the transcript builds ``emitted_lines`` from the
-kept texts when first read. These tests check the generator's contexts and
-the transcript against the loop that built an ``EmittedLine`` for every line
-as it went (``oracles.reference_run_session``), pin where comments are
+The session renders a computed line as it handles it when the next read
+asks the generator; otherwise it queues the line, and renders the queue just
+before the next read that asks the generator, or when the transcript is
+first read. These tests check the generator's contexts and the transcript
+against the loop that rendered every line and built an ``EmittedLine`` for
+it as it went (``oracles.reference_run_session``), pin where comments are
 rendered, and keep ``EmittedLine`` calls out of the line loop.
 """
 
@@ -34,7 +36,7 @@ from flsolve import (
     strip_computed_comments,
     train_ppo_demo,
 )
-from flsolve import runtime, toy
+from flsolve import evaluation, runtime, toy
 from flsolve.toy import ACTION_NAMES, N_FEATURES
 
 import oracles
@@ -42,6 +44,13 @@ from test_parse_once import COMMENTED_TEXTS, GOLD, SESSION_TEXTS, generator_text
 from test_runtime import ListGenerator, chunked_text
 
 BUDGETS = (SessionBudget(), SessionBudget(max_chars=45), SessionBudget(max_lines=3))
+# Cut after 80 characters, this text queues var2 and var3, renders them for
+# the pull that finishes var4's line, then queues var4 to var6.
+QUEUED_TWICE = (
+    "var1 = [find](a) # 3\nvar2 = [add](var1, 1)\nvar3 = [add](var2, 1)\n"
+    "var4 = [multiply](var3, 2)\nvar5 = [add](var4, 1)\nvar6 = [subtract](var5, var1)\n"
+    "[return](var6)\n"
+)
 
 
 class Spy:
@@ -82,6 +91,15 @@ class TestMatchesTheEagerLoop:
     @example(GOLD.gold_program, 0, BUDGETS[0])
     @example("var1 = [find](a) # 3\n\nvar2 = [add](var1, 1)\n[return](var2)", 0, BUDGETS[0])
     @example("var1 = [find](a) # 3\nvar2 = [add](var1, 1)\nvar3 = [add](var2, 1)\n", 0, BUDGETS[2])
+    # Two lines queued, rendered at the second pull, then three queued again.
+    @example(QUEUED_TWICE, 80, BUDGETS[0])
+    # An evaluation error while two lines are queued.
+    @example(
+        "var1 = [find](a) # 3\nvar2 = [subtract](var1, 3)\nvar3 = [add](var1, var1)\n"
+        "var4 = [divide](var3, var2)\n[return](var4)",
+        0,
+        BUDGETS[0],
+    )
     def test_scripted_chunks(self, text, chunk_size, budget):
         t, ours, ref, theirs = both_sessions(lambda: ScriptedGenerator(text, chunk_size), budget)
         assert ours == theirs
@@ -90,6 +108,12 @@ class TestMatchesTheEagerLoop:
     @settings(max_examples=400, deadline=None)
     @given(chunked_text(), st.sampled_from(BUDGETS))
     @example(("", ["var1 = [find](a) # 3\nvar2", " = [add](var1, 1)\n"]), BUDGETS[0])
+    @example(("", [QUEUED_TWICE[:80], QUEUED_TWICE[80:]]), BUDGETS[0])
+    @example(
+        ("", ["var1 = [find](a) # 3\nvar2 = [add](var1, 1)\n",
+              "var3 = [add](var2, 1)\nvar4 = [divide](var3, 0)\n[return](var4)\n"]),
+        BUDGETS[0],
+    )
     def test_drawn_chunks(self, case, budget):
         _, chunks = case
         t, ours, ref, theirs = both_sessions(lambda: ListGenerator(chunks), budget)
@@ -146,27 +170,60 @@ def pulls(monkeypatch, renders):
     return seen
 
 
+# The reads of a transcript that need its comments.
+READS = {
+    "generated_source": lambda t: t.generated_source,
+    "emitted_lines": lambda t: t.emitted_lines,
+    "program": lambda t: t.program,
+    "repr": repr,
+    "eq": lambda t: t == t,
+    "hash": hash,
+}
+
+
 class TestWhereRenderingHappens:
-    def test_a_gold_replay_fed_whole_renders_each_comment_once(self, pulls, renders):
-        # The replay text ends without a newline, so the session pulls once
-        # more to finish its last line, and that pull's context holds every
-        # computed line, each rendered once.
+    def test_a_gold_replay_fed_whole_pulls_once_and_renders_nothing(
+        self, monkeypatch, pulls, renders
+    ):
+        # The replay text ends in a newline, so the session reads its
+        # [return] line whole and never pulls again: nothing asks for a
+        # comment until the transcript is read.
+        transcripts = []
+
+        def keeping(*args, **kwargs):
+            transcripts.append(run_session(*args, **kwargs))
+            return transcripts[-1]
+
+        monkeypatch.setattr(evaluation, "run_session", keeping)
         for record in bundled_examples().records:
-            del pulls[:], renders[:]
+            del pulls[:], renders[:], transcripts[:]
             report = evaluate_corpus(DatasetFile((record,), "one"), GeneratorSpec("gold-replay"))
             assert report.correct == 1
+            assert pulls == [(0, 0)]
+            assert renders == []
+            [t] = transcripts
+            ref = oracles.reference_run_session(
+                GeneratorSpec("gold-replay").build(record), record.question
+            )
             n = sum(1 for stmt in record.parsed_gold().statements if stmt.is_arithmetic)
-            assert pulls == [(0, 0), (n, n)]
-            assert len(renders) == n
+            for _ in range(2):
+                assert (t.generated_source, t.program) == (ref.generated_source, ref.program)
+                assert len(renders) == t.halted_count == n
 
-    @pytest.mark.parametrize("chunk_size", [0, 1, 3])
-    @pytest.mark.parametrize("text", SESSION_TEXTS + COMMENTED_TEXTS)
-    def test_reading_the_transcript_renders_nothing_more(self, renders, text, chunk_size):
+    @pytest.mark.parametrize("first_read", READS.values(), ids=READS.keys())
+    @pytest.mark.parametrize("chunk_size", [0, 1, 3, 80])
+    @pytest.mark.parametrize("text", SESSION_TEXTS + COMMENTED_TEXTS + (QUEUED_TWICE,))
+    def test_the_first_read_renders_what_no_pull_needed(
+        self, pulls, renders, text, chunk_size, first_read
+    ):
         t = run_session(ScriptedGenerator(text, chunk_size), GOLD.question)
+        # Each computed line before the last pull, and no other.
+        assert len(renders) == pulls[-1][0]
+        first_read(t)
         assert len(renders) == t.halted_count
-        for _ in range(2):
-            assert str(t.generated_source) == "\n".join(line.text for line in t.emitted_lines)
-            t.program
+        for read in READS.values():
+            read(t)
+        assert str(t.generated_source) == "\n".join(line.text for line in t.emitted_lines)
         assert len(renders) == t.halted_count
 
     @pytest.mark.parametrize("text", SESSION_TEXTS + COMMENTED_TEXTS)

@@ -493,6 +493,21 @@ class TestTraining:
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
 
+    def test_each_iteration_is_reported_as_it_finishes(self, single_op_tasks):
+        reported = []
+        policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        stats = train_ppo_demo(
+            policy, single_op_tasks[:4], iterations=3, seed=5,
+            on_iteration=lambda s: reported.append((s, policy.weights.copy())),
+        )
+        plain = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
+        assert [s for s, _ in reported] == stats == train_ppo_demo(
+            plain, single_op_tasks[:4], iterations=3, seed=5
+        )
+        # Called before the next iteration's update moves the weights.
+        assert not np.array_equal(reported[0][1], reported[2][1])
+        assert np.array_equal(reported[2][1], policy.weights)
+
     def test_batch_subsampling(self, single_op_tasks):
         policy = ToyPolicy.zeros(len(ACTION_NAMES), N_FEATURES)
         stats = train_ppo_demo(policy, single_op_tasks, iterations=2, seed=0, batch_size=3)
